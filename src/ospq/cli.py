@@ -20,22 +20,13 @@ from __future__ import annotations
 import argparse
 import datetime
 import json
-import os
 import sys
-from fractions import Fraction
 
 from . import __version__
-from .qcoeff import QCoeff, QFrac
 from .report import CheckResult, summarize
-from .scalars import Q2
 from .walgebra import DEFAULT_RULES, Rules, WeylElement, normal_order
 from .ospclassic import verify_classical
-from .uqosp import (
-    catalog,
-    classical_limit_checks,
-    round_trip_checks,
-    verify_instance,
-)
+from .uqosp import classical_limit_checks, round_trip_checks, verify_relations
 from . import fockrep
 
 SIZE_GUARD = 100_000
@@ -52,137 +43,17 @@ CHECK_ORDER = ("unitarity", "relations", "dims")
 
 
 # ---------------------------------------------------------------------------
-# stable rendering of exact coefficients
-# ---------------------------------------------------------------------------
-
-
-def _render_fraction(x: Fraction) -> str:
-    return str(x)
-
-
-def _render_scalar(z: Q2) -> str:
-    """Element of Q(sqrt 2) with an explicit radical marker."""
-    r, w = z.r, z.w
-    if w == 0:
-        return _render_fraction(r)
-    if w == 1:
-        root = "√2"
-    elif w == -1:
-        root = "-√2"
-    else:
-        root = f"{_render_fraction(w)}√2"
-    if r == 0:
-        return root
-    sign = "+" if not root.startswith("-") else ""
-    return f"{_render_fraction(r)}{sign}{root}"
-
-
-def _render_spower(e: int) -> str:
-    """Even powers of s print as powers of q = s^2."""
-    if e == 0:
-        return ""
-    if e % 2 == 0:
-        h = e // 2
-        if h == 1:
-            return "q"
-        if h == -1:
-            return "q^-1"
-        return f"q^{h}"
-    if e == 1:
-        return "s"
-    return f"s^{e}"
-
-
-def _render_qcoeff(x: QCoeff) -> tuple[str, bool]:
-    """Laurent polynomial; the flag says whether the string is one product
-    term (safe to use unparenthesized as a multiplier)."""
-    items = x.terms()
-    if not items:
-        return "0", True
-    pieces: list[str] = []
-    for e, z in items:
-        scalar = _render_scalar(z)
-        power = _render_spower(e)
-        if not power:
-            pieces.append(scalar)
-        elif scalar == "1":
-            pieces.append(power)
-        elif scalar == "-1":
-            pieces.append(f"-{power}")
-        elif any(ch in scalar for ch in "+/") or "-" in scalar[1:]:
-            pieces.append(f"({scalar}){power}")
-        else:
-            pieces.append(f"{scalar}{power}")
-    text = pieces[0]
-    for piece in pieces[1:]:
-        if piece.startswith("-"):
-            text += f" - {piece[1:]}"
-        else:
-            text += f" + {piece}"
-    return text, len(pieces) == 1
-
-
-def _render_qfrac(c: QFrac) -> str:
-    num, single = _render_qcoeff(c.num)
-    parts: list[str] = []
-    if c.dp:
-        parts.append("(s+s^-1)" + (f"^{c.dp}" if c.dp > 1 else ""))
-    if c.dm:
-        parts.append("(s-s^-1)" + (f"^{c.dm}" if c.dm > 1 else ""))
-    if not parts:
-        return num if single else f"({num})"
-    den = parts[0] if len(parts) == 1 else "(" + " ".join(parts) + ")"
-    return f"({num}/{den})"
-
-
-def render_element(x: WeylElement) -> str:
-    """Ordered-form printer: coefficient then monomial, terms joined by
-    +/- in a fixed (descending monomial) order."""
-    terms = sorted(x.terms(), reverse=True)
-    if not terms:
-        return "0"
-    pieces: list[str] = []
-    for mono, coeff in terms:
-        cs = _render_qfrac(coeff)
-        ms = str(mono)
-        if ms == "1":
-            pieces.append(cs)
-        elif cs == "1":
-            pieces.append(ms)
-        elif cs == "-1":
-            pieces.append(f"-{ms}")
-        else:
-            pieces.append(f"{cs} {ms}")
-    text = pieces[0]
-    for piece in pieces[1:]:
-        if piece.startswith("-"):
-            text += f" - {piece[1:]}"
-        else:
-            text += f" + {piece}"
-    return text
-
-
-# ---------------------------------------------------------------------------
 # report plumbing
 # ---------------------------------------------------------------------------
 
 
-def _residual_field(r: CheckResult):
-    if r.residual is None:
-        return "exact-zero"
-    return r.residual
+def render_element(x: WeylElement) -> str:
+    """The ordered form of x as the CLI prints it."""
+    return str(x)
 
 
 def build_report(command: str, parameters: dict, results: list[CheckResult]) -> dict:
-    rows = [
-        {
-            "id": r.id,
-            "status": "pass" if r.ok else "fail",
-            "residual": _residual_field(r),
-            "detail": r.detail,
-        }
-        for r in sorted(results, key=lambda r: r.id)
-    ]
+    rows = [r.to_row() for r in sorted(results, key=lambda r: r.id)]
     return {
         "schema": "1",
         "tool": "ospq",
@@ -218,21 +89,17 @@ def _emit(report: dict, fmt: str, out_path: str | None, stream) -> None:
             if row["detail"]:
                 line += f"  {row['detail']}"
             print(line, file=stream)
-        s = report["summary"]
-        print(
-            f"{report['status'].upper()}: {s['passed']}/{s['total']} checks passed",
-            file=stream,
-        )
-        if s["failing_ids"]:
-            print("failing: " + " ".join(s["failing_ids"]), file=stream)
+        _print_footer(report, stream)
 
 
-def _thread_count() -> int:
-    raw = os.environ.get("OSPQ_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
+def _print_footer(report: dict, stream) -> None:
+    s = report["summary"]
+    print(
+        f"{report['status'].upper()}: {s['passed']}/{s['total']} checks passed",
+        file=stream,
+    )
+    if s["failing_ids"]:
+        print("failing: " + " ".join(s["failing_ids"]), file=stream)
 
 
 def _fail(message: str) -> int:
@@ -245,23 +112,24 @@ def _fail(message: str) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _parse_families(text: str) -> list[str]:
+def _parse_choice(text: str, order: tuple[str, ...], what: str) -> list[str]:
+    """A comma list (or 'all') of names from `order`, returned in that order."""
     if text == "all":
-        return list(FAMILY_ORDER)
+        return list(order)
     chosen = [part.strip() for part in text.split(",") if part.strip()]
     for name in chosen:
-        if name not in FAMILY_ORDER:
+        if name not in order:
             raise ValueError(
-                f"unknown family {name!r} (choose from {', '.join(FAMILY_ORDER)} or all)"
+                f"unknown {what} {name!r} (choose from {', '.join(order)} or all)"
             )
-    return [name for name in FAMILY_ORDER if name in chosen]
+    return [name for name in order if name in chosen]
 
 
 def cmd_verify(args) -> int:
     if not 1 <= args.n <= 5:
         return _fail("--n must be between 1 and 5")
     try:
-        families = _parse_families(args.families)
+        families = _parse_choice(args.families, FAMILY_ORDER, "family")
     except ValueError as exc:
         return _fail(str(exc))
     rules: Rules = DEFAULT_RULES.corrupted() if args.corrupt_rules else DEFAULT_RULES
@@ -273,18 +141,7 @@ def cmd_verify(args) -> int:
     quantum_keys: list[str] = []
     for name in families:
         quantum_keys += QUANTUM_FAMILY_KEYS.get(name, ())
-    if quantum_keys:
-        instances = catalog(args.n, families=quantum_keys, seed=args.seed)
-        workers = _thread_count()
-        if workers > 1:
-            from concurrent.futures import ThreadPoolExecutor
-
-            with ThreadPoolExecutor(max_workers=workers) as pool:
-                results += list(
-                    pool.map(lambda inst: verify_instance(inst, args.n, rules), instances)
-                )
-        else:
-            results += [verify_instance(inst, args.n, rules) for inst in instances]
+    results += verify_relations(args.n, rules, families=quantum_keys, seed=args.seed)
     if set(families) == set(FAMILY_ORDER):
         results += round_trip_checks(args.n, rules)
         if args.n <= 4:
@@ -310,18 +167,6 @@ def _guard_rep(n: int, k: int) -> str | None:
     return None
 
 
-def _parse_checks(text: str) -> list[str]:
-    if text == "all":
-        return list(CHECK_ORDER)
-    chosen = [part.strip() for part in text.split(",") if part.strip()]
-    for name in chosen:
-        if name not in CHECK_ORDER:
-            raise ValueError(
-                f"unknown check {name!r} (choose from {', '.join(CHECK_ORDER)} or all)"
-            )
-    return [name for name in CHECK_ORDER if name in chosen]
-
-
 def _export_labels(n: int) -> list[str]:
     labels: list[str] = []
     for i in range(1, n + 1):
@@ -334,18 +179,15 @@ def cmd_rep(args) -> int:
     if guard:
         return _fail(guard)
     try:
-        checks = _parse_checks(args.checks)
+        checks = _parse_choice(args.checks, CHECK_ORDER, "check")
     except ValueError as exc:
         return _fail(str(exc))
-    workers = _thread_count()
     results: list[CheckResult] = []
     if "unitarity" in checks:
         results += fockrep.check_unitarity(args.n, args.k, tol=args.tol_entry)
         results += fockrep.check_weights(args.n, args.k)
     if "relations" in checks:
-        results += fockrep.check_matrix_relations(
-            args.n, args.k, max_workers=workers, tol=args.tol_rel
-        )
+        results += fockrep.check_matrix_relations(args.n, args.k, tol=args.tol_rel)
     if "dims" in checks:
         results += fockrep.check_decomposition(args.n, args.k)
     exports: list[str] = []
@@ -395,10 +237,7 @@ def _print_blocks(dec, report) -> None:
     print(f"{len(dec.blocks)} blocks")
     for b in dec.blocks:
         print(f"  m={b.m}  dim={b.dim}  indices={list(b.indices)}")
-    s = report["summary"]
-    print(f"{report['status'].upper()}: {s['passed']}/{s['total']} checks passed")
-    if s["failing_ids"]:
-        print("failing: " + " ".join(s["failing_ids"]))
+    _print_footer(report, sys.stdout)
 
 
 def cmd_normal_order(args) -> int:

@@ -35,7 +35,6 @@ from __future__ import annotations
 import cmath
 import math
 import re
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -441,25 +440,19 @@ def check_matrix_relations(
     n: int,
     k: int,
     families: Sequence[str] | None = None,
-    max_workers: int | None = None,
     tol: float = RESIDUAL_TOL,
 ) -> list[CheckResult]:
     """Every catalog instance as a k^n x k^n matrix identity, with the
     symbolic normal form re-evaluated at the root as a cross-check of the
     same matrices."""
     _check_shape(n, k)
-    instances = catalog(n, families=families)
-
-    def run(inst: RelationInstance) -> CheckResult:
+    out: list[CheckResult] = []
+    for inst in catalog(n, families=families):
         res = _instance_residual(inst, n, k)
-        return CheckResult(
-            f"MAT.{inst.id}[k={k}]", res < tol, res, "matrix residual"
+        out.append(
+            CheckResult(f"MAT.{inst.id}[k={k}]", res < tol, res, "matrix residual")
         )
-
-    if max_workers is not None and max_workers > 1:
-        with ThreadPoolExecutor(max_workers=max_workers) as pool:
-            return list(pool.map(run, instances))
-    return [run(inst) for inst in instances]
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -681,13 +674,11 @@ def check_decomposition(n: int, k: int) -> list[CheckResult]:
     return out
 
 
-def verify_representation(
-    n: int, k: int, max_workers: int | None = None
-) -> list[CheckResult]:
+def verify_representation(n: int, k: int) -> list[CheckResult]:
     """Unitarity, weights, all catalog relations as matrices, decomposition."""
     out = check_unitarity(n, k)
     out += check_weights(n, k)
-    out += check_matrix_relations(n, k, max_workers=max_workers)
+    out += check_matrix_relations(n, k)
     out += check_decomposition(n, k)
     return out
 

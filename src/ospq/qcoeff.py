@@ -42,6 +42,27 @@ def _as_q2(x: object) -> Q2 | None:
     return None
 
 
+def _spow_text(e: int) -> str:
+    """Even powers of s print as powers of q = s^2."""
+    if e == 0:
+        return ""
+    if e % 2 == 0:
+        h = e // 2
+        return "q" if h == 1 else f"q^{h}"
+    return "s" if e == 1 else f"s^{e}"
+
+
+def join_signed(pieces: list[str]) -> str:
+    """Join printed terms with " + ", writing a leading minus as " - "."""
+    text = pieces[0]
+    for piece in pieces[1:]:
+        if piece.startswith("-"):
+            text += f" - {piece[1:]}"
+        else:
+            text += f" + {piece}"
+    return text
+
+
 class QCoeff:
     """Exact Laurent polynomial in s = q^(1/2) over Q(sqrt 2)."""
 
@@ -246,31 +267,23 @@ class QCoeff:
     # -- display ----------------------------------------------------------
 
     def __str__(self) -> str:
-        if not self._t:
-            return "0"
-        chunks: list[str] = []
-        for e, c in self.terms():
-            if c.w == 0 and c.r != 0:
-                ctxt = str(c.r)
-            elif c.r == 0 and c.w != 0:
-                ctxt = "r2" if c.w == 1 else ("-r2" if c.w == -1 else f"{c.w}*r2")
+        """Terms in descending powers; even powers of s print as powers
+        of q = s^2: "2q^3 + 4q + 2q^-1", "(1/2)s - √2"."""
+        pieces: list[str] = []
+        for e, z in self.terms():
+            scalar = str(z)
+            power = _spow_text(e)
+            if not power:
+                pieces.append(scalar)
+            elif scalar == "1":
+                pieces.append(power)
+            elif scalar == "-1":
+                pieces.append(f"-{power}")
+            elif any(ch in scalar for ch in "+/") or "-" in scalar[1:]:
+                pieces.append(f"({scalar}){power}")
             else:
-                ctxt = f"({c})"
-            if e == 0:
-                term = ctxt
-            else:
-                spow = "s" if e == 1 else f"s^{e}"
-                if ctxt == "1":
-                    term = spow
-                elif ctxt == "-1":
-                    term = f"-{spow}"
-                else:
-                    term = f"{ctxt} {spow}"
-            chunks.append(term)
-        out = chunks[0]
-        for t in chunks[1:]:
-            out += " - " + t[1:] if t.startswith("-") else " + " + t
-        return out
+                pieces.append(f"{scalar}{power}")
+        return join_signed(pieces) if pieces else "0"
 
     def __repr__(self) -> str:
         return f"QCoeff({self})"
@@ -310,11 +323,6 @@ def _laurent_divmod(num: QCoeff, den: QCoeff) -> tuple[QCoeff, QCoeff]:
     quo = QCoeff({i + mn - md: c for i, c in enumerate(Qc) if c})
     rem = QCoeff({i + mn: c for i, c in enumerate(R[: len(D) - 1]) if c})
     return quo, rem
-
-
-def _divide_exact(num: QCoeff, den: QCoeff) -> QCoeff | None:
-    quo, rem = _laurent_divmod(num, den)
-    return quo if rem.is_zero() else None
 
 
 def _divisible_by_dplus(num: QCoeff) -> bool:
@@ -517,14 +525,20 @@ class QFrac:
     # -- display ------------------------------------------------------------
 
     def __str__(self) -> str:
-        if self.dp == 0 and self.dm == 0:
-            return str(self.num)
+        """Numerator over the denominator: "(2/(s+s^-1))"; a numerator
+        with several terms is parenthesized, as is the whole fraction."""
+        num = str(self.num)
+        if len(self.num._t) > 1:
+            num = f"({num})"
         dens = []
         if self.dp:
             dens.append("(s+s^-1)" + (f"^{self.dp}" if self.dp > 1 else ""))
         if self.dm:
             dens.append("(s-s^-1)" + (f"^{self.dm}" if self.dm > 1 else ""))
-        return f"({self.num}) / ({' '.join(dens)})"
+        if not dens:
+            return num
+        den = dens[0] if len(dens) == 1 else "(" + " ".join(dens) + ")"
+        return f"({num}/{den})"
 
     def __repr__(self) -> str:
         return f"QFrac({self})"
@@ -533,7 +547,6 @@ class QFrac:
 # frequently used constants
 C_WEYL = QFrac(QCoeff.from_scalar(2), 1, 0)          # c = 2/(s+s^-1)
 INV_QMQI = QFrac(QCoeff.one(), 1, 1)                 # 1/(q - q^-1)
-HALF = QFrac(QCoeff.from_scalar(Fraction(1, 2)))
 
 
 def q_int(m: int) -> QCoeff:

@@ -4,9 +4,9 @@ Every verification routine in this package (classical matrices, symbolic
 algebra, numeric representations) produces a flat list of CheckResult rows,
 one per relation instance.  A row carries a stable identifier, a boolean
 outcome, a residual (``"exact-zero"`` for symbolic checks, a float for
-numeric ones), and an optional human-readable detail string.  Keeping the
-shape identical across layers lets the command-line driver serialize any
-mixture of checks into a single report.
+numeric ones, ``None`` for structural ones), and an optional human-readable
+detail string.  Keeping the shape identical across layers lets the
+`ospq` command serialize any mixture of checks into a single report.
 """
 
 from __future__ import annotations
@@ -24,11 +24,12 @@ class CheckResult:
     detail: str = field(default="")
 
     def to_row(self) -> dict:
-        """Serialize to the dict shape used in JSON reports."""
+        """Serialize to the dict shape used in JSON reports; a row without
+        a residual reports "exact-zero"."""
         return {
             "id": self.id,
             "status": "pass" if self.ok else "fail",
-            "residual": self.residual,
+            "residual": "exact-zero" if self.residual is None else self.residual,
             "detail": self.detail,
         }
 

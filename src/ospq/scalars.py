@@ -151,25 +151,21 @@ class Q2:
     # -- display -------------------------------------------------------
 
     def __str__(self) -> str:
-        if not self:
-            return "0"
-        parts = []
-        if self.r:
-            parts.append(str(self.r))
-        if self.w:
-            if self.w == 1:
-                wtxt = "r2"
-            elif self.w == -1:
-                wtxt = "-r2"
-            else:
-                wtxt = f"{self.w}*r2"
-            if parts and not wtxt.startswith("-"):
-                parts.append("+ " + wtxt)
-            elif parts:
-                parts.append("- " + wtxt[1:])
-            else:
-                parts.append(wtxt)
-        return " ".join(parts)
+        """Rational part, then the radical with an explicit marker:
+        "1-2√2", "-√2", "-1/2"."""
+        r, w = self.r, self.w
+        if w == 0:
+            return str(r)
+        if w == 1:
+            root = "√2"
+        elif w == -1:
+            root = "-√2"
+        else:
+            root = f"{w}√2"
+        if r == 0:
+            return root
+        sign = "+" if not root.startswith("-") else ""
+        return f"{r}{sign}{root}"
 
     def __repr__(self) -> str:
         return f"Q2({self.r!r}, {self.w!r})"

@@ -34,7 +34,6 @@ expansion, so every instance is a concrete pair of expressions.
 from __future__ import annotations
 
 import random
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -179,14 +178,6 @@ def gen_A(i: int, sign: int) -> Gen:
 
 def gen_L(i: int, exp: int = 1) -> Gen:
     return Gen("L", i, exp)
-
-
-def gen_a(i: int, sign: int) -> Gen:
-    return Gen("a", i, sign)
-
-
-def gen_kappa(i: int, exp: int = 1) -> Gen:
-    return Gen("kappa", i, exp)
 
 
 # ---------------------------------------------------------------------------
@@ -907,16 +898,10 @@ def verify_relations(
     n: int,
     rules: Rules = DEFAULT_RULES,
     families: Sequence[str] | None = None,
-    max_workers: int | None = None,
+    seed: int = 20250,
 ) -> list[CheckResult]:
-    """Verify the whole catalog; instances are independent, so they may be
-    checked concurrently when max_workers > 1."""
-    instances = catalog(n, families=families)
-    if max_workers is not None and max_workers > 1:
-        with ThreadPoolExecutor(max_workers=max_workers) as pool:
-            return list(
-                pool.map(lambda inst: verify_instance(inst, n, rules), instances)
-            )
+    """Verify the catalog; ``seed`` picks the sample for n >= 4."""
+    instances = catalog(n, families=families, seed=seed)
     return [verify_instance(inst, n, rules) for inst in instances]
 
 
@@ -1029,14 +1014,4 @@ def classical_limit_checks(n: int, rules: Rules = DEFAULT_RULES) -> list[CheckRe
                     f"j={n},eta={_SIGN_STR[xi]},k={n},eps={_SIGN_STR[xi]})",
                 )
             )
-    return out
-
-
-def verify_all(
-    n: int, rules: Rules = DEFAULT_RULES, max_workers: int | None = None
-) -> list[CheckResult]:
-    """Catalog verification plus round trips and classical limits."""
-    out = verify_relations(n, rules=rules, max_workers=max_workers)
-    out += round_trip_checks(n, rules=rules)
-    out += classical_limit_checks(n, rules=rules)
     return out

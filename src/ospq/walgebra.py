@@ -47,6 +47,7 @@ from .qcoeff import (
     QCoeff,
     QFrac,
     fock_norm_factor,
+    join_signed,
     q_int,
 )
 
@@ -107,9 +108,6 @@ class Rules:
 
     s1_kappa: QFrac = C_WEYL
     s2_scale: QFrac = C_WEYL * INV_QMQI
-
-    def is_default(self) -> bool:
-        return self == DEFAULT_RULES
 
     @classmethod
     def corrupted(cls) -> "Rules":
@@ -422,19 +420,21 @@ class WeylElement:
     # -- display ---------------------------------------------------------
 
     def __str__(self) -> str:
-        if not self._terms:
-            return "0"
-        parts = []
-        for m, c in self.terms():
+        """Ordered form: coefficient then monomial, terms joined by +/- in
+        descending monomial order: "q a1+ a1- + (2/(s+s^-1)) k1^-1"."""
+        pieces: list[str] = []
+        for m, c in sorted(self._terms.items(), reverse=True):
             mtxt = str(m)
             ctxt = str(c)
             if mtxt == "1":
-                parts.append(ctxt if ctxt != "1" else "1")
+                pieces.append(ctxt)
             elif ctxt == "1":
-                parts.append(mtxt)
+                pieces.append(mtxt)
+            elif ctxt == "-1":
+                pieces.append(f"-{mtxt}")
             else:
-                parts.append(f"({ctxt}) {mtxt}")
-        return " + ".join(parts)
+                pieces.append(f"{ctxt} {mtxt}")
+        return join_signed(pieces) if pieces else "0"
 
     def __repr__(self) -> str:
         return f"WeylElement({self})"

@@ -9,7 +9,7 @@ from fractions import Fraction
 
 import pytest
 
-from ospq.cli import main, render_element, _render_scalar
+from ospq.cli import main, render_element
 from ospq.scalars import Q2
 from ospq.walgebra import normal_order
 
@@ -51,12 +51,20 @@ def test_normal_order_parse_error(capsys):
 
 
 def test_render_scalar_marker():
-    assert _render_scalar(Q2(2, 0)) == "2"
-    assert _render_scalar(Q2(Fraction(-1, 2), 0)) == "-1/2"
-    assert _render_scalar(Q2(0, 1)) == "√2"
-    assert _render_scalar(Q2(0, -1)) == "-√2"
-    assert _render_scalar(Q2(1, 1)) == "1+√2"
-    assert _render_scalar(Q2(1, -2)) == "1-2√2"
+    assert str(Q2(2, 0)) == "2"
+    assert str(Q2(Fraction(-1, 2), 0)) == "-1/2"
+    assert str(Q2(0, 1)) == "√2"
+    assert str(Q2(0, -1)) == "-√2"
+    assert str(Q2(1, 1)) == "1+√2"
+    assert str(Q2(1, -2)) == "1-2√2"
+
+
+def test_multi_term_numerator_is_parenthesized(capsys):
+    code, out, _ = run_main(capsys, "normal-order", "a1- a1- a1+ a1+")
+    assert code == 0
+    assert "((2q^3 + 4q + 2q^-1)/(s+s^-1)) a1+ k1^-1 a1-" in out
+    # a single-term numerator keeps the README form
+    assert "(2/(s+s^-1))" in run_main(capsys, "normal-order", "a1- a1+")[1]
 
 
 def test_render_element_zero_and_identity():
@@ -228,20 +236,6 @@ def test_decompose_json(capsys):
 
 def test_decompose_guard(capsys):
     assert run_main(capsys, "decompose", "--n", "4", "--k", "20")[0] == 2
-
-
-def test_threads_env_gives_same_results(capsys, monkeypatch):
-    _, base, _ = run_main(
-        capsys, "verify", "--n", "2", "--families", "CK", "--format", "json"
-    )
-    monkeypatch.setenv("OSPQ_THREADS", "4")
-    _, threaded, _ = run_main(
-        capsys, "verify", "--n", "2", "--families", "CK", "--format", "json"
-    )
-    d1, d2 = json.loads(base), json.loads(threaded)
-    d1.pop("timestamp")
-    d2.pop("timestamp")
-    assert d1 == d2
 
 
 def test_module_entry_point():

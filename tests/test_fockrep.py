@@ -117,13 +117,6 @@ def test_matrix_relations_three_modes():
     assert len(rows) == 303 and all(r.ok for r in rows)
 
 
-def test_threaded_matches_sequential():
-    seq = check_matrix_relations(2, 3)
-    par = check_matrix_relations(2, 3, max_workers=4)
-    assert [r.id for r in seq] == [r.id for r in par]
-    assert [r.ok for r in seq] == [r.ok for r in par]
-
-
 def test_cartan_anticommutator_as_two_by_two_matrices():
     # {e_1, f_1} = (k_1 - k_1^{-1}) / (q - q^{-1}) at n = 1, k = 2 (q = i)
     e1 = matrix_of_expr(Gen("e", 1), 1, 2).toarray()
