@@ -264,7 +264,13 @@ def make_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("verify", help="check defining and derived relations")
-    p.add_argument("--n", type=int, required=True, help="number of modes (1..5)")
+    p.add_argument(
+        "--n",
+        type=int,
+        required=True,
+        help="number of modes (1..5; the classical family, part of 'all', "
+        "needs n <= 4)",
+    )
     p.add_argument(
         "--families",
         default="all",
@@ -272,7 +278,13 @@ def make_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--format", choices=("text", "json"), default="text")
     p.add_argument("--out", help="also write the JSON report to this path")
-    p.add_argument("--seed", type=int, default=20250, help="sampling seed for n >= 4")
+    p.add_argument(
+        "--seed",
+        type=int,
+        default=20250,
+        help="seed for sampling 500 instances of a family that has more "
+        "(from n >= 4; today only T at n = 5)",
+    )
     p.add_argument(
         "--corrupt-rules",
         action="store_true",

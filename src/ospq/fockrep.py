@@ -120,46 +120,41 @@ def _amp_plus(m_i: int, k: int) -> float:
     ) / math.sin(math.pi / k)
 
 
+def _digits(n: int, k: int) -> np.ndarray:
+    """(k^n, n) occupation digits, row idx = basis_tuple(idx, n, k)."""
+    places = k ** np.arange(n - 1, -1, -1, dtype=np.int64)
+    return np.arange(k**n, dtype=np.int64)[:, None] // places % k
+
+
 def _ladder_matrix(i: int, sign: int, n: int, k: int) -> sparse.csr_matrix:
+    """a_i^{sign}: column |m> goes to row col + sign k^(n-i), with amplitude
+    and phase looked up by m_i and by the prefix sum m_1 + ... + m_{i-1}."""
     dim = k**n
-    rows: list[int] = []
-    cols: list[int] = []
-    vals: list[complex] = []
-    for col in range(dim):
-        m = basis_tuple(col, n, k)
-        prefix = sum(m[: i - 1])
-        if sign == +1:
-            if m[i - 1] == k - 1:
-                continue
-            target = list(m)
-            target[i - 1] += 1
-            amp = _amp_plus(m[i - 1], k) * cmath.exp(-1j * math.pi * prefix / k)
-        else:
-            if m[i - 1] == 0:
-                continue
-            target = list(m)
-            target[i - 1] -= 1
-            amp = _amp_plus(m[i - 1] - 1, k) * cmath.exp(1j * math.pi * prefix / k)
-        rows.append(basis_index(target, k))
-        cols.append(col)
-        vals.append(amp)
+    digits = _digits(n, k)
+    m_i = digits[:, i - 1]
+    cols = np.flatnonzero(m_i != (k - 1 if sign == +1 else 0))
+    # the lower of the two occupations joined by the ladder step
+    low = m_i[cols] if sign == +1 else m_i[cols] - 1
+    prefix = digits[cols, : i - 1].sum(axis=1)
+    amp = np.array([_amp_plus(m, k) for m in range(k - 1)])
+    unit = -1j if sign == +1 else 1j
+    # exp of the whole prefix sum: a product of per-mode exponentials (a kron
+    # of one-mode phases) would differ from it in the last bit
+    phase = np.array(
+        [cmath.exp(unit * math.pi * p / k) for p in range(n * (k - 1) + 1)]
+    )
+    rows = cols + sign * k ** (n - i)
     return sparse.csr_matrix(
-        (vals, (rows, cols)), shape=(dim, dim), dtype=np.complex128
+        (amp[low] * phase[prefix], (rows, cols)), shape=(dim, dim), dtype=np.complex128
     )
 
 
 def _kappa_matrix(i: int, exp: int, n: int, k: int) -> sparse.csr_matrix:
-    dim = k**n
-    diag = np.array(
-        [
-            cmath.exp(1j * math.pi * exp * basis_tuple(idx, n, k)[i - 1] / k)
-            for idx in range(dim)
-        ],
-        dtype=np.complex128,
-    )
-    return sparse.csr_matrix(sparse.diags(diag))
+    weight = np.array([cmath.exp(1j * math.pi * exp * m / k) for m in range(k)])
+    return sparse.csr_matrix(sparse.diags(weight[_digits(n, k)[:, i - 1]]))
 
 
+# letter matrices of the most recently used (n, k) only, keyed (kind, i, exp, n, k)
 _MATRIX_CACHE: dict[tuple, sparse.csr_matrix] = {}
 
 
@@ -170,6 +165,8 @@ def _letter_matrix(kind: int, i: int, exp: int, n: int, k: int) -> sparse.csr_ma
     cached = _MATRIX_CACHE.get(key)
     if cached is not None:
         return cached
+    if _MATRIX_CACHE and next(iter(_MATRIX_CACHE))[3:] != (n, k):
+        _MATRIX_CACHE.clear()
     if kind == AP:
         mat = _ladder_matrix(i, +1, n, k)
     elif kind == AM:
@@ -360,52 +357,48 @@ def check_unitarity(n: int, k: int, tol: float = STRUCTURAL_TOL) -> list[CheckRe
     return out
 
 
+def _modulus(z: np.ndarray) -> np.ndarray:
+    """|z| entrywise, bit-identical to the scalar abs() of each entry (np.abs
+    of a complex array can differ from it in the last place)."""
+    return np.hypot(z.real, z.imag)
+
+
 def check_weights(n: int, k: int) -> list[CheckResult]:
     """kappa_i eigenvalue on |m> is exp(i pi m_i / k) for every basis
     vector, and the raising amplitudes match the symbolic norm ratios."""
     _check_shape(n, k)
     out: list[CheckResult] = []
-    dim = k**n
+    digits = _digits(n, k)
+    weight = np.array([cmath.exp(1j * math.pi * m / k) for m in range(k)])
     for i in range(1, n + 1):
         diag = _kappa_matrix(i, 1, n, k).diagonal()
-        dev = max(
-            abs(diag[idx] - cmath.exp(1j * math.pi * basis_tuple(idx, n, k)[i - 1] / k))
-            for idx in range(dim)
-        )
+        dev = float(_modulus(diag - weight[digits[:, i - 1]]).max())
         out.append(
             CheckResult(
-                f"WGT.kappa[n={n},k={k},i={i}]", dev < STRUCTURAL_TOL, float(dev),
+                f"WGT.kappa[n={n},k={k},i={i}]", dev < STRUCTURAL_TOL, dev,
                 "diagonal weights",
             )
         )
     # |amp|^2 equals the root-evaluated ratio of norm factors, and the phase
     # of the raising amplitude is exactly the kappa-weight prefix phase
+    norms = [complex(fock_norm_factor(m).eval_root(k)) for m in range(k)]
+    ratios = np.array([(norms[m + 1] / norms[m]).real for m in range(k - 1)])
+    phases = np.array(
+        [cmath.exp(-1j * math.pi * p / k) for p in range(n * (k - 1) + 1)]
+    )
     worst_amp = 0.0
     worst_phase = 0.0
-    plus_mats = [_letter_matrix(AP, i, 0, n, k) for i in range(1, n + 1)]
-    ratios: list[float | None] = []
-    for m in range(k):
-        if m < k - 1:
-            num = complex(fock_norm_factor(m + 1).eval_root(k))
-            den = complex(fock_norm_factor(m).eval_root(k))
-            ratios.append((num / den).real)
-        else:
-            ratios.append(None)
-    for col in range(dim):
-        m = basis_tuple(col, n, k)
-        for i in range(1, n + 1):
-            if m[i - 1] >= k - 1:
-                continue
-            target = list(m)
-            target[i - 1] += 1
-            amp = plus_mats[i - 1][basis_index(target, k), col]
-            expected_sq = ratios[m[i - 1]]
-            worst_amp = max(worst_amp, abs(abs(amp) ** 2 - expected_sq))
-            prefix = sum(m[: i - 1])
-            phase = amp / abs(amp)
-            worst_phase = max(
-                worst_phase, abs(phase - cmath.exp(-1j * math.pi * prefix / k))
-            )
+    for i in range(1, n + 1):
+        cols = np.flatnonzero(digits[:, i - 1] < k - 1)
+        plus = _letter_matrix(AP, i, 0, n, k)
+        amp = np.asarray(plus[cols + k ** (n - i), cols]).ravel()
+        modulus = _modulus(amp)
+        sq_dev = np.abs(modulus**2 - ratios[digits[cols, i - 1]])
+        worst_amp = max(worst_amp, float(sq_dev.max()))
+        prefix = digits[cols, : i - 1].sum(axis=1)
+        worst_phase = max(
+            worst_phase, float(_modulus(amp / modulus - phases[prefix]).max())
+        )
     out.append(
         CheckResult(
             f"WGT.norm_ratio[n={n},k={k}]", worst_amp < BRIDGE_TOL, worst_amp,
@@ -548,41 +541,38 @@ def block_dims_multinomial(n: int, k: int) -> list[int]:
 def decompose_gl(n: int, k: int) -> GlDecomposition:
     """Partition of the basis by total occupation number."""
     _check_shape(n, k)
-    groups: dict[int, list[int]] = {}
-    for idx in range(k**n):
-        groups.setdefault(sum(basis_tuple(idx, n, k)), []).append(idx)
+    labels = _digits(n, k).sum(axis=1)
+    order = np.argsort(labels, kind="stable")
+    groups = np.split(order, np.cumsum(np.bincount(labels))[:-1])
     blocks = tuple(
-        GlBlock(m, len(groups[m]), tuple(sorted(groups[m])))
-        for m in sorted(groups)
+        GlBlock(m, len(idx), tuple(idx.tolist())) for m, idx in enumerate(groups)
     )
     return GlDecomposition(n, k, blocks)
 
 
-def _strongly_connected(matrices: list[sparse.spmatrix], indices: Sequence[int]) -> bool:
-    """One strongly connected component in the digraph whose edges are the
-    nonzero matrix entries (source basis vector -> image basis vector)."""
-    if len(indices) == 1:
-        return True
-    pos = {idx: p for p, idx in enumerate(indices)}
-    srcs: list[int] = []
-    dsts: list[int] = []
+def _connected_blocks(matrices: list[sparse.spmatrix], labels: np.ndarray) -> np.ndarray:
+    """For every block label b, whether the basis vectors labelled b form one
+    strongly connected component of the digraph whose edges are the nonzero
+    entries (source basis vector -> image basis vector) inside a block.
+    Edges between blocks are dropped, so each block is tested on its own."""
+    # start non-empty: at n = 1 there are no gl root vectors to concatenate
+    srcs = [np.empty(0, dtype=np.int64)]
+    dsts = [np.empty(0, dtype=np.int64)]
     for mat in matrices:
         coo = sparse.coo_matrix(mat)
-        for r, c, v in zip(coo.row, coo.col, coo.data):
-            if abs(v) > STRUCTURAL_TOL:
-                src = pos.get(int(c))
-                dst = pos.get(int(r))
-                if src is not None and dst is not None:
-                    srcs.append(src)
-                    dsts.append(dst)
-    adj = sparse.coo_matrix(
-        (np.ones(len(srcs), dtype=np.int8), (srcs, dsts)),
-        shape=(len(indices), len(indices)),
+        keep = (_modulus(coo.data) > STRUCTURAL_TOL) & (
+            labels[coo.row] == labels[coo.col]
+        )
+        srcs.append(coo.col[keep])
+        dsts.append(coo.row[keep])
+    src = np.concatenate(srcs)
+    adj = sparse.csr_matrix(
+        (np.ones(len(src), dtype=np.int8), (src, np.concatenate(dsts))),
+        shape=(len(labels), len(labels)),
     )
-    n_comp, _ = connected_components(
-        adj.tocsr(), directed=True, connection="strong"
-    )
-    return n_comp == 1
+    _, comp = connected_components(adj, directed=True, connection="strong")
+    label_comp = np.unique(np.stack([labels, comp]), axis=1)
+    return np.bincount(label_comp[0]) == 1
 
 
 def check_decomposition(n: int, k: int) -> list[CheckResult]:
@@ -617,10 +607,7 @@ def check_decomposition(n: int, k: int) -> list[CheckResult]:
             )
         )
     # invariance: gl generators never connect different blocks
-    block_of = {}
-    for b in dec.blocks:
-        for idx in b.indices:
-            block_of[idx] = b.m
+    labels = _digits(n, k).sum(axis=1)
     gl_mats = []
     for i in range(1, n + 1):
         for j in range(1, n + 1):
@@ -629,10 +616,8 @@ def check_decomposition(n: int, k: int) -> list[CheckResult]:
                 gl_mats.append(((i, j), mat))
     for (i, j), mat in gl_mats:
         coo = sparse.coo_matrix(mat)
-        leak = 0.0
-        for r, c, v in zip(coo.row, coo.col, coo.data):
-            if block_of[r] != block_of[c]:
-                leak = max(leak, abs(v))
+        off_block = coo.data[labels[coo.row] != labels[coo.col]]
+        leak = float(_modulus(off_block).max()) if off_block.size else 0.0
         out.append(
             CheckResult(
                 f"DEC.invariant[n={n},k={k},e={i},{j}]", leak == 0.0, leak,
@@ -649,12 +634,11 @@ def check_decomposition(n: int, k: int) -> list[CheckResult]:
                 "explicit form vs realized root vector",
             )
         )
-    mats_only = [m for _, m in gl_mats]
+    connected = _connected_blocks([m for _, m in gl_mats], labels)
     for b in dec.blocks:
-        ok = _strongly_connected(mats_only, b.indices)
         out.append(
             CheckResult(
-                f"DEC.connected[n={n},k={k},m={b.m}]", ok, None,
+                f"DEC.connected[n={n},k={k},m={b.m}]", bool(connected[b.m]), None,
                 "strong connectivity under gl root vectors",
             )
         )
@@ -666,7 +650,7 @@ def check_decomposition(n: int, k: int) -> list[CheckResult]:
     out.append(
         CheckResult(
             f"OSP.connected[n={n},k={k}]",
-            _strongly_connected(ladder, list(range(k**n))),
+            bool(_connected_blocks(ladder, np.zeros(k**n, dtype=np.int64))[0]),
             None,
             "strong connectivity of the full space under the oscillators",
         )

@@ -36,7 +36,7 @@ from fractions import Fraction
 from typing import Iterable
 
 from .report import CheckResult
-from .scalars import ONE, SQRT2, Q2
+from .scalars import SQRT2, Q2
 
 Entry = tuple[int, int]
 

@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import cmath
 from fractions import Fraction
-from typing import Iterable, Iterator, Union
+from typing import Union
 
 from .scalars import Q2
 

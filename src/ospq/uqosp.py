@@ -37,7 +37,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from .ospclassic import (
     anticommutator as matrix_anticommutator,

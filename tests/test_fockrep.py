@@ -6,10 +6,12 @@ import cmath
 import json
 import math
 import random
+import time
 
 import numpy as np
 import pytest
 
+from ospq import fockrep
 from ospq.fockrep import (
     basis_index,
     basis_tuple,
@@ -28,7 +30,8 @@ from ospq.fockrep import (
     positivity_diagnostic,
     root_s,
     verify_representation,
-    _strongly_connected,
+    _amp_plus,
+    _connected_blocks,
 )
 from ospq.qcoeff import fock_norm_factor
 from ospq.uqosp import Gen, build_gl_generator, realize
@@ -71,6 +74,67 @@ def test_ladder_column_structure():
                         m[i - 1] == k - 1 if sgn == "+" else m[i - 1] == 0
                     )
                     assert col_counts[col] == (0 if truncated else 1)
+
+
+def _per_column_ladder(i, sign, n, k):
+    """Reference: a_i^{sign} entries walked one basis vector at a time."""
+    entries = {}
+    for col in range(k**n):
+        m = basis_tuple(col, n, k)
+        prefix = sum(m[: i - 1])
+        target = list(m)
+        if sign == +1:
+            if m[i - 1] == k - 1:
+                continue
+            target[i - 1] += 1
+            amp = _amp_plus(m[i - 1], k) * cmath.exp(-1j * math.pi * prefix / k)
+        else:
+            if m[i - 1] == 0:
+                continue
+            target[i - 1] -= 1
+            amp = _amp_plus(m[i - 1] - 1, k) * cmath.exp(1j * math.pi * prefix / k)
+        entries[basis_index(target, k), col] = amp
+    return entries
+
+
+def _per_column_kappa(i, exp, n, k):
+    return {
+        (idx, idx): cmath.exp(1j * math.pi * exp * basis_tuple(idx, n, k)[i - 1] / k)
+        for idx in range(k**n)
+    }
+
+
+def test_letter_matrices_equal_per_column_formula():
+    for n, k in ((1, 4), (2, 3), (3, 2), (2, 4)):
+        for i in range(1, n + 1):
+            for label, expected in (
+                (f"a{i}+", _per_column_ladder(i, +1, n, k)),
+                (f"a{i}-", _per_column_ladder(i, -1, n, k)),
+                (f"k{i}", _per_column_kappa(i, 1, n, k)),
+                (f"k{i}^-1", _per_column_kappa(i, -1, n, k)),
+            ):
+                coo = build_generator_matrix(label, n, k).matrix.tocoo()
+                got = {
+                    (int(r), int(c)): complex(v)
+                    for r, c, v in zip(coo.row, coo.col, coo.data)
+                }
+                assert got == expected, (label, n, k)
+
+
+def test_matrix_cache_holds_one_shape():
+    build_generator_matrix("e1,2", 2, 3)
+    build_generator_matrix("a1+", 3, 2)
+    build_generator_matrix("k2", 3, 2)
+    assert fockrep._MATRIX_CACHE
+    assert all(key[3:] == (3, 2) for key in fockrep._MATRIX_CACHE)
+
+
+def test_structural_checks_at_size_guard_are_fast():
+    t0 = time.perf_counter()
+    rows = check_unitarity(5, 10) + check_weights(5, 10) + check_decomposition(5, 10)
+    elapsed = time.perf_counter() - t0
+    assert rows and all(r.ok for r in rows)
+    assert elapsed < 15.0, f"checks at k^n = 10^5 took {elapsed:.1f}s"
 
 
 def test_kappa_weight_on_basis_vector():
@@ -231,11 +295,14 @@ def test_block_invariance_is_exact():
 def test_strong_connectivity_needs_both_directions():
     n, k = 2, 3
     dec = decompose_gl(n, k)
+    labels = np.empty(k**n, dtype=np.int64)
+    for b in dec.blocks:
+        labels[list(b.indices)] = b.m
     block = next(b for b in dec.blocks if b.m == 1)
     one_way = [build_generator_matrix("e1,2", n, k).matrix]
     both = one_way + [build_generator_matrix("e2,1", n, k).matrix]
-    assert not _strongly_connected(one_way, block.indices)
-    assert _strongly_connected(both, block.indices)
+    assert not _connected_blocks(one_way, labels)[block.m]
+    assert _connected_blocks(both, labels)[block.m]
 
 
 def test_positivity_diagnostic():
