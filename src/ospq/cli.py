@@ -12,7 +12,8 @@ normal-order  rewrite a word of oscillator letters into ordered form
 Every run emits a report whose JSON form is byte-stable except for the
 timestamp field, so reruns can be diffed.  Exit status is 0 when every
 requested check passes, 1 when at least one fails, and 2 for unusable
-arguments (bad ranges, size guards, parse errors).
+arguments (bad ranges, size guards, words over the letter budget, parse
+errors).
 """
 
 from __future__ import annotations
@@ -24,12 +25,16 @@ import sys
 
 from . import __version__
 from .report import CheckResult, summarize
-from .walgebra import DEFAULT_RULES, Rules, WeylElement, normal_order
+from .walgebra import DEFAULT_RULES, Rules, WeylElement, normal_order, parse_word
 from .ospclassic import verify_classical
 from .uqosp import classical_limit_checks, round_trip_checks, verify_relations
 from . import fockrep
 
 SIZE_GUARD = 100_000
+# longest word `normal-order` accepts (after k^e expands to |e| letters): the
+# costliest words of that length, a1-..a9- a1+..a9+ with --contract, take
+# about 8 s on a 2-vCPU machine, and two more letters triple that
+WORD_BUDGET = 18
 
 QUANTUM_FAMILY_KEYS = {
     "CK": ("CK",),
@@ -242,10 +247,13 @@ def _print_blocks(dec, report) -> None:
 
 def cmd_normal_order(args) -> int:
     try:
-        element = normal_order(args.word, args.n, contract=args.contract)
+        letters, n = parse_word(args.word, args.n)
     except ValueError as exc:
         return _fail(f"cannot parse word: {exc}")
-    print(render_element(element))
+    if len(letters) > WORD_BUDGET:
+        return _fail(f"word has {len(letters)} letters; normal-order takes at most "
+                     f"{WORD_BUDGET}")
+    print(render_element(normal_order(letters, n, contract=args.contract)))
     return 0
 
 

@@ -42,7 +42,7 @@ import numpy as np
 from scipy import sparse
 from scipy.sparse.csgraph import connected_components
 
-from .qcoeff import fock_norm_factor
+from .qcoeff import fock_norm_factors
 from .report import CheckResult
 from .uqosp import (
     AntiComm,
@@ -381,7 +381,7 @@ def check_weights(n: int, k: int) -> list[CheckResult]:
         )
     # |amp|^2 equals the root-evaluated ratio of norm factors, and the phase
     # of the raising amplitude is exactly the kappa-weight prefix phase
-    norms = [complex(fock_norm_factor(m).eval_root(k)) for m in range(k)]
+    norms = [complex(f.eval_root(k)) for f in fock_norm_factors(k)]
     ratios = np.array([(norms[m + 1] / norms[m]).real for m in range(k - 1)])
     phases = np.array(
         [cmath.exp(-1j * math.pi * p / k) for p in range(n * (k - 1) + 1)]
@@ -470,8 +470,8 @@ def positivity_diagnostic(q: complex, m_limit: int = 25) -> dict:
     modulus_ok = abs(abs(q) - 1.0) < STRUCTURAL_TOL
     first_non_positive: int | None = None
     values: list[float] = []
-    for m in range(1, m_limit + 1):
-        val = complex(fock_norm_factor(m).eval_scalar(s))
+    for m, norm in enumerate(fock_norm_factors(m_limit + 1)[1:], start=1):
+        val = complex(norm.eval_scalar(s))
         values.append(val.real)
         if first_non_positive is None and (
             abs(val.imag) > 1e-6 * max(1.0, abs(val)) or val.real <= 1e-12

@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import cmath
 from fractions import Fraction
+from functools import lru_cache
 from typing import Union
 
 from .scalars import Q2
@@ -50,6 +51,14 @@ def _spow_text(e: int) -> str:
         h = e // 2
         return "q" if h == 1 else f"q^{h}"
     return "s" if e == 1 else f"s^{e}"
+
+
+def _grouped(scalar: str) -> str:
+    """Parenthesize a printed scalar that would be ambiguous next to a
+    power or a fraction bar: "1+√2", "1/2", "-1-√2" (not "-2" or "√2")."""
+    if any(ch in scalar for ch in "+/") or "-" in scalar[1:]:
+        return f"({scalar})"
+    return scalar
 
 
 def join_signed(pieces: list[str]) -> str:
@@ -279,10 +288,8 @@ class QCoeff:
                 pieces.append(power)
             elif scalar == "-1":
                 pieces.append(f"-{power}")
-            elif any(ch in scalar for ch in "+/") or "-" in scalar[1:]:
-                pieces.append(f"({scalar}){power}")
             else:
-                pieces.append(f"{scalar}{power}")
+                pieces.append(f"{_grouped(scalar)}{power}")
         return join_signed(pieces) if pieces else "0"
 
     def __repr__(self) -> str:
@@ -293,6 +300,27 @@ class QCoeff:
 DPLUS = QCoeff({1: Q2(1), -1: Q2(1)})    # s + s^-1
 DMINUS = QCoeff({1: Q2(1), -1: Q2(-1)})  # s - s^-1
 Q_MINUS_QINV = DPLUS * DMINUS            # q - q^-1 = s^2 - s^-2
+
+
+@lru_cache(maxsize=None)
+def _den_pow(dp: int, dm: int) -> QCoeff:
+    """Dp^dp * Dm^dm, shared by every addition that rescales a numerator
+    (callers never mutate a QCoeff, so the cached value stays exact)."""
+    return DPLUS ** dp * DMINUS ** dm
+
+
+def _rescale(num: QCoeff, dp: int, dm: int) -> QCoeff:
+    """num * Dp^dp * Dm^dm, multiplying only by a factor that is not 1.
+
+    The two factors are applied one after the other, as num * Dp^dp * Dm^dm
+    associates: the product's terms then come out in the same order, which
+    keeps every float sum over them (`eval_root`) the same to the last bit.
+    """
+    if dp:
+        num = num * _den_pow(dp, 0)
+    if dm:
+        num = num * _den_pow(0, dm)
+    return num
 
 
 def _laurent_divmod(num: QCoeff, den: QCoeff) -> tuple[QCoeff, QCoeff]:
@@ -434,9 +462,8 @@ class QFrac:
             return NotImplemented
         dp = max(self.dp, o.dp)
         dm = max(self.dm, o.dm)
-        a = self.num * DPLUS ** (dp - self.dp) * DMINUS ** (dm - self.dm)
-        b = o.num * DPLUS ** (dp - o.dp) * DMINUS ** (dm - o.dm)
-        return QFrac(a + b, dp, dm)
+        return QFrac(_rescale(self.num, dp - self.dp, dm - self.dm)
+                     + _rescale(o.num, dp - o.dp, dm - o.dm), dp, dm)
 
     __radd__ = __add__
 
@@ -526,10 +553,14 @@ class QFrac:
 
     def __str__(self) -> str:
         """Numerator over the denominator: "(2/(s+s^-1))"; a numerator
-        with several terms is parenthesized, as is the whole fraction."""
+        with several terms is parenthesized, as is the whole fraction, and
+        so is a lone scalar with an inner sign or a fraction bar:
+        "((1+√2)/(s+s^-1))", "((1/2)/(s+s^-1))"."""
         num = str(self.num)
         if len(self.num._t) > 1:
             num = f"({num})"
+        elif (self.dp or self.dm) and 0 in self.num._t:
+            num = _grouped(num)
         dens = []
         if self.dp:
             dens.append("(s+s^-1)" + (f"^{self.dp}" if self.dp > 1 else ""))
@@ -583,6 +614,22 @@ def fock_norm_factor(m: int) -> QFrac:
     if m < 0:
         raise ValueError("level must be nonnegative")
     return QFrac(QCoeff.from_scalar(2 ** m) * q_factorial(m), m, 0)
+
+
+def fock_norm_factors(levels: int) -> list[QFrac]:
+    """`fock_norm_factor(m)` for m = 0..levels-1 from one running [m]!.
+
+    Each value is built by the same products as `fock_norm_factor(m)`, so it
+    is the same QFrac down to the order of its terms, at the cost of one
+    q-integer product per level instead of m.
+    """
+    out: list[QFrac] = []
+    fact = QCoeff.one()
+    for m in range(levels):
+        if m > 1:
+            fact = fact * q_int(m)
+        out.append(QFrac(QCoeff.from_scalar(2 ** m) * fact, m, 0))
+    return out
 
 
 def eval_root(x: QCoeff | QFrac | ScalarLike, k: int) -> complex:

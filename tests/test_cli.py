@@ -50,6 +50,17 @@ def test_normal_order_parse_error(capsys):
     assert "cannot parse" in err
 
 
+def test_normal_order_letter_budget(capsys):
+    code, out, _ = run_main(capsys, "normal-order", " ".join(["a1-"] * 9 + ["a1+"] * 9))
+    assert code == 0 and out.count("\n") == 1
+    # k1^3 counts as three letters
+    word = " ".join(["a1-"] * 8 + ["a1+"] * 8) + " k1^3"
+    code, out, err = run_main(capsys, "normal-order", word, "--contract")
+    assert code == 2
+    assert out == ""
+    assert err == "error: word has 19 letters; normal-order takes at most 18\n"
+
+
 def test_render_scalar_marker():
     assert str(Q2(2, 0)) == "2"
     assert str(Q2(Fraction(-1, 2), 0)) == "-1/2"

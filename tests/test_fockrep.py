@@ -137,6 +137,22 @@ def test_structural_checks_at_size_guard_are_fast():
     assert elapsed < 15.0, f"checks at k^n = 10^5 took {elapsed:.1f}s"
 
 
+def test_weights_at_large_k_build_norms_once(monkeypatch):
+    t0 = time.perf_counter()
+    rows = check_weights(1, 40)
+    elapsed = time.perf_counter() - t0
+    assert elapsed < 15.0, f"check_weights(1, 40) took {elapsed:.1f}s"
+    ok = {r.id: r.ok for r in rows}
+    assert ok["WGT.kappa[n=1,k=40,i=1]"] and ok["WGT.phase[n=1,k=40]"]
+    # the running q-factorial gives the same rows, residuals included, as
+    # norm factors built from scratch one level at a time
+    shapes = ((1, 20), (2, 9), (3, 4))
+    running = [check_weights(n, k) for n, k in shapes]
+    monkeypatch.setattr(fockrep, "fock_norm_factors",
+                        lambda levels: [fock_norm_factor(m) for m in range(levels)])
+    assert [check_weights(n, k) for n, k in shapes] == running
+
+
 def test_kappa_weight_on_basis_vector():
     # kappa_2 |0,1> = e^{i pi / 3} |0,1> for k = 3
     mat = dense("k2", 2, 3)

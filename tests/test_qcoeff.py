@@ -17,8 +17,10 @@ from ospq.qcoeff import (
     QCoeff,
     QFrac,
     Q_MINUS_QINV,
+    _den_pow,
     eval_root,
     fock_norm_factor,
+    fock_norm_factors,
     q_factorial,
     q_int,
 )
@@ -172,6 +174,37 @@ def test_qfrac_field_like_identities():
             assert abs((a * b).eval_root(k) - a.eval_root(k) * b.eval_root(k)) < 1e-9
 
 
+def test_qfrac_addition_rescales_to_common_denominator():
+    rng = random.Random(404)
+    checked = 0
+    while checked < 150:
+        a = QFrac(_random_qcoeff(rng), rng.randint(0, 3), rng.randint(0, 3))
+        b = QFrac(_random_qcoeff(rng), rng.randint(0, 3), rng.randint(0, 3))
+        if (a.dp, a.dm) == (b.dp, b.dm):
+            continue
+        dp, dm = max(a.dp, b.dp), max(a.dm, b.dm)
+        num = (a.num * DPLUS ** (dp - a.dp) * DMINUS ** (dm - a.dm)
+               + b.num * DPLUS ** (dp - b.dp) * DMINUS ** (dm - b.dm))
+        assert a + b == QFrac(num, dp, dm)
+        assert b + a == a + b
+        checked += 1
+    # the cached powers were shared by all those additions; none was mutated
+    assert _den_pow(2, 1) == DPLUS ** 2 * DMINUS
+    assert _den_pow(3, 0) == DPLUS ** 3
+    assert _den_pow(0, 3) == DMINUS ** 3
+
+
+def test_qfrac_str_groups_a_lone_signed_scalar():
+    assert str(QFrac(QCoeff({0: Q2(1, 1)}), 1, 0)) == "((1+√2)/(s+s^-1))"
+    assert str(QFrac(QCoeff({0: Q2(0, 1)}), 1, 0)) == "(√2/(s+s^-1))"
+    assert str(QFrac(QCoeff({0: Q2(-1, -1)}), 0, 1)) == "((-1-√2)/(s-s^-1))"
+    assert str(QFrac(QCoeff({0: Q2(-2)}), 1, 0)) == "(-2/(s+s^-1))"
+    # a power already groups its scalar, and without a denominator the
+    # scalar stands alone
+    assert str(QFrac(QCoeff({2: Q2(1, 1)}), 1, 0)) == "((1+√2)q/(s+s^-1))"
+    assert str(QFrac(QCoeff({0: Q2(1, 1)}))) == "1+√2"
+
+
 def test_qfrac_conjugation_signs():
     assert C_WEYL.conjugate() == C_WEYL
     assert INV_QMQI.conjugate() == -INV_QMQI
@@ -207,6 +240,17 @@ def test_fock_norm_factor_small():
     assert f2.dp == 2 and f2.dm == 0
     assert f2.num == QCoeff({2: Q2(4), -2: Q2(4)})
     assert fock_norm_factor(3) == C_WEYL ** 3 * QFrac(q_factorial(3))
+
+
+def test_fock_norm_factors_match_per_level():
+    levels = fock_norm_factors(12)
+    assert len(levels) == 12
+    for m, f in enumerate(levels):
+        ref = fock_norm_factor(m)
+        assert f == ref
+        # same terms in the same order, so root evaluation is bit-identical
+        assert list(f.num._t) == list(ref.num._t)
+        assert f.eval_root(7) == ref.eval_root(7)
 
 
 def test_fock_norm_factor_at_roots():

@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import json
 import random
+import time
 
 import pytest
 
@@ -26,6 +27,8 @@ from ospq.walgebra import (
     mul,
     normal_order,
     parse_word,
+    _reduce_word,
+    _rule,
 )
 
 
@@ -130,6 +133,61 @@ def test_confluence_of_strategies():
         assert left == right
         assert normal_order(w, n=n, strategy="leftmost") == \
             normal_order(w, n=n, strategy="rightmost")
+
+
+def _dfs_reduce(word, n, strategy, rules):
+    """Reference reducer: follows every rewrite path on its own, with no
+    merging of words, and prices each path with QFrac products."""
+    out: dict[WeylMonomial, QFrac] = {}
+    stack = [(0, 0, 0, tuple(word))]
+    while stack:
+        se, ce, xe, w = stack.pop()
+        sites = range(len(w) - 1)
+        if strategy == "rightmost":
+            sites = reversed(sites)
+        hit = next(((t, br) for t in sites
+                     if (br := _rule(w[t], w[t + 1])) is not None), None)
+        if hit is None:
+            counts = [[0] * n, [0] * n, [0] * n]
+            for kind, i, e in w:
+                counts[kind][i] += e if kind == KA else 1
+            m = WeylMonomial(*(tuple(c) for c in counts))
+            c = _sq(se) * C_WEYL ** ce * rules.s1_kappa ** xe
+            out[m] = out[m] + c if m in out else c
+            continue
+        t, branches = hit
+        for ds, dc, repl, s1flag in branches:
+            # the flagged branch carries the rule constant instead of c
+            stack.append((se + ds, ce + (0 if s1flag else dc), xe + s1flag,
+                          w[:t] + repl + w[t + 2:]))
+    return {m: c for m, c in out.items() if not c.is_zero()}
+
+
+def test_merging_engine_matches_path_enumeration():
+    rng = random.Random(515)
+    words = [(n, _rand_word(rng, n)) for n in (1, 2, 3) for _ in range(170)]
+    words += [(1, [(AM, 0, 0)] * m + [(AP, 0, 0)] * m) for m in range(1, 5)]
+    words += [(2, [(AM, 0, 0), (AM, 1, 0), (AP, 1, 0), (AP, 0, 0)] * 2)]
+    for rules in (DEFAULT_RULES, DEFAULT_RULES.corrupted()):
+        for n, w in words:
+            for strategy in ("leftmost", "rightmost"):
+                got = _reduce_word(tuple(w), n, strategy, rules, False)
+                assert got == _dfs_reduce(w, n, strategy, rules), (w, strategy)
+
+
+def test_long_crossing_words_are_fast():
+    t0 = time.perf_counter()
+    cases = [(1, "a1- " * 10 + "a1+ " * 10),
+             (3, "a1- a2- a3- " * 3 + "a1+ a2+ a3+ " * 3)]
+    for n, text in cases:
+        letters, _ = parse_word(text, n)
+        left = normal_order(letters, n=n, strategy="leftmost", contract=False)
+        right = normal_order(letters, n=n, strategy="rightmost", contract=False)
+        assert left == right
+        contracted = normal_order(letters, n=n)
+        assert contracted == WeylElement.from_word(n, letters)
+    elapsed = time.perf_counter() - t0
+    assert elapsed < 10.0, f"long crossing words took {elapsed:.1f}s"
 
 
 def test_termination_measure_strictly_drops():
