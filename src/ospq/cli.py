@@ -33,7 +33,7 @@ from . import fockrep
 SIZE_GUARD = 100_000
 # longest word `normal-order` accepts (after k^e expands to |e| letters): the
 # costliest words of that length, a1-..a9- a1+..a9+ with --contract, take
-# about 8 s on a 2-vCPU machine, and two more letters triple that
+# about 2.3 s on a 2-vCPU machine, and two more letters more than double that
 WORD_BUDGET = 18
 
 QUANTUM_FAMILY_KEYS = {

@@ -42,7 +42,7 @@ import numpy as np
 from scipy import sparse
 from scipy.sparse.csgraph import connected_components
 
-from .qcoeff import fock_norm_factors
+from .qcoeff import QFrac, fock_norm_factors, q_int
 from .report import CheckResult
 from .uqosp import (
     AntiComm,
@@ -380,9 +380,12 @@ def check_weights(n: int, k: int) -> list[CheckResult]:
             )
         )
     # |amp|^2 equals the root-evaluated ratio of norm factors, and the phase
-    # of the raising amplitude is exactly the kappa-weight prefix phase
-    norms = [complex(f.eval_root(k)) for f in fock_norm_factors(k)]
-    ratios = np.array([(norms[m + 1] / norms[m]).real for m in range(k - 1)])
+    # of the raising amplitude is exactly the kappa-weight prefix phase.  The
+    # ratio of levels m + 1 and m is the small exact c [m+1], c = 2/(s+s^-1):
+    # the full factors c^m [m]! grow with m and cancel badly at the root
+    ratios = np.array(
+        [QFrac(2 * q_int(m + 1), 1, 0).eval_root(k).real for m in range(k - 1)]
+    )
     phases = np.array(
         [cmath.exp(-1j * math.pi * p / k) for p in range(n * (k - 1) + 1)]
     )

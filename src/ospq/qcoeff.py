@@ -19,6 +19,9 @@ the corresponding exponent is zero).  Since Dp ~ (s^2+1)/s and
 Dm ~ (s^2-1)/s share no roots, the reduced (num, dp, dm) triple is a
 canonical form and equality is structural.
 
+Products, and the reduction by Dp and Dm, run on the integer triples
+(a, b, d) of `scalars.Q2` directly and build one Q2 per resulting term.
+
 Evaluation at the root of unity q = exp(i*pi/k) substitutes
 s = exp(i*pi/(2k)); `eval_one` evaluates at s = 1 (the classical point),
 which is exact (a Q2 number) whenever no Dm factor survives reduction.
@@ -28,9 +31,12 @@ from __future__ import annotations
 import cmath
 from fractions import Fraction
 from functools import lru_cache
+from math import gcd
 from typing import Union
 
 from .scalars import Q2
+
+_from_triple = Q2.from_triple
 
 ScalarLike = Union[int, Fraction, Q2]
 
@@ -175,22 +181,39 @@ class QCoeff:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        t: dict[int, Q2] = {}
+        # each power's coefficient is summed as an unreduced integer triple
+        # (a, b, d) and reduced once; a sum that cancels leaves the dict and
+        # a later term puts it back at the end, which fixes the term order
+        acc: dict[int, tuple[int, int, int]] = {}
+        get = acc.get
         for e1, c1 in self._t.items():
+            a1, b1, d1 = c1.a, c1.b, c1.d
             for e2, c2 in o._t.items():
-                e = e1 + e2
-                p = c1 * c2
-                c = t.get(e)
-                if c is None:
-                    t[e] = p
+                a2, b2 = c2.a, c2.b
+                if b1 or b2:
+                    a = a1 * a2 + 2 * b1 * b2
+                    b = a1 * b2 + b1 * a2
                 else:
-                    s = c + p
-                    if s:
-                        t[e] = s
+                    a, b = a1 * a2, 0
+                d = d1 * c2.d
+                e = e1 + e2
+                prev = get(e)
+                if prev is not None:
+                    pa, pb, pd = prev
+                    if pd == d:
+                        a += pa
+                        b += pb
                     else:
-                        del t[e]
+                        g = gcd(pd, d)
+                        a = a * (pd // g) + pa * (d // g)
+                        b = b * (pd // g) + pb * (d // g)
+                        d = d // g * pd
+                    if not (a or b):
+                        del acc[e]
+                        continue
+                acc[e] = (a, b, d)
         out = QCoeff.__new__(QCoeff)
-        out._t = {e: c for e, c in t.items() if c}
+        out._t = {e: _from_triple(a, b, d) for e, (a, b, d) in acc.items()}
         return out
 
     __rmul__ = __mul__
@@ -323,70 +346,58 @@ def _rescale(num: QCoeff, dp: int, dm: int) -> QCoeff:
     return num
 
 
-def _laurent_divmod(num: QCoeff, den: QCoeff) -> tuple[QCoeff, QCoeff]:
-    """Long division num = quo*den + rem in the Laurent ring.
+def _cancel_binomials(num: QCoeff, dp: int, dm: int) -> tuple[QCoeff, int, int]:
+    """Divide num by Dp while it is divisible and dp > 0, then by Dm.
 
-    Shift both operands to ordinary polynomials, divide, and shift back:
-    Laurent units s^e are invertible so the division is well defined.
+    With x = s and num = s^mn P(x), Dp = s^-1 (x^2 + 1) and
+    Dm = s^-1 (x^2 - 1).  Both are irreducible over Q(sqrt 2), so x^2 + 1
+    divides P iff P(i) = 0, and x^2 - 1 divides P iff P(1) = P(-1) = 0.
+    P is kept as two integer lists, the a and b parts of its coefficients
+    times the lcm L of their denominators, which changes neither test; each
+    division by x^2 + sign is synthetic, and the quotient's terms come out in
+    ascending powers.
     """
-    if den.is_zero():
-        raise ZeroDivisionError("division by zero Laurent polynomial")
-    if num.is_zero():
-        return QCoeff.zero(), QCoeff.zero()
-    mn, Mn = num.min_exp(), num.max_exp()
-    md, Md = den.min_exp(), den.max_exp()
-    P = [num.coeff(e) for e in range(mn, Mn + 1)]
-    D = [den.coeff(e) for e in range(md, Md + 1)]
-    lead = D[-1]
-    if len(P) < len(D):
-        return QCoeff.zero(), num
-    Qc: list[Q2] = [Q2(0)] * (len(P) - len(D) + 1)
+    t = num._t
+    mn = min(t)
+    L = 1
+    for c in t.values():
+        if L % c.d:
+            L = L // gcd(L, c.d) * c.d
+    A = [0] * (max(t) - mn + 1)
+    B = list(A)
+    for e, c in t.items():
+        f = L // c.d
+        A[e - mn] = c.a * f
+        B[e - mn] = c.b * f
+    # num = s^shift P(s); dividing by s^-1 (s^2 +- 1) raises the shift by 1
+    shift = mn
+    while dp and _divides(A, 1) and _divides(B, 1):
+        A, B, dp, shift = _divide(A, 1), _divide(B, 1), dp - 1, shift + 1
+    while dm and _divides(A, -1) and _divides(B, -1):
+        A, B, dm, shift = _divide(A, -1), _divide(B, -1), dm - 1, shift + 1
+    if shift != mn:
+        num = QCoeff.__new__(QCoeff)
+        num._t = {i + shift: _from_triple(a, b, L)
+                  for i, (a, b) in enumerate(zip(A, B)) if a or b}
+    return num, dp, dm
+
+
+def _divides(P: list[int], sign: int) -> bool:
+    """Whether x^2 + sign divides sum P[j] x^j: P(i) = 0, or P(1) = P(-1) = 0."""
+    if sign > 0:
+        return sum(P[0::4]) == sum(P[2::4]) and sum(P[1::4]) == sum(P[3::4])
+    return sum(P[0::2]) == 0 and sum(P[1::2]) == 0
+
+
+def _divide(P: list[int], sign: int) -> list[int]:
+    """The quotient of sum P[j] x^j by x^2 + sign, which divides it."""
     R = list(P)
-    for i in range(len(Qc) - 1, -1, -1):
-        c = R[i + len(D) - 1] / lead
-        Qc[i] = c
+    Q = [0] * (len(P) - 2)
+    for i in range(len(Q) - 1, -1, -1):
+        c = Q[i] = R[i + 2]
         if c:
-            for j in range(len(D)):
-                R[i + j] = R[i + j] - c * D[j]
-    quo = QCoeff({i + mn - md: c for i, c in enumerate(Qc) if c})
-    rem = QCoeff({i + mn: c for i, c in enumerate(R[: len(D) - 1]) if c})
-    return quo, rem
-
-
-def _divisible_by_dplus(num: QCoeff) -> bool:
-    """Cheap exact test for divisibility by s + s^-1.
-
-    After clearing the Laurent shift the divisor is x^2 + 1, irreducible
-    over Q(sqrt 2), so divisibility is equivalent to vanishing at x = i:
-    both the alternating even-index and odd-index coefficient sums must be
-    zero.  Only Q2 additions are needed, no division.
-    """
-    if num.is_zero():
-        return True
-    mn = num.min_exp()
-    re = Q2(0)
-    im = Q2(0)
-    for e, c in num._t.items():
-        t = e - mn
-        if t % 2 == 0:
-            re = re + c if (t // 2) % 2 == 0 else re - c
-        else:
-            im = im + c if ((t - 1) // 2) % 2 == 0 else im - c
-    return not re and not im
-
-
-def _divisible_by_dminus(num: QCoeff) -> bool:
-    """Cheap exact test for divisibility by s - s^-1 (i.e. by x^2 - 1:
-    the polynomial must vanish at x = 1 and x = -1)."""
-    if num.is_zero():
-        return True
-    mn = num.min_exp()
-    p1 = Q2(0)
-    m1 = Q2(0)
-    for e, c in num._t.items():
-        p1 = p1 + c
-        m1 = m1 + c if (e - mn) % 2 == 0 else m1 - c
-    return not p1 and not m1
+            R[i] -= sign * c
+    return Q
 
 
 class QFrac:
@@ -405,13 +416,8 @@ class QFrac:
             raise ValueError("denominator exponents must be nonnegative")
         if num.is_zero():
             num, dp, dm = QCoeff.zero(), 0, 0
-        else:
-            while dp > 0 and _divisible_by_dplus(num):
-                num, _ = _laurent_divmod(num, DPLUS)
-                dp -= 1
-            while dm > 0 and _divisible_by_dminus(num):
-                num, _ = _laurent_divmod(num, DMINUS)
-                dm -= 1
+        elif dp or dm:
+            num, dp, dm = _cancel_binomials(num, dp, dm)
         self.num = num
         self.dp = dp
         self.dm = dm
@@ -533,7 +539,7 @@ class QFrac:
         if self.dm > 0:
             raise ValueError("pole at s = 1 (Dm factor in denominator)")
         v = self.num.eval_one()
-        return v / Fraction(2) ** self.dp
+        return _from_triple(v.a, v.b, v.d << self.dp)
 
     def eval_scalar(self, s_val: complex) -> complex:
         z = self.num.eval_scalar(s_val)

@@ -1,9 +1,18 @@
 """Exact arithmetic in the real quadratic field Q(sqrt 2).
 
-Elements are r + w*sqrt(2) with rational r, w.  This is the smallest field
-containing the normalization constants of the paraboson generators (their
-matrix entries involve sqrt(2)), so all exact computations in the package
-bottom out here rather than in floats.
+An element (a + b*sqrt(2))/d is stored as the integer triple (a, b, d) in
+canonical form: d > 0 and gcd(a, b, d) == 1, so zero is (0, 0, 1) and
+equality is structural.  This is the smallest field containing the
+normalization constants of the paraboson generators (their matrix entries
+involve sqrt(2)), so all exact computations in the package bottom out here
+rather than in floats.
+
+The denominators that occur in the package are small powers of two, so the
+arithmetic stays on plain integers: a sum of two elements over the same d
+adds numerators without cross-multiplying, and a result is reduced by one
+`math.gcd(a, b, d)`, skipped when d == 1.  The rational and radical parts
+r = a/d and w = b/d are available as `Fraction`s for display and
+serialization.
 """
 from __future__ import annotations
 
@@ -14,16 +23,67 @@ from typing import Union
 RatLike = Union[int, Fraction]
 
 _SQRT2 = math.sqrt(2.0)
+_gcd = math.gcd
+_new = object.__new__
+
+
+def _make(a: int, b: int, d: int) -> "Q2":
+    """A Q2 from a triple already in canonical form."""
+    out = _new(Q2)
+    out.a = a
+    out.b = b
+    out.d = d
+    return out
+
+
+def _reduced(a: int, b: int, d: int) -> "Q2":
+    """(a + b*sqrt(2))/d for any integers with d > 0, in canonical form."""
+    if d != 1:
+        g = _gcd(a, b, d)
+        if g != 1:
+            a //= g
+            b //= g
+            d //= g
+    # built here rather than through _make: the hottest constructor
+    out = _new(Q2)
+    out.a = a
+    out.b = b
+    out.d = d
+    return out
 
 
 class Q2:
-    """An element r + w*sqrt(2) of Q(sqrt 2), immutable by convention."""
+    """An element (a + b*sqrt(2))/d of Q(sqrt 2), immutable by convention.
 
-    __slots__ = ("r", "w")
+    Built from its rational and radical parts: Q2(r, w) is r + w*sqrt(2).
+    """
+
+    __slots__ = ("a", "b", "d")
 
     def __init__(self, r: RatLike = 0, w: RatLike = 0) -> None:
-        self.r = Fraction(r)
-        self.w = Fraction(w)
+        if type(r) is int and type(w) is int:
+            self.a, self.b, self.d = r, w, 1
+            return
+        r = Fraction(r)
+        w = Fraction(w)
+        rd, wd = r.denominator, w.denominator
+        # both parts are reduced, so the triple over lcm(rd, wd) is too
+        d = rd * wd // _gcd(rd, wd)
+        self.a = r.numerator * (d // rd)
+        self.b = w.numerator * (d // wd)
+        self.d = d
+
+    @property
+    def r(self) -> Fraction:
+        """The rational part a/d."""
+        return Fraction(self.a, self.d)
+
+    @property
+    def w(self) -> Fraction:
+        """The coefficient b/d of sqrt(2)."""
+        return Fraction(self.b, self.d)
+
+    from_triple = staticmethod(_reduced)
 
     # -- coercion -----------------------------------------------------
 
@@ -31,65 +91,74 @@ class Q2:
     def _coerce(x: object) -> "Q2 | None":
         if isinstance(x, Q2):
             return x
-        if isinstance(x, (int, Fraction)):
-            return Q2(x)
+        if isinstance(x, int):
+            return _make(int(x), 0, 1)
+        if isinstance(x, Fraction):
+            return _make(x.numerator, 0, x.denominator)
         return None
-
-    @staticmethod
-    def _fast(r: Fraction, w: Fraction) -> "Q2":
-        # fields are known Fractions: skip the normalizing constructor
-        out = Q2.__new__(Q2)
-        out.r = r
-        out.w = w
-        return out
 
     # -- ring / field operations --------------------------------------
 
     def __add__(self, other: object) -> "Q2":
-        o = Q2._coerce(other)
+        o = other if type(other) is Q2 else Q2._coerce(other)
         if o is None:
             return NotImplemented
-        return Q2._fast(self.r + o.r, self.w + o.w)
+        d = self.d
+        od = o.d
+        if d == od:
+            return _reduced(self.a + o.a, self.b + o.b, d)
+        return _reduced(self.a * od + o.a * d, self.b * od + o.b * d, d * od)
 
     __radd__ = __add__
 
     def __sub__(self, other: object) -> "Q2":
-        o = Q2._coerce(other)
+        o = other if type(other) is Q2 else Q2._coerce(other)
         if o is None:
             return NotImplemented
-        return Q2._fast(self.r - o.r, self.w - o.w)
+        d = self.d
+        od = o.d
+        if d == od:
+            return _reduced(self.a - o.a, self.b - o.b, d)
+        return _reduced(self.a * od - o.a * d, self.b * od - o.b * d, d * od)
 
     def __rsub__(self, other: object) -> "Q2":
         o = Q2._coerce(other)
         if o is None:
             return NotImplemented
-        return Q2._fast(o.r - self.r, o.w - self.w)
+        return o - self
 
     def __mul__(self, other: object) -> "Q2":
-        o = Q2._coerce(other)
+        o = other if type(other) is Q2 else Q2._coerce(other)
         if o is None:
             return NotImplemented
-        # (r1 + w1 v)(r2 + w2 v) with v^2 = 2
-        if not self.w and not o.w:
-            return Q2._fast(self.r * o.r, self.w)
-        return Q2._fast(self.r * o.r + 2 * self.w * o.w,
-                        self.r * o.w + self.w * o.r)
+        # (a1 + b1 v)(a2 + b2 v) / (d1 d2) with v^2 = 2
+        a1, b1, a2, b2 = self.a, self.b, o.a, o.b
+        d = self.d * o.d
+        if not b1 and not b2:
+            a, b = a1 * a2, 0
+        else:
+            a, b = a1 * a2 + 2 * b1 * b2, a1 * b2 + b1 * a2
+        return _reduced(a, b, d)
 
     __rmul__ = __mul__
 
     def conjugate(self) -> "Q2":
         """Galois conjugate r - w*sqrt(2)."""
-        return Q2(self.r, -self.w)
+        return _make(self.a, -self.b, self.d)
 
     def norm(self) -> Fraction:
         """Field norm r^2 - 2 w^2 (zero iff the element is zero)."""
-        return self.r * self.r - 2 * self.w * self.w
+        return Fraction(self.a * self.a - 2 * self.b * self.b, self.d * self.d)
 
     def inverse(self) -> "Q2":
-        n = self.norm()
+        # d / (a + b v) = d (a - b v) / (a^2 - 2 b^2)
+        a, b, d = self.a, self.b, self.d
+        n = a * a - 2 * b * b
         if n == 0:
             raise ZeroDivisionError("inverse of zero in Q(sqrt 2)")
-        return Q2(self.r / n, -self.w / n)
+        if n < 0:
+            return _reduced(-d * a, d * b, -n)
+        return _reduced(d * a, -d * b, n)
 
     def __truediv__(self, other: object) -> "Q2":
         o = Q2._coerce(other)
@@ -104,7 +173,7 @@ class Q2:
         return o * self.inverse()
 
     def __neg__(self) -> "Q2":
-        return Q2._fast(-self.r, -self.w)
+        return _make(-self.a, -self.b, self.d)
 
     def __pos__(self) -> "Q2":
         return self
@@ -114,7 +183,7 @@ class Q2:
             return NotImplemented
         if n < 0:
             return self.inverse() ** (-n)
-        out = Q2(1)
+        out = _make(1, 0, 1)
         base = self
         while n:
             if n & 1:
@@ -126,24 +195,28 @@ class Q2:
     # -- predicates / conversions -------------------------------------
 
     def __bool__(self) -> bool:
-        return bool(self.r) or bool(self.w)
+        return bool(self.a or self.b)
 
     def is_zero(self) -> bool:
-        return not self
+        return not (self.a or self.b)
 
     def __eq__(self, other: object) -> bool:
-        o = Q2._coerce(other)
+        o = other if type(other) is Q2 else Q2._coerce(other)
         if o is None:
             return NotImplemented
-        return self.r == o.r and self.w == o.w
+        return self.a == o.a and self.b == o.b and self.d == o.d
 
     def __hash__(self) -> int:
-        if self.w == 0:
-            return hash(self.r)
-        return hash((self.r, self.w))
+        # a rational element hashes like the equal int or Fraction
+        if not self.b:
+            return hash(self.a) if self.d == 1 else hash(Fraction(self.a, self.d))
+        return hash((self.a, self.b, self.d))
 
     def __float__(self) -> float:
-        return float(self.r) + float(self.w) * _SQRT2
+        # int / int is correctly rounded, so a/d is float(Fraction(a, d))
+        if not self.b:
+            return self.a / self.d
+        return self.a / self.d + (self.b / self.d) * _SQRT2
 
     def __complex__(self) -> complex:
         return complex(float(self))

@@ -174,6 +174,62 @@ def test_qfrac_field_like_identities():
             assert abs((a * b).eval_root(k) - a.eval_root(k) * b.eval_root(k)) < 1e-9
 
 
+def _termwise_product(x: QCoeff, y: QCoeff) -> list:
+    """x * y summed one Q2 product at a time into a dict, a cancelled power
+    dropped and re-inserted at the end: the term order eval_root sums in."""
+    t: dict = {}
+    for e1, c1 in x._t.items():
+        for e2, c2 in y._t.items():
+            e, p = e1 + e2, c1 * c2
+            if e not in t:
+                t[e] = p
+            elif t[e] + p:
+                t[e] = t[e] + p
+            else:
+                del t[e]
+    return list(t.items())
+
+
+def _long_division(num: QCoeff, dp: int, dm: int) -> tuple[list, int, int]:
+    """Cancel Dp, then Dm, by Q2 long division while the remainder is zero."""
+    for den, left in ((DPLUS, dp), (DMINUS, dm)):
+        while left and num:
+            lo, hi = min(num._t), max(num._t)
+            R = [num.coeff(e) for e in range(lo, hi + 1)]
+            D = [den.coeff(e) for e in (-1, 0, 1)]
+            Q = [Q2(0)] * max(len(R) - 2, 0)
+            for i in range(len(Q) - 1, -1, -1):
+                Q[i] = R[i + 2] / D[2]
+                for j in range(3):
+                    R[i + j] = R[i + j] - Q[i] * D[j]
+            if len(R) < 3 or any(R[:2]):
+                break
+            num = QCoeff({i + lo + 1: c for i, c in enumerate(Q) if c})
+            left -= 1
+        dp, dm = (left, dm) if den is DPLUS else (dp, left)
+    return list(num._t.items()), dp, dm
+
+
+def test_integer_paths_keep_terms_and_order():
+    rng = random.Random(77)
+    for _ in range(400):
+        # unit coefficients on few powers cancel and come back often
+        u, v = (QCoeff({rng.randint(-3, 3): Q2(rng.choice((1, -1)))
+                        for _ in range(rng.randint(1, 5))}) for _ in range(2))
+        assert list((u * v)._t.items()) == _termwise_product(u, v)
+        x = _random_qcoeff(rng, 6)
+        y = _random_qcoeff(rng, 6)
+        assert list((x * y)._t.items()) == _termwise_product(x, y)
+        if not x:
+            continue
+        a, b = rng.randint(0, 3), rng.randint(0, 3)
+        num = x * DPLUS ** a * DMINUS ** b
+        dp, dm = rng.randint(0, 4), rng.randint(0, 4)
+        f = QFrac(num, dp, dm)
+        assert (list(f.num._t.items()), f.dp, f.dm) == _long_division(num, dp, dm)
+        assert (f.dp, f.dm) == (max(dp - a, 0), max(dm - b, 0))
+
+
 def test_qfrac_addition_rescales_to_common_denominator():
     rng = random.Random(404)
     checked = 0

@@ -6,9 +6,13 @@ from fractions import Fraction
 
 import pytest
 
+from ospq import uqosp
 from ospq.qcoeff import INV_QMQI, QCoeff, QFrac
 from ospq.scalars import Q2
 from ospq.uqosp import (
+    ONE_EXPR,
+    RESIDUAL_TEXT_LIMIT,
+    TRUNCATED_MARK,
     AntiComm,
     Gen,
     Product,
@@ -295,6 +299,28 @@ def test_classical_limits():
         assert pre4 and all("classical instance" in r.detail for r in pre4)
 
 
+def test_classical_limit_rejects_a_pole_at_one(monkeypatch):
+    # both sides pick up the same term with a pole at s = 1: the exact
+    # residual stays zero, but the q -> 1 limit of the realization is gone
+    pole = a_plus(2, 1).scale(INV_QMQI)
+    exact = uqosp.realize
+    monkeypatch.setattr(uqosp, "realize",
+                        lambda x, n, rules=DEFAULT_RULES: exact(x, n, rules) + pole)
+    rows = [r for r in classical_limit_checks(2) if not r.id.startswith("LIM.PRE3")]
+    assert rows and not any(r.ok for r in rows)
+    assert all(r.detail.endswith("; pole at s=1") for r in rows)
+
+
+def test_classical_limit_compares_images_at_one():
+    # [{A_1^-, A_2^+}, A_2^-] = -2 L_2 A_1^- has a nonzero image at s = 1
+    rows = {r.id: r for r in classical_limit_checks(2)}
+    row = rows["LIM.PRE4[n=2,i=1,sigma=+1,xi=+,j=2]"]
+    assert row.ok and row.residual is None
+    assert row.detail == "classical instance (i=1,xi=-,j=2,eta=+,k=2,eps=-)"
+    bad = {r.id: r for r in classical_limit_checks(2, DEFAULT_RULES.corrupted())}
+    assert bad[row.id].detail.endswith("; images differ at s=1")
+
+
 def test_corrupted_rules_break_scale_sensitive_relations():
     bad = DEFAULT_RULES.corrupted()
     rows = verify_relations(2, rules=bad)
@@ -319,3 +345,42 @@ def test_verify_instance_reports_residual_size():
     assert not row.ok
     assert row.residual == "nonzero"
     assert "residual terms" in row.detail
+
+
+def test_failing_rows_show_their_residual():
+    g3 = [i for i in catalog(4, families=["G"], sample=10**6)
+          if i.id == "G3[n=4,i=1,j=3,k=2,l=4,xi=+]"]
+    row = verify_instance(g3[0], 4)
+    assert not row.ok
+    assert row.detail.startswith("1 residual terms: ")
+    assert "a3+ a4+ k3 k4 a2- a1-" in row.detail
+    ck = {i.id: i for i in catalog(2, families=["CK"])}["CK.ef[n=2,i=1,j=1]"]
+    row = verify_instance(ck, 2, DEFAULT_RULES.corrupted())
+    assert row.detail == ("2 residual terms: ((-1/2)/(s-s^-1)) k1 k2^-1"
+                          " + ((1/2)/(s-s^-1)) k1^-1 k2")
+    # passing rows carry no detail
+    assert verify_instance(ck, 2).detail == ""
+
+
+def test_long_residuals_are_cut():
+    inst = RelationInstance(
+        "FAKE[long]", "FAKE", (1,), (),
+        Product((gen_A(1, -1),) * 4 + (gen_A(1, +1),) * 4), ONE_EXPR,
+    )
+    row = verify_instance(inst, 1)
+    assert not row.ok and row.detail.endswith(TRUNCATED_MARK)
+    text = row.detail.split(": ", 1)[1]
+    assert len(text) == RESIDUAL_TEXT_LIMIT + len(TRUNCATED_MARK)
+
+
+def test_round_trip_rows_show_their_residual(monkeypatch):
+    rows = {r.id: r for r in round_trip_checks(2, DEFAULT_RULES.corrupted())}
+    assert rows["RT.A[n=2,i=1,sign=+]"].detail == (
+        "1 residual terms: ((1/2)s + (1/2)s^-1) a1+ k2^-2")
+    # e_i and f_i rows name their residual too
+    monkeypatch.setattr(uqosp, "build_chevalley_from_pre",
+                        lambda n, i: (gen_f(i), gen_e(i)))
+    rows = {r.id: r for r in round_trip_checks(1)}
+    for ident in ("RT.e[n=1,i=1]", "RT.f[n=1,i=1]"):
+        assert not rows[ident].ok
+        assert rows[ident].detail.startswith("2 residual terms: ")
