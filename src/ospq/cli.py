@@ -24,11 +24,10 @@ import json
 import sys
 
 from . import __version__
-from .report import CheckResult, summarize
+from .report import RESIDUAL_TOL, STRUCTURAL_TOL, CheckResult, summarize
 from .walgebra import DEFAULT_RULES, Rules, WeylElement, normal_order, parse_word
 from .ospclassic import verify_classical
 from .uqosp import classical_limit_checks, round_trip_checks, verify_relations
-from . import fockrep
 
 SIZE_GUARD = 100_000
 # longest word `normal-order` accepts (after k^e expands to |e| letters): the
@@ -180,6 +179,7 @@ def _export_labels(n: int) -> list[str]:
 
 
 def cmd_rep(args) -> int:
+    from . import fockrep  # numpy and scipy load only for the matrix commands
     guard = _guard_rep(args.n, args.k)
     if guard:
         return _fail(guard)
@@ -220,6 +220,7 @@ def cmd_rep(args) -> int:
 
 
 def cmd_decompose(args) -> int:
+    from . import fockrep
     guard = _guard_rep(args.n, args.k)
     if guard:
         return _fail(guard)
@@ -310,8 +311,8 @@ def make_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--format", choices=("text", "json"), default="text")
     p.add_argument("--out", help="CSV export prefix (one file per generator)")
-    p.add_argument("--tol-rel", type=float, default=fockrep.RESIDUAL_TOL)
-    p.add_argument("--tol-entry", type=float, default=fockrep.STRUCTURAL_TOL)
+    p.add_argument("--tol-rel", type=float, default=RESIDUAL_TOL)
+    p.add_argument("--tol-entry", type=float, default=STRUCTURAL_TOL)
     p.set_defaults(func=cmd_rep)
 
     p = sub.add_parser("decompose", help="block decomposition of the Fock space")

@@ -28,6 +28,11 @@ n(k-1)+1 blocks; each block carries an irreducible gl(n) action (checked
 operationally via strong connectivity of the nonzero-entry graph), with
 dimension given both by the coefficient of x^m in ((1-x^k)/(1-x))^n and by
 the matching multinomial sum.
+
+Operators are weighted shifts {d: w}: |col> goes to sum_d w_d[col] |col + d>,
+with w_d zero wherever col + d leaves the space, so every letter is one shift.
+This is scipy's DIA layout with offset -d; CSR matrices are built from it
+only for export and for the connectivity graph.
 """
 
 from __future__ import annotations
@@ -43,14 +48,13 @@ from scipy import sparse
 from scipy.sparse.csgraph import connected_components
 
 from .qcoeff import QFrac, fock_norm_factors, q_int
-from .report import CheckResult
+from .report import RESIDUAL_TOL, STRUCTURAL_TOL, CheckResult
 from .uqosp import (
     AntiComm,
     Gen,
     GenExpr,
     Product,
     QBracket,
-    RelationInstance,
     Sum,
     build_chevalley_from_pre,
     build_gl_generator,
@@ -59,8 +63,6 @@ from .uqosp import (
 )
 from .walgebra import AM, AP, KA, WeylElement
 
-RESIDUAL_TOL = 1e-9
-STRUCTURAL_TOL = 1e-12
 BRIDGE_TOL = 1e-10
 
 
@@ -94,7 +96,7 @@ def root_s(k: int) -> complex:
 
 
 # ---------------------------------------------------------------------------
-# generator matrices
+# generator matrices as weighted shifts
 # ---------------------------------------------------------------------------
 
 
@@ -104,6 +106,9 @@ class RepMatrix:
     n: int
     k: int
     matrix: sparse.csr_matrix
+
+
+Op = dict[int, np.ndarray]  # weighted shifts {d: w}, see the module docstring
 
 
 def _check_shape(n: int, k: int) -> None:
@@ -126,39 +131,14 @@ def _digits(n: int, k: int) -> np.ndarray:
     return np.arange(k**n, dtype=np.int64)[:, None] // places % k
 
 
-def _ladder_matrix(i: int, sign: int, n: int, k: int) -> sparse.csr_matrix:
-    """a_i^{sign}: column |m> goes to row col + sign k^(n-i), with amplitude
-    and phase looked up by m_i and by the prefix sum m_1 + ... + m_{i-1}."""
-    dim = k**n
-    digits = _digits(n, k)
-    m_i = digits[:, i - 1]
-    cols = np.flatnonzero(m_i != (k - 1 if sign == +1 else 0))
-    # the lower of the two occupations joined by the ladder step
-    low = m_i[cols] if sign == +1 else m_i[cols] - 1
-    prefix = digits[cols, : i - 1].sum(axis=1)
-    amp = np.array([_amp_plus(m, k) for m in range(k - 1)])
-    unit = -1j if sign == +1 else 1j
-    # exp of the whole prefix sum: a product of per-mode exponentials (a kron
-    # of one-mode phases) would differ from it in the last bit
-    phase = np.array(
-        [cmath.exp(unit * math.pi * p / k) for p in range(n * (k - 1) + 1)]
-    )
-    rows = cols + sign * k ** (n - i)
-    return sparse.csr_matrix(
-        (amp[low] * phase[prefix], (rows, cols)), shape=(dim, dim), dtype=np.complex128
-    )
+# letters of the most recently used (n, k) only, keyed (kind, i, exp, n, k)
+_MATRIX_CACHE: dict[tuple, Op] = {}
 
 
-def _kappa_matrix(i: int, exp: int, n: int, k: int) -> sparse.csr_matrix:
-    weight = np.array([cmath.exp(1j * math.pi * exp * m / k) for m in range(k)])
-    return sparse.csr_matrix(sparse.diags(weight[_digits(n, k)[:, i - 1]]))
-
-
-# letter matrices of the most recently used (n, k) only, keyed (kind, i, exp, n, k)
-_MATRIX_CACHE: dict[tuple, sparse.csr_matrix] = {}
-
-
-def _letter_matrix(kind: int, i: int, exp: int, n: int, k: int) -> sparse.csr_matrix:
+def _letter(kind: int, i: int, exp: int, n: int, k: int) -> Op:
+    """One shift: a_i^{+-} (kind AP/AM) moves |m> by +-k^(n-i), with amplitude
+    and phase looked up by m_i and by the prefix sum m_1 + ... + m_{i-1};
+    kappa_i^exp (kind KA) keeps it, with weight exp(i pi exp m_i / k)."""
     if not 1 <= i <= n:
         raise ValueError(f"mode index {i} outside 1..{n}")
     key = (kind, i, exp, n, k)
@@ -167,16 +147,80 @@ def _letter_matrix(kind: int, i: int, exp: int, n: int, k: int) -> sparse.csr_ma
         return cached
     if _MATRIX_CACHE and next(iter(_MATRIX_CACHE))[3:] != (n, k):
         _MATRIX_CACHE.clear()
-    if kind == AP:
-        mat = _ladder_matrix(i, +1, n, k)
-    elif kind == AM:
-        mat = _ladder_matrix(i, -1, n, k)
-    elif kind == KA:
-        mat = _kappa_matrix(i, exp, n, k)
+    digits = _digits(n, k)
+    m_i = digits[:, i - 1]
+    if kind == KA:
+        weight = np.array([cmath.exp(1j * math.pi * exp * m / k) for m in range(k)])
+        op = {0: weight[m_i]}
     else:
-        raise ValueError(f"unknown letter kind {kind}")
-    _MATRIX_CACHE[key] = mat
-    return mat
+        sign = {AP: +1, AM: -1}[kind]
+        cols = np.flatnonzero(m_i != (k - 1 if sign == +1 else 0))
+        # the lower of the two occupations joined by the ladder step
+        low = m_i[cols] if sign == +1 else m_i[cols] - 1
+        prefix = digits[cols, : i - 1].sum(axis=1)
+        amp = np.array([_amp_plus(m, k) for m in range(k - 1)])
+        # exp of the whole prefix sum: a product of per-mode exponentials (a
+        # kron of one-mode phases) would differ from it in the last bit
+        phase = np.array(
+            [cmath.exp(-sign * 1j * math.pi * p / k) for p in range(n * (k - 1) + 1)]
+        )
+        w = np.zeros(k**n, dtype=np.complex128)
+        w[cols] = amp[low] * phase[prefix]
+        op = {sign * k ** (n - i): w}
+    _MATRIX_CACHE[key] = op
+    return op
+
+
+def _cmul(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """x * y entrywise by the textbook formula: numpy's SIMD complex loops may
+    fuse multiply-adds, which moves last bits and depends on the machine."""
+    out = np.empty_like(x)
+    re = np.multiply(x.real, y.real, out=out.real)
+    re -= x.imag * y.imag
+    im = np.multiply(x.real, y.imag, out=out.imag)
+    im += x.imag * y.real
+    return out
+
+
+def _product(ops: Sequence[Op], dim: int) -> Op:
+    """Operator product, the leftmost factor acting last.  A after B is one
+    gather and multiply per pair of shifts, w = w_B * w_A[col + d_B] under
+    the shift d_A + d_B; clipping col + d_B into the space is safe because
+    w_B is zero wherever it leaves it."""
+    cols = np.arange(dim)
+    acc = ops[0] if ops else {0: np.ones(dim, dtype=np.complex128)}
+    for op in ops[1:]:
+        out: Op = {}
+        for d_b, w_b in op.items():
+            for d_a, w_a in acc.items():
+                w = _cmul(w_b, w_a.take(cols + d_b, mode="clip"))
+                d = d_a + d_b
+                out[d] = out[d] + w if d in out else w
+        acc = out
+    return acc
+
+
+def _sum(terms: Iterable[tuple[complex, Op]]) -> Op:
+    """sum of c * op, added per shift."""
+    acc: Op = {}
+    for c, op in terms:
+        for d, w in op.items():
+            acc[d] = acc[d] + w * c if d in acc else w * c
+    return acc
+
+
+def _residual(a: Op, b: Op) -> float:
+    """Frobenius norm of a - b: the norm of all its weights.  Only nonzero
+    weights are summed: numpy's pairwise summation groups terms by position,
+    so the zeros padding each shift would move the last bits."""
+    diff = _sum(((1, a), (-1, b)))
+    return float(np.sqrt(sum((np.abs(w[w != 0]) ** 2).sum() for w in diff.values())))
+
+
+def _to_csr(op: Op, dim: int) -> sparse.csr_matrix:
+    """{d: w} is scipy's DIA storage with offset -d."""
+    data = np.array(list(op.values()), dtype=np.complex128).reshape(len(op), dim)
+    return sparse.dia_matrix((data, [-d for d in op]), shape=(dim, dim)).tocsr()
 
 
 def build_generator_matrix(label: str, n: int, k: int) -> RepMatrix:
@@ -186,25 +230,25 @@ def build_generator_matrix(label: str, n: int, k: int) -> RepMatrix:
     _check_shape(n, k)
     m = re.fullmatch(r"e(\d+),(\d+)", label.strip())
     if m:
-        mat = _gl_matrix_direct(int(m.group(1)), int(m.group(2)), n, k)
+        op = _gl_matrix_direct(int(m.group(1)), int(m.group(2)), n, k)
     else:
-        mat = _matrix_of_expr(_parse_label(label, n), n, k)
-    return RepMatrix(label, n, k, sparse.csr_matrix(mat))
+        op = _matrix_of_expr(_parse_label(label, n), n, k)
+    return RepMatrix(label, n, k, _to_csr(op, k**n))
 
 
-def _gl_matrix_direct(i: int, j: int, n: int, k: int) -> sparse.csr_matrix:
+def _gl_matrix_direct(i: int, j: int, n: int, k: int) -> Op:
     """pi(e_ij) = -cos(pi/(2k)) kappa_j a_j^+ a_i^-        (i < j)
        pi(e_ij) = -cos(pi/(2k)) a_j^+ a_i^- kappa_i^{-1}   (i > j)"""
     if i == j or not 1 <= i <= n or not 1 <= j <= n:
         raise ValueError(f"gl root vector needs distinct modes in 1..{n}")
     coeff = -math.cos(math.pi / (2 * k))
-    a_up = _letter_matrix(AP, j, 0, n, k)
-    a_dn = _letter_matrix(AM, i, 0, n, k)
+    a_up = _letter(AP, j, 0, n, k)
+    a_dn = _letter(AM, i, 0, n, k)
     if i < j:
-        mat = _letter_matrix(KA, j, 1, n, k) @ a_up @ a_dn
+        factors = (_letter(KA, j, 1, n, k), a_up, a_dn)
     else:
-        mat = a_up @ a_dn @ _letter_matrix(KA, i, -1, n, k)
-    return sparse.csr_matrix(coeff * mat)
+        factors = (a_up, a_dn, _letter(KA, i, -1, n, k))
+    return _sum([(coeff, _product(factors, k**n))])
 
 
 def _parse_label(label: str, n: int) -> GenExpr:
@@ -229,92 +273,65 @@ def _parse_label(label: str, n: int) -> GenExpr:
 # ---------------------------------------------------------------------------
 
 
-def _identity(n: int, k: int) -> sparse.csr_matrix:
-    return sparse.identity(k**n, dtype=np.complex128, format="csr")
-
-
-def _matrix_of_expr(x: GenExpr, n: int, k: int) -> sparse.csr_matrix:
-    """Evaluate an expression tree by sparse matrix products only (no
-    symbolic normal ordering): the first of the two verification routes."""
+def _matrix_of_expr(x: GenExpr, n: int, k: int) -> Op:
+    """Evaluate an expression tree by operator products only (no symbolic
+    normal ordering): the first of the two verification routes."""
     s = root_s(k)
     if isinstance(x, Gen):
         if x.kind in ("a", "A"):
-            return _letter_matrix(AP if x.exp == +1 else AM, x.index, 0, n, k)
+            return _letter(AP if x.exp == +1 else AM, x.index, 0, n, k)
         if x.kind == "kappa":
-            return _letter_matrix(KA, x.index, x.exp, n, k)
+            return _letter(KA, x.index, x.exp, n, k)
         if x.kind == "L":
             # L_i -> q^{-1/2} kappa_i^{-1}, raised to x.exp
-            mat = _letter_matrix(KA, x.index, -x.exp, n, k)
-            return sparse.csr_matrix(mat * s ** (-x.exp))
+            return _sum([(s ** (-x.exp), _letter(KA, x.index, -x.exp, n, k))])
         if x.kind == "k":
+            # k_i -> kappa_i^{-1} kappa_{i+1} (i < n), k_n -> L_n
             if not 1 <= x.index <= n:
                 raise ValueError(f"mode index {x.index} outside 1..{n}")
             if x.index < n:
-                return sparse.csr_matrix(
-                    _letter_matrix(KA, x.index, -x.exp, n, k)
-                    @ _letter_matrix(KA, x.index + 1, x.exp, n, k)
-                )
-            return sparse.csr_matrix(
-                _letter_matrix(KA, n, -x.exp, n, k) * s ** (-x.exp)
-            )
+                pair = (Gen("kappa", x.index, -x.exp), Gen("kappa", x.index + 1, x.exp))
+                return _matrix_of_expr(Product(pair), n, k)
+            return _matrix_of_expr(Gen("L", n, x.exp), n, k)
         if x.kind == "e":
             return _matrix_of_expr(build_chevalley_from_pre(n, x.index)[0], n, k)
         if x.kind == "f":
             return _matrix_of_expr(build_chevalley_from_pre(n, x.index)[1], n, k)
         raise ValueError(f"unknown generator kind {x.kind!r}")
     if isinstance(x, Product):
-        acc = _identity(n, k)
-        for fac in x.factors:
-            acc = acc @ _matrix_of_expr(fac, n, k)
-        return acc
+        return _product([_matrix_of_expr(fac, n, k) for fac in x.factors], k**n)
     if isinstance(x, Sum):
-        acc = sparse.csr_matrix((k**n, k**n), dtype=np.complex128)
-        for coeff, term in x.terms:
-            acc = acc + complex(coeff.eval_root(k)) * _matrix_of_expr(term, n, k)
-        return acc
-    if isinstance(x, QBracket):
+        return _sum(
+            (complex(coeff.eval_root(k)), _matrix_of_expr(term, n, k))
+            for coeff, term in x.terms
+        )
+    if isinstance(x, (QBracket, AntiComm)):
         a = _matrix_of_expr(x.left, n, k)
         b = _matrix_of_expr(x.right, n, k)
-        return sparse.csr_matrix(a @ b - (s**x.s_exp) * (b @ a))
-    if isinstance(x, AntiComm):
-        a = _matrix_of_expr(x.left, n, k)
-        b = _matrix_of_expr(x.right, n, k)
-        return sparse.csr_matrix(a @ b + b @ a)
+        coeff = -(s**x.s_exp) if isinstance(x, QBracket) else 1
+        return _sum(((1, _product((a, b), k**n)), (coeff, _product((b, a), k**n))))
     raise TypeError(f"not a generator expression: {type(x).__name__}")
 
 
 def matrix_of_expr(x: GenExpr, n: int, k: int) -> sparse.csr_matrix:
     _check_shape(n, k)
-    return sparse.csr_matrix(_matrix_of_expr(x, n, k))
+    return _to_csr(_matrix_of_expr(x, n, k), k**n)
+
+
+def _matrix_of_weyl(x: WeylElement, k: int) -> Op:
+    """Root-evaluated coefficients times letter products."""
+    terms = []
+    for mono, coeff in x.terms():
+        word = [_letter(kind, mode + 1, exp, x.n, k) for kind, mode, exp in mono.word()]
+        terms.append((complex(coeff.eval_root(k)), _product(word, k**x.n)))
+    return _sum(terms)
 
 
 def matrix_of_weyl(x: WeylElement, k: int) -> sparse.csr_matrix:
-    """Matrix of a normal-ordered element: root-evaluated coefficients times
-    letter-matrix products.  Together with matrix_of_expr this gives two
-    independent routes from a relation to a matrix."""
-    n = x.n
-    _check_shape(n, k)
-    acc = sparse.csr_matrix((k**n, k**n), dtype=np.complex128)
-    for mono, coeff in x.terms():
-        mat = _identity(n, k)
-        for kind, mode, exp in mono.word():
-            mat = mat @ _letter_matrix(kind, mode + 1, exp, n, k)
-        acc = acc + complex(coeff.eval_root(k)) * mat
-    return acc
-
-
-def _fro(m: sparse.spmatrix) -> float:
-    data = sparse.csr_matrix(m).data
-    if data.size == 0:
-        return 0.0
-    return float(np.sqrt((np.abs(data) ** 2).sum()))
-
-
-def _max_entry(m: sparse.spmatrix) -> float:
-    data = sparse.csr_matrix(m).data
-    if data.size == 0:
-        return 0.0
-    return float(np.abs(data).max())
+    """Matrix of a normal-ordered element.  Together with matrix_of_expr
+    this gives two independent routes from a relation to a matrix."""
+    _check_shape(x.n, k)
+    return _to_csr(_matrix_of_weyl(x, k), k**x.n)
 
 
 # ---------------------------------------------------------------------------
@@ -327,9 +344,13 @@ def check_unitarity(n: int, k: int, tol: float = STRUCTURAL_TOL) -> list[CheckRe
     _check_shape(n, k)
     out: list[CheckResult] = []
     for i in range(1, n + 1):
-        plus = _letter_matrix(AP, i, 0, n, k)
-        minus = _letter_matrix(AM, i, 0, n, k)
-        dev = _max_entry(minus - plus.conjugate().transpose())
+        # (a+)^dagger: the entry of column col moves to col + shift, shift -shift
+        ((shift, up),) = _letter(AP, i, 0, n, k).items()
+        cols = np.flatnonzero(up)
+        dagger = np.zeros_like(up)
+        dagger[cols + shift] = up[cols].conj()
+        diff = _sum(((1, _letter(AM, i, 0, n, k)), (-1, {-shift: dagger})))
+        dev = max(float(np.abs(w).max()) for w in diff.values())
         out.append(
             CheckResult(
                 f"UNI.adjoint[n={n},k={k},i={i}]",
@@ -338,14 +359,12 @@ def check_unitarity(n: int, k: int, tol: float = STRUCTURAL_TOL) -> list[CheckRe
                 "a- vs a+ conjugate transpose",
             )
         )
-        for label, mat in (
-            (f"kappa{i}", _kappa_matrix(i, 1, n, k)),
-            (f"L{i}", _kappa_matrix(i, -1, n, k) * root_s(k) ** (-1)),
+        for label, op in (
+            (f"kappa{i}", _letter(KA, i, 1, n, k)),
+            (f"L{i}", _matrix_of_expr(Gen("L", i), n, k)),
         ):
-            offdiag = mat - sparse.diags(mat.diagonal())
-            dev_off = _max_entry(offdiag)
-            dev_mod = float(np.abs(np.abs(mat.diagonal()) - 1.0).max())
-            dev = max(dev_off, dev_mod)
+            # entrywise distance of |op| from the identity
+            dev = max(float(np.abs(np.abs(w) - (d == 0)).max()) for d, w in op.items())
             out.append(
                 CheckResult(
                     f"UNI.diag[{label},n={n},k={k}]",
@@ -370,15 +389,6 @@ def check_weights(n: int, k: int) -> list[CheckResult]:
     out: list[CheckResult] = []
     digits = _digits(n, k)
     weight = np.array([cmath.exp(1j * math.pi * m / k) for m in range(k)])
-    for i in range(1, n + 1):
-        diag = _kappa_matrix(i, 1, n, k).diagonal()
-        dev = float(_modulus(diag - weight[digits[:, i - 1]]).max())
-        out.append(
-            CheckResult(
-                f"WGT.kappa[n={n},k={k},i={i}]", dev < STRUCTURAL_TOL, dev,
-                "diagonal weights",
-            )
-        )
     # |amp|^2 equals the root-evaluated ratio of norm factors, and the phase
     # of the raising amplitude is exactly the kappa-weight prefix phase.  The
     # ratio of levels m + 1 and m is the small exact c [m+1], c = 2/(s+s^-1):
@@ -392,9 +402,16 @@ def check_weights(n: int, k: int) -> list[CheckResult]:
     worst_amp = 0.0
     worst_phase = 0.0
     for i in range(1, n + 1):
+        diag = _letter(KA, i, 1, n, k)[0]
+        dev = float(_modulus(diag - weight[digits[:, i - 1]]).max())
+        out.append(
+            CheckResult(
+                f"WGT.kappa[n={n},k={k},i={i}]", dev < STRUCTURAL_TOL, dev,
+                "diagonal weights",
+            )
+        )
         cols = np.flatnonzero(digits[:, i - 1] < k - 1)
-        plus = _letter_matrix(AP, i, 0, n, k)
-        amp = np.asarray(plus[cols + k ** (n - i), cols]).ravel()
+        amp = _letter(AP, i, 0, n, k)[k ** (n - i)][cols]
         modulus = _modulus(amp)
         sq_dev = np.abs(modulus**2 - ratios[digits[cols, i - 1]])
         worst_amp = max(worst_amp, float(sq_dev.max()))
@@ -422,29 +439,18 @@ def check_weights(n: int, k: int) -> list[CheckResult]:
 # ---------------------------------------------------------------------------
 
 
-def _instance_residual(inst: RelationInstance, n: int, k: int) -> float:
-    lhs = _matrix_of_expr(inst.lhs, n, k)
-    rhs = _matrix_of_expr(inst.rhs, n, k)
-    direct = _fro(lhs - rhs)
-    sym_lhs = matrix_of_weyl(realize(inst.lhs, n), k)
-    sym_rhs = matrix_of_weyl(realize(inst.rhs, n), k)
-    cross = max(_fro(sym_lhs - lhs), _fro(sym_rhs - rhs))
-    return max(direct, cross)
-
-
-def check_matrix_relations(
-    n: int,
-    k: int,
-    families: Sequence[str] | None = None,
-    tol: float = RESIDUAL_TOL,
-) -> list[CheckResult]:
+def check_matrix_relations(n: int, k: int, tol: float = RESIDUAL_TOL) -> list[CheckResult]:
     """Every catalog instance as a k^n x k^n matrix identity, with the
     symbolic normal form re-evaluated at the root as a cross-check of the
     same matrices."""
     _check_shape(n, k)
     out: list[CheckResult] = []
-    for inst in catalog(n, families=families):
-        res = _instance_residual(inst, n, k)
+    for inst in catalog(n):
+        lhs = _matrix_of_expr(inst.lhs, n, k)
+        rhs = _matrix_of_expr(inst.rhs, n, k)
+        sym_lhs = _matrix_of_weyl(realize(inst.lhs, n), k)
+        sym_rhs = _matrix_of_weyl(realize(inst.rhs, n), k)
+        res = max(_residual(lhs, rhs), _residual(sym_lhs, lhs), _residual(sym_rhs, rhs))
         out.append(
             CheckResult(f"MAT.{inst.id}[k={k}]", res < tol, res, "matrix residual")
         )
@@ -523,21 +529,19 @@ def block_dims_polynomial(n: int, k: int) -> list[int]:
 def block_dims_multinomial(n: int, k: int) -> list[int]:
     """Same dimensions as sums of multinomial coefficients n!/(j_0!...j_{k-1}!)
     over occupation-value multiplicities with sum j_i = n, sum i*j_i = m."""
+    # (modes left, partial m) -> summed multinomial weight once the
+    # multiplicities of the values below `value` are chosen
+    states = {(n, 0): 1}
+    for value in range(k - 1):
+        nxt: dict[tuple[int, int], int] = {}
+        for (left, m_acc), ways in states.items():
+            for j in range(left + 1):
+                key = (left - j, m_acc + value * j)
+                nxt[key] = nxt.get(key, 0) + ways * math.comb(left, j)
+        states = nxt
     dims = [0] * (n * (k - 1) + 1)
-
-    def rec(value: int, remaining: int, m_acc: int, ways: int) -> None:
-        if value == k - 1:
-            dims[m_acc + value * remaining] += ways * 1  # all rest at top value
-            return
-        for j in range(remaining + 1):
-            rec(
-                value + 1,
-                remaining - j,
-                m_acc + value * j,
-                ways * math.comb(remaining, j),
-            )
-
-    rec(0, n, 0, 1)
+    for (left, m_acc), ways in states.items():
+        dims[m_acc + (k - 1) * left] += ways  # all rest at the top value
     return dims
 
 
@@ -553,7 +557,7 @@ def decompose_gl(n: int, k: int) -> GlDecomposition:
     return GlDecomposition(n, k, blocks)
 
 
-def _connected_blocks(matrices: list[sparse.spmatrix], labels: np.ndarray) -> np.ndarray:
+def _connected_blocks(ops: list[Op], labels: np.ndarray) -> np.ndarray:
     """For every block label b, whether the basis vectors labelled b form one
     strongly connected component of the digraph whose edges are the nonzero
     entries (source basis vector -> image basis vector) inside a block.
@@ -561,13 +565,12 @@ def _connected_blocks(matrices: list[sparse.spmatrix], labels: np.ndarray) -> np
     # start non-empty: at n = 1 there are no gl root vectors to concatenate
     srcs = [np.empty(0, dtype=np.int64)]
     dsts = [np.empty(0, dtype=np.int64)]
-    for mat in matrices:
-        coo = sparse.coo_matrix(mat)
-        keep = (_modulus(coo.data) > STRUCTURAL_TOL) & (
-            labels[coo.row] == labels[coo.col]
-        )
-        srcs.append(coo.col[keep])
-        dsts.append(coo.row[keep])
+    for op in ops:
+        for d, w in op.items():
+            cols = np.flatnonzero(_modulus(w) > STRUCTURAL_TOL)
+            cols = cols[labels[cols] == labels[cols + d]]
+            srcs.append(cols)
+            dsts.append(cols + d)
     src = np.concatenate(srcs)
     adj = sparse.csr_matrix(
         (np.ones(len(src), dtype=np.int8), (src, np.concatenate(dsts))),
@@ -580,7 +583,6 @@ def _connected_blocks(matrices: list[sparse.spmatrix], labels: np.ndarray) -> np
 
 def check_decomposition(n: int, k: int) -> list[CheckResult]:
     """Block structure, dimension oracles, invariance, and connectivity."""
-    _check_shape(n, k)
     dec = decompose_gl(n, k)
     out: list[CheckResult] = []
     expected_blocks = n * (k - 1) + 1
@@ -611,15 +613,16 @@ def check_decomposition(n: int, k: int) -> list[CheckResult]:
         )
     # invariance: gl generators never connect different blocks
     labels = _digits(n, k).sum(axis=1)
-    gl_mats = []
-    for i in range(1, n + 1):
-        for j in range(1, n + 1):
-            if i != j:
-                mat = build_generator_matrix(f"e{i},{j}", n, k).matrix
-                gl_mats.append(((i, j), mat))
-    for (i, j), mat in gl_mats:
-        coo = sparse.coo_matrix(mat)
-        off_block = coo.data[labels[coo.row] != labels[coo.col]]
+    gl_ops = [
+        ((i, j), _gl_matrix_direct(i, j, n, k))
+        for i in range(1, n + 1)
+        for j in range(1, n + 1)
+        if i != j
+    ]
+    for (i, j), op in gl_ops:
+        ((d, w),) = op.items()
+        cols = np.flatnonzero(w)
+        off_block = w[cols][labels[cols] != labels[cols + d]]
         leak = float(_modulus(off_block).max()) if off_block.size else 0.0
         out.append(
             CheckResult(
@@ -629,15 +632,14 @@ def check_decomposition(n: int, k: int) -> list[CheckResult]:
         )
         # the explicit oscillator form must agree with the image of the
         # symbolic root vector evaluated at the root
-        expr_mat = _matrix_of_expr(build_gl_generator(n, i, j), n, k)
-        dev = _fro(mat - expr_mat)
+        dev = _residual(op, _matrix_of_expr(build_gl_generator(n, i, j), n, k))
         out.append(
             CheckResult(
                 f"DEC.root_form[n={n},k={k},e={i},{j}]", dev < RESIDUAL_TOL, dev,
                 "explicit form vs realized root vector",
             )
         )
-    connected = _connected_blocks([m for _, m in gl_mats], labels)
+    connected = _connected_blocks([op for _, op in gl_ops], labels)
     for b in dec.blocks:
         out.append(
             CheckResult(
@@ -646,7 +648,7 @@ def check_decomposition(n: int, k: int) -> list[CheckResult]:
             )
         )
     ladder = [
-        _letter_matrix(kind, i, 0, n, k)
+        _letter(kind, i, 0, n, k)
         for i in range(1, n + 1)
         for kind in (AP, AM)
     ]
@@ -661,15 +663,6 @@ def check_decomposition(n: int, k: int) -> list[CheckResult]:
     return out
 
 
-def verify_representation(n: int, k: int) -> list[CheckResult]:
-    """Unitarity, weights, all catalog relations as matrices, decomposition."""
-    out = check_unitarity(n, k)
-    out += check_weights(n, k)
-    out += check_matrix_relations(n, k)
-    out += check_decomposition(n, k)
-    return out
-
-
 # ---------------------------------------------------------------------------
 # exports
 # ---------------------------------------------------------------------------
@@ -678,10 +671,10 @@ def verify_representation(n: int, k: int) -> list[CheckResult]:
 def csv_rows(rep: RepMatrix) -> Iterable[str]:
     """Coordinate-triplet lines ``row,col,re,im`` (0-based, row-major)."""
     yield "row,col,re,im"
-    coo = sparse.coo_matrix(rep.matrix)
-    order = np.lexsort((coo.col, coo.row))
-    for pos in order:
-        r, c, v = int(coo.row[pos]), int(coo.col[pos]), complex(coo.data[pos])
+    mat = rep.matrix
+    rows = np.repeat(np.arange(mat.shape[0]), np.diff(mat.indptr))
+    for pos in np.lexsort((mat.indices, rows)):
+        r, c, v = int(rows[pos]), int(mat.indices[pos]), complex(mat.data[pos])
         yield f"{r},{c},{v.real!r},{v.imag!r}"
 
 

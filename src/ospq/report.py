@@ -13,6 +13,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+# default bounds of the matrix checks: relation residuals, entrywise deviations
+RESIDUAL_TOL = 1e-9
+STRUCTURAL_TOL = 1e-12
+
 
 @dataclass(frozen=True)
 class CheckResult:

@@ -818,7 +818,7 @@ def _g_instances(n: int) -> list[RelationInstance]:
                 terms = []
                 if j == k:
                     terms.append((_as_weight(1), build_gl_generator(n, i, l)))
-                t = tau(l, j, k, i)
+                t = tau(i, k, j, l)
                 if t:
                     terms.append(
                         (

@@ -180,6 +180,11 @@ def test_rep_all_checks(capsys):
     assert doc["parameters"]["dim"] == 9
     prefixes = {r["id"].split(".")[0] for r in doc["results"]}
     assert {"UNI", "WGT", "MAT", "DEC", "OSP"} <= prefixes
+    ids = [r["id"] for r in doc["results"]]
+    assert len(ids) == len(set(ids))
+    assert sum(i.startswith("MAT.") for i in ids) == 99
+    assert sum(i.startswith("UNI.") for i in ids) == 6
+    assert sum(i.startswith("WGT.") for i in ids) == 4
 
 
 def test_rep_checks_subset(capsys):
@@ -257,6 +262,18 @@ def test_module_entry_point():
     )
     assert proc.returncode == 0
     assert proc.stdout.strip().startswith("ospq ")
+
+
+def test_cli_import_leaves_numpy_and_scipy_unloaded():
+    # only rep and decompose need them; they import fockrep on demand
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, ospq.cli; print(sorted({'numpy', 'scipy'} & set(sys.modules)))"],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
 
 
 def test_missing_subcommand_exits_2():

@@ -29,12 +29,12 @@ from ospq.fockrep import (
     matrix_of_weyl,
     positivity_diagnostic,
     root_s,
-    verify_representation,
     _amp_plus,
     _connected_blocks,
+    _gl_matrix_direct,
 )
 from ospq.qcoeff import QFrac, fock_norm_factor, q_int
-from ospq.uqosp import Gen, build_gl_generator, realize
+from ospq.uqosp import Gen, Product, build_gl_generator, realize
 from ospq.walgebra import AM, AP, KA, WeylElement, letter_str
 
 
@@ -194,6 +194,23 @@ def test_matrix_relations_small():
     assert all(r.residual < 1e-9 for r in rows)
 
 
+def test_perturbed_letter_fails_unitarity_and_relations(monkeypatch):
+    # negative control: one wrong weight in a cached letter must show up both
+    # entrywise and in the relations built from it
+    n, k = 2, 3
+    assert all(r.ok for r in check_unitarity(n, k))
+    key = (AP, 1, 0, n, k)
+    ((d, w),) = fockrep._MATRIX_CACHE[key].items()
+    bad = w.copy()
+    bad[np.flatnonzero(w)[0]] *= 1.001
+    monkeypatch.setitem(fockrep._MATRIX_CACHE, key, {d: bad})
+    rows = {r.id: r for r in check_unitarity(n, k)}
+    assert not rows["UNI.adjoint[n=2,k=3,i=1]"].ok
+    assert rows["UNI.adjoint[n=2,k=3,i=2]"].ok
+    failing = [r.id for r in check_matrix_relations(n, k) if not r.ok]
+    assert any(i.startswith("MAT.") for i in failing)
+
+
 def test_matrix_relations_three_modes():
     rows = check_matrix_relations(3, 2)
     assert len(rows) == 303 and all(r.ok for r in rows)
@@ -212,8 +229,16 @@ def test_cartan_anticommutator_as_two_by_two_matrices():
     assert np.abs(lhs + 2**-0.5 * np.eye(2)).max() < 1e-12
 
 
+def _letter_gen(letter):
+    kind, mode, exp = letter
+    if kind == KA:
+        return Gen("kappa", mode + 1, exp)
+    return Gen("a", mode + 1, +1 if kind == AP else -1)
+
+
 def test_symbolic_and_matrix_routes_agree_on_random_words():
     rng = random.Random(40917)
+    words = []
     for _ in range(25):
         n = rng.choice((1, 2, 3))
         k = rng.choice((2, 3))
@@ -223,12 +248,24 @@ def test_symbolic_and_matrix_routes_agree_on_random_words():
             mode = rng.randrange(n)
             exp = rng.choice((1, -1)) if kind == KA else 0
             letters.append((kind, mode, exp))
+        words.append((n, k, letters))
+    # words that raise past k - 1 or lower below 0 on some basis vectors,
+    # and words whose every shift leaves the space
+    words += [
+        (2, 3, [(AP, 0, 0), (AP, 1, 0), (AP, 1, 0)]),
+        (2, 3, [(AM, 1, 0), (AM, 1, 0), (AP, 0, 0), (KA, 1, 1)]),
+        (3, 2, [(AM, 0, 0), (AP, 2, 0), (AM, 0, 0)]),
+        (1, 3, [(AP, 0, 0)] * 3),
+    ]
+    for n, k, letters in words:
         direct = np.eye(k**n, dtype=complex)
         for letter in letters:
             direct = direct @ dense(letter_str(letter), n, k)
         ordered = WeylElement.from_word(n, letters)
         sym = matrix_of_weyl(ordered, k).toarray()
         assert np.abs(direct - sym).max() < 1e-9
+        word = Product(tuple(_letter_gen(letter) for letter in letters))
+        assert np.abs(direct - matrix_of_expr(word, n, k).toarray()).max() < 1e-12
 
 
 def test_gl_root_vector_routes_agree():
@@ -287,6 +324,13 @@ def test_dimension_oracles_agree():
         assert poly == poly[::-1]  # symmetric under m -> n(k-1) - m
 
 
+def test_multinomial_oracle_at_long_occupation_ranges():
+    # one mode with a thousand levels used to exceed the recursion limit
+    assert block_dims_multinomial(1, 1000) == [1] * 1000
+    for n, k in ((1, 2), (2, 3), (3, 5), (4, 10), (5, 10), (2, 316), (3, 46)):
+        assert block_dims_multinomial(n, k) == block_dims_polynomial(n, k)
+
+
 def test_decomposition_checks_pass():
     for n, k in ((2, 3), (3, 2), (2, 4)):
         rows = check_decomposition(n, k)
@@ -317,8 +361,8 @@ def test_strong_connectivity_needs_both_directions():
     for b in dec.blocks:
         labels[list(b.indices)] = b.m
     block = next(b for b in dec.blocks if b.m == 1)
-    one_way = [build_generator_matrix("e1,2", n, k).matrix]
-    both = one_way + [build_generator_matrix("e2,1", n, k).matrix]
+    one_way = [_gl_matrix_direct(1, 2, n, k)]
+    both = one_way + [_gl_matrix_direct(2, 1, n, k)]
     assert not _connected_blocks(one_way, labels)[block.m]
     assert _connected_blocks(both, labels)[block.m]
 
@@ -389,13 +433,3 @@ def test_json_export():
     for b in doc["blocks"]:
         assert b["indices"] == sorted(b["indices"])
     json.dumps(doc)
-
-
-def test_verify_representation_bundle():
-    rows = verify_representation(2, 3)
-    assert all(r.ok for r in rows)
-    ids = [r.id for r in rows]
-    assert len(ids) == len(set(ids))
-    assert sum(r.id.startswith("MAT.") for r in rows) == 99
-    assert sum(r.id.startswith("UNI.") for r in rows) == 6
-    assert sum(r.id.startswith("WGT.") for r in rows) == 4

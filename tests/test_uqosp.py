@@ -272,6 +272,16 @@ def test_all_relations_hold_three_modes():
     assert all(r.ok for r in results), [r.id for r in results if not r.ok]
 
 
+def test_t_and_g_hold_exhaustively_at_four_and_five_modes():
+    # the G3 crossing term needs four distinct indices, so n >= 4; sample
+    # above every family size to check each instance
+    for n, size in ((4, 522), (5, 1080)):
+        insts = catalog(n, families=["T", "G"], sample=10**6)
+        assert len(insts) == size
+        failing = [i.id for i in insts if not verify_instance(i, n).ok]
+        assert not failing, failing[:5]
+
+
 def test_verification_follows_catalog_seed():
     # n = 5 is the smallest mode count whose T family (750 instances) is
     # sampled, so the seed decides which instances are checked
@@ -348,14 +358,14 @@ def test_verify_instance_reports_residual_size():
 
 
 def test_failing_rows_show_their_residual():
-    g3 = [i for i in catalog(4, families=["G"], sample=10**6)
-          if i.id == "G3[n=4,i=1,j=3,k=2,l=4,xi=+]"]
-    row = verify_instance(g3[0], 4)
+    bad = DEFAULT_RULES.corrupted()
+    serre = {i.id: i for i in catalog(2, families=["SERRE_E"])}
+    row = verify_instance(serre["SERRE_E.quad[n=2,i=1,j=2]"], 2, bad)
     assert not row.ok
     assert row.detail.startswith("1 residual terms: ")
-    assert "a3+ a4+ k3 k4 a2- a1-" in row.detail
+    assert "a2+ k2 a1- a1-" in row.detail
     ck = {i.id: i for i in catalog(2, families=["CK"])}["CK.ef[n=2,i=1,j=1]"]
-    row = verify_instance(ck, 2, DEFAULT_RULES.corrupted())
+    row = verify_instance(ck, 2, bad)
     assert row.detail == ("2 residual terms: ((-1/2)/(s-s^-1)) k1 k2^-1"
                           " + ((1/2)/(s-s^-1)) k1^-1 k2")
     # passing rows carry no detail
