@@ -402,6 +402,22 @@ def test_label_parsing_and_errors():
         build_generator_matrix("a1+", 1, 1)
 
 
+def test_verify_representation_bundle():
+    n, k = 2, 3
+    rows = (
+        check_unitarity(n, k)
+        + check_weights(n, k)
+        + check_matrix_relations(n, k)
+        + check_decomposition(n, k)
+    )
+    assert all(r.ok for r in rows)
+    ids = [r.id for r in rows]
+    assert len(ids) == len(set(ids))
+    assert sum(r.id.startswith("MAT.") for r in rows) == 99
+    assert sum(r.id.startswith("UNI.") for r in rows) == 6
+    assert sum(r.id.startswith("WGT.") for r in rows) == 4
+
+
 def test_L_matrix_matches_realized_image():
     for n, k in ((1, 2), (2, 3)):
         for i in range(1, n + 1):
