@@ -139,8 +139,6 @@ def cmd_verify(args) -> int:
     rules: Rules = DEFAULT_RULES.corrupted() if args.corrupt_rules else DEFAULT_RULES
     results: list[CheckResult] = []
     if "classical" in families:
-        if args.n > 4:
-            return _fail("classical checks support n up to 4")
         results += verify_classical(args.n)
     quantum_keys: list[str] = []
     for name in families:
@@ -148,8 +146,7 @@ def cmd_verify(args) -> int:
     results += verify_relations(args.n, rules, families=quantum_keys, seed=args.seed)
     if set(families) == set(FAMILY_ORDER):
         results += round_trip_checks(args.n, rules)
-        if args.n <= 4:
-            results += classical_limit_checks(args.n, rules)
+        results += classical_limit_checks(args.n, rules)
     parameters = {
         "n": args.n,
         "families": ",".join(families),
@@ -277,8 +274,7 @@ def make_parser() -> argparse.ArgumentParser:
         "--n",
         type=int,
         required=True,
-        help="number of modes (1..5; the classical family, part of 'all', "
-        "needs n <= 4)",
+        help="number of modes (1..5)",
     )
     p.add_argument(
         "--families",

@@ -406,8 +406,25 @@ def q2_rank(vectors: Iterable[dict]) -> int:
 # --------------------------------------------------------------------------
 
 
+AnticommutatorTable = dict[tuple[tuple[int, int], tuple[int, int]], GradedMatrix]
+
+
+def anticommutator_table(
+    A: dict[tuple[int, int], GradedMatrix]
+) -> AnticommutatorTable:
+    """{A[a], A[b]} for every ordered pair (a, b) of generator keys.
+
+    The relation sweeps read each anticommutator from here: the
+    quadrilinear sweep uses two per instance over (2n)^4 instances, but
+    only (2n)^2 distinct ones exist.  The table is built from the given
+    generators, so a corrupted set reaches every instance.
+    """
+    return {(a, b): anticommutator(A[a], A[b]) for a in A for b in A}
+
+
 def pbose_residual(
     A: dict[tuple[int, int], GradedMatrix],
+    anti: AnticommutatorTable,
     i: int,
     xi: int,
     j: int,
@@ -418,9 +435,11 @@ def pbose_residual(
     """Residual of the trilinear paraboson relation
 
         [{A_i^xi, A_j^eta}, A_k^eps]
-            = (eps - eta) delta_{jk} A_i^xi + (eps - xi) delta_{ik} A_j^eta.
+            = (eps - eta) delta_{jk} A_i^xi + (eps - xi) delta_{ik} A_j^eta,
+
+    with the anticommutator read from ``anti = anticommutator_table(A)``.
     """
-    lhs = supercommutator(anticommutator(A[(i, xi)], A[(j, eta)]), A[(k, eps)])
+    lhs = supercommutator(anti[(i, xi), (j, eta)], A[(k, eps)])
     rhs = A[(i, xi)].scale((eps - eta) if j == k else 0)
     rhs = rhs + A[(j, eta)].scale((eps - xi) if i == k else 0)
     return lhs - rhs
@@ -430,6 +449,7 @@ def pbose_relation_checks(
     A: dict[tuple[int, int], GradedMatrix], n: int
 ) -> list[CheckResult]:
     """All instances of the trilinear paraboson relation (id prefix C21)."""
+    anti = anticommutator_table(A)
     out: list[CheckResult] = []
     signs = (+1, -1)
     for i in range(1, n + 1):
@@ -438,7 +458,7 @@ def pbose_relation_checks(
                 for eta in signs:
                     for k in range(1, n + 1):
                         for eps in signs:
-                            res = pbose_residual(A, i, xi, j, eta, k, eps)
+                            res = pbose_residual(A, anti, i, xi, j, eta, k, eps)
                             ident = (
                                 f"C21[n={n},i={i},j={j},k={k},"
                                 f"xi={_SIGN_STR[xi]},eta={_SIGN_STR[eta]},"
@@ -456,7 +476,7 @@ def pbose_relation_checks(
 
 
 def sp2n_residual(
-    A: dict[tuple[int, int], GradedMatrix],
+    anti: AnticommutatorTable,
     i: int,
     xi: int,
     j: int,
@@ -474,21 +494,20 @@ def sp2n_residual(
             + (phi - eta) delta_{jl} {A_i^xi, A_k^eps}
             + (phi - xi)  delta_{il} {A_j^eta, A_k^eps},
 
-    i.e. the sp(2n) structure of the even part.
+    i.e. the sp(2n) structure of the even part, with every anticommutator
+    read from ``anti = anticommutator_table(A)``.
     """
-    lhs = commutator(
-        anticommutator(A[(i, xi)], A[(j, eta)]),
-        anticommutator(A[(k, eps)], A[(l, phi)]),
-    )
+    a, b, c, d = (i, xi), (j, eta), (k, eps), (l, phi)
+    lhs = commutator(anti[a, b], anti[c, d])
     rhs = GradedMatrix.zero(lhs.n, 0)
     if j == k and eps != eta:
-        rhs = rhs + anticommutator(A[(i, xi)], A[(l, phi)]).scale(eps - eta)
+        rhs = rhs + anti[a, d].scale(eps - eta)
     if i == k and eps != xi:
-        rhs = rhs + anticommutator(A[(j, eta)], A[(l, phi)]).scale(eps - xi)
+        rhs = rhs + anti[b, d].scale(eps - xi)
     if j == l and phi != eta:
-        rhs = rhs + anticommutator(A[(i, xi)], A[(k, eps)]).scale(phi - eta)
+        rhs = rhs + anti[a, c].scale(phi - eta)
     if i == l and phi != xi:
-        rhs = rhs + anticommutator(A[(j, eta)], A[(k, eps)]).scale(phi - xi)
+        rhs = rhs + anti[b, c].scale(phi - xi)
     return lhs - rhs
 
 
@@ -496,6 +515,7 @@ def sp2n_relation_checks(
     A: dict[tuple[int, int], GradedMatrix], n: int
 ) -> list[CheckResult]:
     """All instances of the quadrilinear relation (id prefix C28)."""
+    anti = anticommutator_table(A)
     out: list[CheckResult] = []
     signs = (+1, -1)
     modes = range(1, n + 1)
@@ -507,7 +527,7 @@ def sp2n_relation_checks(
                         for eps in signs:
                             for l in modes:
                                 for phi in signs:
-                                    res = sp2n_residual(A, i, xi, j, eta, k, eps, l, phi)
+                                    res = sp2n_residual(anti, i, xi, j, eta, k, eps, l, phi)
                                     ident = (
                                         f"C28[n={n},i={i},j={j},k={k},l={l},"
                                         f"xi={_SIGN_STR[xi]},eta={_SIGN_STR[eta]},"
@@ -722,8 +742,8 @@ def verify_classical(
     and the span dimensions.  A custom (possibly corrupted) generator set
     may be supplied; it propagates into every derived object.
     """
-    if not 1 <= n <= 4:
-        raise ValueError(f"mode count n={n} out of supported range 1..4")
+    if not 1 <= n <= 5:
+        raise ValueError(f"mode count n={n} out of supported range 1..5")
     A = parabose if parabose is not None else parabose_set(n)
     expected = {(i, s) for i in range(1, n + 1) for s in (+1, -1)}
     if set(A) != expected:

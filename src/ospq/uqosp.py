@@ -40,7 +40,7 @@ from functools import lru_cache
 from typing import Sequence
 
 from .ospclassic import (
-    anticommutator as matrix_anticommutator,
+    anticommutator_table,
     cartan_h_upper,
     cartan_matrix,
     parabose_set,
@@ -319,6 +319,16 @@ def _realize(x: GenExpr, n: int, rules: Rules) -> WeylElement:
     if isinstance(x, Gen):
         _check_mode(n, x.index)
         return _leaf_image(x.kind, x.index, x.exp, n, rules)
+    return _realize_node(x, n, rules)
+
+
+# Catalog instances share subexpressions (e_ij, bracket chains): a catalog
+# visits each distinct non-leaf node two to three times.  The bound keeps
+# the memo small: 256 entries measured as fast as unbounded, which grows to
+# megabytes over the catalogs for n = 1..5.  Cached elements are shared
+# between callers and never mutated.
+@lru_cache(maxsize=256)
+def _realize_node(x: GenExpr, n: int, rules: Rules) -> WeylElement:
     if isinstance(x, Product):
         acc = WeylElement.one(n)
         for fac in x.factors:
@@ -977,8 +987,9 @@ def classical_limit_checks(n: int, rules: Rules = DEFAULT_RULES) -> list[CheckRe
     """
     out: list[CheckResult] = []
     A = parabose_set(n)
+    anti = anticommutator_table(A)
     for i in range(1, n + 1):
-        lhs = matrix_anticommutator(A[(i, -1)], A[(i, +1)])
+        lhs = anti[(i, -1), (i, +1)]
         ok = lhs == cartan_h_upper(n, i).scale(-2)
         out.append(
             CheckResult(
@@ -1002,7 +1013,7 @@ def classical_limit_checks(n: int, rules: Rules = DEFAULT_RULES) -> list[CheckRe
             why = "; pole at s=1"
         elif lhs_one != rhs_one:
             why = "; images differ at s=1"
-        elif not pbose_residual(A, *pattern).is_zero():
+        elif not pbose_residual(A, anti, *pattern).is_zero():
             why = "; classical matrix residual nonzero"
         else:
             why = ""

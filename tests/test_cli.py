@@ -131,7 +131,7 @@ def test_verify_full_run_exact_zero(capsys):
 def test_verify_bad_arguments(capsys):
     assert run_main(capsys, "verify", "--n", "6")[0] == 2
     assert run_main(capsys, "verify", "--n", "2", "--families", "bogus")[0] == 2
-    assert run_main(capsys, "verify", "--n", "5", "--families", "classical")[0] == 2
+    assert run_main(capsys, "verify", "--n", "5", "--families", "classical")[0] == 0
 
 
 def test_verify_corrupt_rules_negative_control(capsys):

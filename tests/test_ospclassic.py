@@ -270,7 +270,7 @@ def test_gl_subalgebra_dimension():
 
 
 def test_verify_classical_all_pass():
-    expected_counts = {1: 38, 2: 366, 3: 1608}
+    expected_counts = {1: 38, 2: 366, 3: 1608, 4: 4772, 5: 11250}
     for n, count in expected_counts.items():
         results = verify_classical(n)
         assert len(results) == count
@@ -282,7 +282,7 @@ def test_verify_classical_rejects_bad_input():
     with pytest.raises(ValueError):
         verify_classical(0)
     with pytest.raises(ValueError):
-        verify_classical(5)
+        verify_classical(6)
     with pytest.raises(ValueError):
         verify_classical(2, parabose={(1, +1): classical_parabose(2, 1, +1)})
 

@@ -345,6 +345,30 @@ def test_corrupted_rules_break_scale_sensitive_relations():
     assert "PRE1.comm[n=2,i=1,j=2]" not in failing
 
 
+def test_realization_memo_separates_rule_sets():
+    # images realized under one rule set must never answer for another
+    bad = DEFAULT_RULES.corrupted()
+    failing = [
+        {inst.id for inst in catalog(2) if not verify_instance(inst, 2, rules).ok}
+        for rules in (DEFAULT_RULES, bad, DEFAULT_RULES)
+    ]
+    assert ["CK.ef[n=2,i=1,j=1]" in f for f in failing] == [False, True, False]
+    assert failing[0] == failing[2] == set()
+
+
+def test_realization_memo_is_bounded_and_keeps_normal_forms():
+    assert uqosp._realize_node.cache_info().maxsize is not None
+    instances = catalog(3)
+
+    def printed():
+        return [(str(realize(inst.lhs, 3)), str(realize(inst.rhs, 3)))
+                for inst in instances]
+
+    warm = printed()
+    uqosp._realize_node.cache_clear()
+    assert printed() == warm
+
+
 def test_verify_instance_reports_residual_size():
     inst = RelationInstance(
         "FAKE[x]", "FAKE", (1,), (),
