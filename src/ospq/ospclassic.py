@@ -446,10 +446,10 @@ def pbose_residual(
 
 
 def pbose_relation_checks(
-    A: dict[tuple[int, int], GradedMatrix], n: int
+    A: dict[tuple[int, int], GradedMatrix], anti: AnticommutatorTable, n: int
 ) -> list[CheckResult]:
-    """All instances of the trilinear paraboson relation (id prefix C21)."""
-    anti = anticommutator_table(A)
+    """All instances of the trilinear paraboson relation (id prefix C21),
+    with ``anti = anticommutator_table(A)``."""
     out: list[CheckResult] = []
     signs = (+1, -1)
     for i in range(1, n + 1):
@@ -458,20 +458,12 @@ def pbose_relation_checks(
                 for eta in signs:
                     for k in range(1, n + 1):
                         for eps in signs:
-                            res = pbose_residual(A, anti, i, xi, j, eta, k, eps)
-                            ident = (
+                            out.append(_result(
                                 f"C21[n={n},i={i},j={j},k={k},"
                                 f"xi={_SIGN_STR[xi]},eta={_SIGN_STR[eta]},"
-                                f"eps={_SIGN_STR[eps]}]"
-                            )
-                            out.append(
-                                CheckResult(
-                                    ident,
-                                    res.is_zero(),
-                                    "exact-zero" if res.is_zero() else "nonzero",
-                                    "" if res.is_zero() else f"{len(res.entries)} nonzero entries",
-                                )
-                            )
+                                f"eps={_SIGN_STR[eps]}]",
+                                pbose_residual(A, anti, i, xi, j, eta, k, eps),
+                            ))
     return out
 
 
@@ -511,11 +503,9 @@ def sp2n_residual(
     return lhs - rhs
 
 
-def sp2n_relation_checks(
-    A: dict[tuple[int, int], GradedMatrix], n: int
-) -> list[CheckResult]:
-    """All instances of the quadrilinear relation (id prefix C28)."""
-    anti = anticommutator_table(A)
+def sp2n_relation_checks(anti: AnticommutatorTable, n: int) -> list[CheckResult]:
+    """All instances of the quadrilinear relation (id prefix C28), with
+    ``anti = anticommutator_table(A)``."""
     out: list[CheckResult] = []
     signs = (+1, -1)
     modes = range(1, n + 1)
@@ -527,22 +517,12 @@ def sp2n_relation_checks(
                         for eps in signs:
                             for l in modes:
                                 for phi in signs:
-                                    res = sp2n_residual(anti, i, xi, j, eta, k, eps, l, phi)
-                                    ident = (
+                                    out.append(_result(
                                         f"C28[n={n},i={i},j={j},k={k},l={l},"
                                         f"xi={_SIGN_STR[xi]},eta={_SIGN_STR[eta]},"
-                                        f"eps={_SIGN_STR[eps]},phi={_SIGN_STR[phi]}]"
-                                    )
-                                    out.append(
-                                        CheckResult(
-                                            ident,
-                                            res.is_zero(),
-                                            "exact-zero" if res.is_zero() else "nonzero",
-                                            ""
-                                            if res.is_zero()
-                                            else f"{len(res.entries)} nonzero entries",
-                                        )
-                                    )
+                                        f"eps={_SIGN_STR[eps]},phi={_SIGN_STR[phi]}]",
+                                        sp2n_residual(anti, i, xi, j, eta, k, eps, l, phi),
+                                    ))
     return out
 
 
@@ -619,12 +599,9 @@ def serre_checks(
                     supercommutator(g[i], g[j]),
                 )
             )
-    for i in range(1, n):
-        res = g[i] @ g[i] @ g[i + 1] - (2 * (g[i] @ g[i + 1] @ g[i])) + g[i + 1] @ g[i] @ g[i]
-        out.append(_result(f"{tag}S.{family}.quad[n={n},i={i},j={i + 1}]", res))
-    for i in range(2, n):
-        res = g[i] @ g[i] @ g[i - 1] - (2 * (g[i] @ g[i - 1] @ g[i])) + g[i - 1] @ g[i] @ g[i]
-        out.append(_result(f"{tag}S.{family}.quad[n={n},i={i},j={i - 1}]", res))
+    for i, j in [(i, i + 1) for i in range(1, n)] + [(i, i - 1) for i in range(2, n)]:
+        res = g[i] @ g[i] @ g[j] - (2 * (g[i] @ g[j] @ g[i])) + g[j] @ g[i] @ g[i]
+        out.append(_result(f"{tag}S.{family}.quad[n={n},i={i},j={j}]", res))
     if n >= 2:
         gn, gm = g[n], g[n - 1]
         res = (
@@ -638,9 +615,10 @@ def serre_checks(
 
 
 def membership_checks(
-    A: dict[tuple[int, int], GradedMatrix], n: int
+    A: dict[tuple[int, int], GradedMatrix], anti: AnticommutatorTable, n: int
 ) -> list[CheckResult]:
-    """Block-structure membership for generators and their anticommutators."""
+    """Block-structure membership for generators and their anticommutators,
+    with ``anti = anticommutator_table(A)``."""
     out: list[CheckResult] = []
     for (i, s), mat in sorted(A.items(), key=lambda kv: (kv[0][0], -kv[0][1])):
         ok = mat.in_osp() and mat.grade == 1
@@ -657,8 +635,7 @@ def membership_checks(
         for xi in signs:
             for j in range(1, n + 1):
                 for eta in signs:
-                    mat = anticommutator(A[(i, xi)], A[(j, eta)])
-                    ok = mat.in_osp()
+                    ok = anti[(i, xi), (j, eta)].in_osp()
                     out.append(
                         CheckResult(
                             f"MEM.pair[n={n},i={i},j={j},"
@@ -671,14 +648,16 @@ def membership_checks(
     return out
 
 
-def span_checks(A: dict[tuple[int, int], GradedMatrix], n: int) -> list[CheckResult]:
+def span_checks(
+    A: dict[tuple[int, int], GradedMatrix], anti: AnticommutatorTable, n: int
+) -> list[CheckResult]:
     """Span dimensions: odd generators plus anticommutators give 2n^2 + 3n;
     the mixed anticommutators {A_i^-, A_j^+} alone give an n^2-dimensional
-    gl(n)."""
+    gl(n).  ``anti = anticommutator_table(A)``."""
     signs = (+1, -1)
     vectors = [A[(i, s)].entries for i in range(1, n + 1) for s in signs]
     vectors += [
-        anticommutator(A[(i, xi)], A[(j, eta)]).entries
+        anti[(i, xi), (j, eta)].entries
         for i in range(1, n + 1)
         for xi in signs
         for j in range(1, n + 1)
@@ -695,7 +674,7 @@ def span_checks(A: dict[tuple[int, int], GradedMatrix], n: int) -> list[CheckRes
         )
     ]
     gl_vectors = [
-        anticommutator(A[(i, -1)], A[(j, +1)]).entries
+        anti[(i, -1), (j, +1)].entries
         for i in range(1, n + 1)
         for j in range(1, n + 1)
     ]
@@ -749,13 +728,14 @@ def verify_classical(
     if set(A) != expected:
         raise ValueError("generator set must contain exactly (i, sign) for i=1..n")
     e, f, h = chevalley_generators(A)
+    anti = anticommutator_table(A)
     results: list[CheckResult] = []
-    results += membership_checks(A, n)
-    results += pbose_relation_checks(A, n)
-    results += sp2n_relation_checks(A, n)
+    results += membership_checks(A, anti, n)
+    results += pbose_relation_checks(A, anti, n)
+    results += sp2n_relation_checks(anti, n)
     results += cartan_kac_checks(e, f, h, n)
     results += serre_checks(e, n, "e")
     results += serre_checks(f, n, "f")
     results += chain_checks(A, e, f, n)
-    results += span_checks(A, n)
+    results += span_checks(A, anti, n)
     return results

@@ -40,6 +40,7 @@ from functools import lru_cache
 from typing import Sequence
 
 from .ospclassic import (
+    _SIGN_STR,
     anticommutator_table,
     cartan_h_upper,
     cartan_matrix,
@@ -53,14 +54,13 @@ from .walgebra import (
     DEFAULT_RULES,
     Rules,
     WeylElement,
+    _check_mode,
     a_minus,
     a_plus,
     commutator,
     kappa_el,
     mul,
 )
-
-_SIGN_STR = {1: "+", -1: "-"}
 
 
 # ---------------------------------------------------------------------------
@@ -203,11 +203,6 @@ def theta(*indices: int) -> int:
 # ---------------------------------------------------------------------------
 # builders
 # ---------------------------------------------------------------------------
-
-
-def _check_mode(n: int, i: int) -> None:
-    if not 1 <= i <= n:
-        raise ValueError(f"mode index {i} out of range 1..{n}")
 
 
 def build_preoscillator(n: int, i: int, sign: int) -> GenExpr:

@@ -46,7 +46,6 @@ from typing import Iterable, NamedTuple, Sequence, Union
 
 from .qcoeff import (
     C_WEYL,
-    DPLUS,
     INV_QMQI,
     QCoeff,
     QFrac,
@@ -102,29 +101,31 @@ def _inversions(word: Sequence[Letter]) -> int:
 
 @dataclass(frozen=True)
 class Rules:
-    """Tunable structure constants of the rewrite system.
+    """The structure constant of the rewrite system.
 
-    `s1_kappa` is the kappa^{∓1} coefficient c of the mixed-mode exchange
-    rule; `s2_scale` is c/(q-q^-1), the scale of the contraction identity.
-    The defaults are the W_q(n) values; `corrupted()` returns a coherent
-    perturbation used as a negative-control hook by the verifier (every
-    oscillator relation must then fail).
+    `s1_kappa` is the constant c of a_i^- a_i^+ - q^{±1} a_i^+ a_i^- =
+    c kappa_i^{∓1}, the one rule constant of W_q(n).  The default is its
+    W_q(n) value 2/(s+s^-1); `corrupted()` perturbs it, as a negative-control
+    hook used by the verifier (every oscillator relation must then fail).
     """
 
     s1_kappa: QFrac = C_WEYL
-    s2_scale: QFrac = C_WEYL * INV_QMQI
 
     @classmethod
     def corrupted(cls) -> "Rules":
-        return cls(s1_kappa=C_WEYL + QFrac.one(), s2_scale=C_WEYL * INV_QMQI)
+        return cls(s1_kappa=C_WEYL + QFrac.one())
 
 
 DEFAULT_RULES = Rules()
 
-# a rewrite branch: (s-exponent delta, c-exponent delta, replacement word,
-# needs_s1_kappa flag) -- the flag marks the branch whose coefficient is the
-# rule constant c, so corrupted rule sets can substitute their own value.
-_Branch = tuple[int, int, tuple[Letter, ...], bool]
+# C_WEYL/(q-q^-1), the scale of the contraction identity; a perturbed rule
+# constant (`Rules.corrupted`) leaves it at its W_q(n) value
+_CONTRACT_SCALE = C_WEYL * INV_QMQI
+
+# a rewrite branch: (s-exponent delta, replacement word).  The contraction
+# a_i^- a_i^+ -> c kappa_i^-1 is the only branch that drops an a^+ letter; its
+# factor c is priced per collected monomial, not per step.
+_Branch = tuple[int, tuple[Letter, ...]]
 
 
 def _rule(x: Letter, y: Letter) -> list[_Branch] | None:
@@ -134,23 +135,23 @@ def _rule(x: Letter, y: Letter) -> list[_Branch] | None:
     if kx == AM and ky == AP:
         if ix == iy:
             # a- a+ -> q a+ a- + c kappa^-1
-            return [(2, 0, (y, x), False), (0, 1, ((KA, ix, -1),), True)]
+            return [(2, (y, x)), (0, ((KA, ix, -1),))]
         if ix < iy:
-            return [(-2, 0, (y, x), False)]
-        return [(2, 0, (y, x), False)]
+            return [(-2, (y, x))]
+        return [(2, (y, x))]
     if kx == AP and ky == AP and ix > iy:
-        return [(-2, 0, (y, x), False)]
+        return [(-2, (y, x))]
     if kx == AM and ky == AM and ix < iy:
-        return [(2, 0, (y, x), False)]
+        return [(2, (y, x))]
     if kx == KA and ky == AP:
-        return [(2 * ex if ix == iy else 0, 0, (y, x), False)]
+        return [(2 * ex if ix == iy else 0, (y, x))]
     if kx == AM and ky == KA:
-        return [(2 * ey if ix == iy else 0, 0, (y, x), False)]
+        return [(2 * ey if ix == iy else 0, (y, x))]
     if kx == KA and ky == KA:
         if ix == iy and ex != ey:
-            return [(0, 0, (), False)]
+            return [(0, ())]
         if ix > iy:
-            return [(0, 0, (y, x), False)]
+            return [(0, (y, x))]
     return None
 
 
@@ -223,11 +224,12 @@ def _append_plus(m: WeylMonomial, j: int, rules: Rules) -> list[tuple[QFrac, Wey
         return [(QFrac(QCoeff.s_pow(s_exp)),
                  WeylMonomial(_tweak(m.plus, j, 1), m.kappa, m.minus))]
     # the appended a_j^+ dissolves against (a_j^-)^{d_j}:
-    #   (a-)^d a+ = q^d * s2 * (kappa - ...) (a-)^{d-1} + c [d] kappa^-1 (a-)^{d-1}
+    #   (a-)^d a+ = q^d * S * (kappa - ...) (a-)^{d-1} + c [d] kappa^-1 (a-)^{d-1}
+    # with S = _CONTRACT_SCALE
     pre = QFrac(QCoeff.s_pow(-2 * sum(m.minus[:j])))
     qd = QFrac(QCoeff.s_pow(2 * dj))
-    up = pre * qd * rules.s2_scale
-    down = pre * (rules.s1_kappa * QFrac(q_int(dj)) - qd * rules.s2_scale)
+    up = pre * qd * _CONTRACT_SCALE
+    down = pre * (rules.s1_kappa * QFrac(q_int(dj)) - qd * _CONTRACT_SCALE)
     out = []
     if not up.is_zero():
         out.append((up, WeylMonomial(m.plus, _tweak(m.kappa, j, 1), _tweak(m.minus, j, -1))))
@@ -245,7 +247,7 @@ def _append_minus(m: WeylMonomial, j: int, rules: Rules) -> list[tuple[QFrac, We
     # crosses everything and contracts against the last a_j^+
     s_exp = 2 * (sum(m.minus[:j]) - sum(m.minus[j + 1:])
                  - m.kappa[j] + sum(m.plus[j + 1:]))
-    coeff = QFrac(QCoeff.s_pow(s_exp)) * rules.s2_scale
+    coeff = QFrac(QCoeff.s_pow(s_exp)) * _CONTRACT_SCALE
     p2 = _tweak(m.plus, j, -1)
     return [(coeff, WeylMonomial(p2, _tweak(m.kappa, j, 1), m.minus)),
             (-coeff, WeylMonomial(p2, _tweak(m.kappa, j, -1), m.minus))]
@@ -507,14 +509,9 @@ class _MeasureError(AssertionError):
     pass
 
 
-@lru_cache(maxsize=None)
-def _dplus_pow(j: int) -> QCoeff:
-    return DPLUS ** j
-
-
-# a pending coefficient: {(s exponent, c exponent, s1_kappa exponent): number
-# of rewrite paths}, i.e. the sum of count * s^a * c^b * rules.s1_kappa^x
-_Counts = dict[tuple[int, int, int], int]
+# a pending coefficient: {s exponent: number of rewrite paths}, i.e. the sum
+# of count * s^a, still to be multiplied by c^t for the word's t contractions
+_Counts = dict[int, int]
 
 
 def _redex(w: tuple[Letter, ...], hint: int,
@@ -542,33 +539,9 @@ def _redex(w: tuple[Letter, ...], hint: int,
     return None
 
 
-def _shifted(counts: _Counts, ds: int, dc: int, dx: int, into: _Counts) -> None:
-    for (se, ce, xe), k in counts.items():
-        key = (se + ds, ce + dc, xe + dx)
-        into[key] = into.get(key, 0) + k
-
-
-def _assemble(counts: _Counts, rules: Rules) -> QFrac:
-    """sum count * s^a * c^b * s1_kappa^x as one QFrac."""
-    groups: dict[int, dict[int, dict[int, int]]] = {}
-    for (se, ce, xe), k in counts.items():
-        by_s = groups.setdefault(xe, {}).setdefault(ce, {})
-        by_s[se] = by_s.get(se, 0) + k * 2 ** ce
-    out: QFrac | None = None
-    for xe, by_c in groups.items():
-        # sum_b N_b c^b = (sum_b N_b 2^b Dp^(cmax-b)) / Dp^cmax
-        cmax = max(by_c)
-        num: QCoeff | None = None
-        for ce, by_s in by_c.items():
-            part = QCoeff({se: Q2(v) for se, v in by_s.items()})
-            if ce < cmax:
-                part = part * _dplus_pow(cmax - ce)
-            num = part if num is None else num + part
-        term = QFrac(num, cmax, 0)
-        if xe:
-            term = term * rules.s1_kappa ** xe
-        out = term if out is None else out + term
-    return out
+def _shifted(counts: _Counts, ds: int, into: _Counts) -> None:
+    for se, k in counts.items():
+        into[se + ds] = into.get(se + ds, 0) + k
 
 
 def _reduce_word(word: tuple[Letter, ...], n: int, strategy: str, rules: Rules,
@@ -583,20 +556,20 @@ def _reduce_word(word: tuple[Letter, ...], n: int, strategy: str, rules: Rules,
     followed in place; only branch points enter the heap, together with
     their redex, which every path into the word finds at the same place.
 
-    Coefficients along a path are always s^a c^b s1_kappa^x (c = 2/(s+s^-1);
-    under the default rules s1_kappa is c itself and is counted in b), so a
-    pending coefficient is a count of paths per exponent triple, assembled
-    into a QFrac once per collected monomial.  The cost is polynomial in the
-    number of a- a+ crossings where following every path separately was
-    exponential.
+    Every rewrite path is priced s^a c^t with c = `rules.s1_kappa`: the
+    contraction a_i^- a_i^+ -> c kappa_i^-1 is the only rule that drops an
+    a^+ letter, so t, the number of contractions, is fixed for a monomial by
+    its drop in a^+ count.  A pending coefficient is therefore a count of
+    paths per s exponent, priced once per collected monomial, whatever the
+    rule set.  The cost is polynomial in the number of a- a+ crossings where
+    following every path separately was exponential.
     """
     if strategy not in ("leftmost", "rightmost"):
         raise ValueError("strategy must be 'leftmost' or 'rightmost'")
-    use_default = rules.s1_kappa == DEFAULT_RULES.s1_kappa
     left = strategy == "leftmost"
     # word -> (pending coefficient, its redex)
     pending: dict[tuple[Letter, ...], tuple[_Counts, tuple | None]] = {
-        word: ({(0, 0, 0): 1}, _redex(word, 0 if left else len(word) - 2, left))}
+        word: ({0: 1}, _redex(word, 0 if left else len(word) - 2, left))}
     heap = [(-len(word), -_inversions(word), 0, word)]
     pushed = 1
     collected: dict[WeylMonomial, _Counts] = {}
@@ -604,13 +577,13 @@ def _reduce_word(word: tuple[Letter, ...], n: int, strategy: str, rules: Rules,
         _, neg_inv, _, w = heappop(heap)
         counts, hit = pending.pop(w)
         if hit is None:
-            _shifted(counts, 0, 0, 0, collected.setdefault(_collect_prenormal(w, n), {}))
+            _shifted(counts, 0, collected.setdefault(_collect_prenormal(w, n), {}))
             continue
         for branch in hit[1]:
             cur, inv, t = w, -neg_inv, hit[0]
-            ds = dc = dx = 0
+            ds = 0
             while True:
-                b_ds, b_dc, repl, s1flag = branch
+                b_ds, repl = branch
                 w2 = cur[:t] + repl + cur[t + 2:]
                 # an exchange removes one inversion; a shortening is recounted
                 inv2 = inv - 1 if len(repl) == 2 else _inversions(w2)
@@ -623,16 +596,11 @@ def _reduce_word(word: tuple[Letter, ...], n: int, strategy: str, rules: Rules,
                     if after[0] != inv2:
                         raise _MeasureError(f"inversions miscounted at {w2}")
                 ds += b_ds
-                if s1flag and not use_default:
-                    dx += 1
-                else:
-                    dc += b_dc
                 # locality: only the boundary pairs around the rewrite site
                 # can become new redexes, so the scan resumes there
                 nxt = _redex(w2, t - 1 if left else t + len(repl) - 1, left)
                 if nxt is None:
-                    _shifted(counts, ds, dc, dx,
-                             collected.setdefault(_collect_prenormal(w2, n), {}))
+                    _shifted(counts, ds, collected.setdefault(_collect_prenormal(w2, n), {}))
                     break
                 if len(nxt[1]) == 1:
                     cur, inv, (t, (branch,)) = w2, inv2, nxt
@@ -643,10 +611,18 @@ def _reduce_word(word: tuple[Letter, ...], n: int, strategy: str, rules: Rules,
                     entry = pending[w2] = ({}, nxt)
                     heappush(heap, (-len(w2), -inv2, pushed, w2))
                     pushed += 1
-                _shifted(counts, ds, dc, dx, entry[0])
+                _shifted(counts, ds, entry[0])
                 break
-    out = {m: _assemble(d, rules) for m, d in collected.items()}
-    return {m: c for m, c in out.items() if not c.is_zero()}
+    n_plus = sum(1 for kind, _, _ in word if kind == AP)
+    out: dict[WeylMonomial, QFrac] = {}
+    for m, counts in collected.items():
+        c = QFrac(QCoeff({se: Q2(k) for se, k in counts.items()}))
+        t = n_plus - sum(m.plus)
+        if t:
+            c = c * rules.s1_kappa ** t
+        if not c.is_zero():
+            out[m] = c
+    return out
 
 
 @lru_cache(maxsize=65536)

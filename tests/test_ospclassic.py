@@ -9,6 +9,7 @@ import pytest
 from ospq.ospclassic import (
     GradedMatrix,
     anticommutator,
+    anticommutator_table,
     cartan_h_upper,
     cartan_matrix,
     chevalley_generators,
@@ -111,14 +112,15 @@ def test_matrix_arithmetic_basics():
 
 def test_triple_relation_all_instances():
     for n in (1, 2, 3):
-        results = pbose_relation_checks(parabose_set(n), n)
+        A = parabose_set(n)
+        results = pbose_relation_checks(A, anticommutator_table(A), n)
         assert len(results) == 8 * n**3
         assert all(r.ok for r in results)
 
 
 def test_quadrilinear_relation_all_instances():
     for n in (1, 2):
-        results = sp2n_relation_checks(parabose_set(n), n)
+        results = sp2n_relation_checks(anticommutator_table(parabose_set(n)), n)
         assert len(results) == 16 * n**4
         assert all(r.ok for r in results)
 
@@ -301,8 +303,10 @@ def test_corrupted_generator_is_detected():
     # deterministic damage profile
     c21 = [x for x in failing if x.startswith("C21")]
     c28 = [x for x in failing if x.startswith("C28")]
+    mem_pair = [x for x in failing if x.startswith("MEM.pair")]
     assert len(c21) == 18
     assert len(c28) == 90
+    assert len(mem_pair) == 6
 
 
 def test_check_result_rows_serialize():

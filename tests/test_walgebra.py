@@ -139,9 +139,9 @@ def _dfs_reduce(word, n, strategy, rules):
     """Reference reducer: follows every rewrite path on its own, with no
     merging of words, and prices each path with QFrac products."""
     out: dict[WeylMonomial, QFrac] = {}
-    stack = [(0, 0, 0, tuple(word))]
+    stack = [(QFrac.one(), tuple(word))]
     while stack:
-        se, ce, xe, w = stack.pop()
+        c, w = stack.pop()
         sites = range(len(w) - 1)
         if strategy == "rightmost":
             sites = reversed(sites)
@@ -151,15 +151,16 @@ def _dfs_reduce(word, n, strategy, rules):
             counts = [[0] * n, [0] * n, [0] * n]
             for kind, i, e in w:
                 counts[kind][i] += e if kind == KA else 1
-            m = WeylMonomial(*(tuple(c) for c in counts))
-            c = _sq(se) * C_WEYL ** ce * rules.s1_kappa ** xe
+            m = WeylMonomial(*(tuple(x) for x in counts))
             out[m] = out[m] + c if m in out else c
             continue
         t, branches = hit
-        for ds, dc, repl, s1flag in branches:
-            # the flagged branch carries the rule constant instead of c
-            stack.append((se + ds, ce + (0 if s1flag else dc), xe + s1flag,
-                          w[:t] + repl + w[t + 2:]))
+        for ds, repl in branches:
+            c2 = c * _sq(ds)
+            # the contraction a- a+ -> kappa^-1 carries the rule constant
+            if len(repl) == 1:
+                c2 = c2 * rules.s1_kappa
+            stack.append((c2, w[:t] + repl + w[t + 2:]))
     return {m: c for m, c in out.items() if not c.is_zero()}
 
 
