@@ -312,23 +312,27 @@ def chevalley_generators(
         if n is None:
             raise ValueError("either a generator set or n must be given")
         A = parabose_set(n)
-    else:
-        n = max(i for i, _ in A)
+    return chevalley_from_table(A, anticommutator_table(A))
+
+
+def chevalley_from_table(
+    A: dict[tuple[int, int], GradedMatrix], anti: "AnticommutatorTable"
+) -> tuple[dict[int, GradedMatrix], dict[int, GradedMatrix], dict[int, GradedMatrix]]:
+    """`chevalley_generators(A)` with the anticommutators read from
+    ``anti = anticommutator_table(A)``."""
+    n = max(i for i, _ in A)
     half = Fraction(1, 2)
     inv_sqrt2 = SQRT2.inverse()
     e: dict[int, GradedMatrix] = {}
     f: dict[int, GradedMatrix] = {}
     h: dict[int, GradedMatrix] = {}
     for i in range(1, n):
-        e[i] = anticommutator(A[(i, -1)], A[(i + 1, +1)]).scale(half)
-        f[i] = anticommutator(A[(i, +1)], A[(i + 1, -1)]).scale(half)
-        h[i] = (
-            anticommutator(A[(i + 1, -1)], A[(i + 1, +1)])
-            - anticommutator(A[(i, -1)], A[(i, +1)])
-        ).scale(half)
+        e[i] = anti[(i, -1), (i + 1, +1)].scale(half)
+        f[i] = anti[(i, +1), (i + 1, -1)].scale(half)
+        h[i] = (anti[(i + 1, -1), (i + 1, +1)] - anti[(i, -1), (i, +1)]).scale(half)
     e[n] = A[(n, -1)].scale(-inv_sqrt2)
     f[n] = A[(n, +1)].scale(inv_sqrt2)
-    h[n] = anticommutator(A[(n, -1)], A[(n, +1)]).scale(-half)
+    h[n] = anti[(n, -1), (n, +1)].scale(-half)
     return e, f, h
 
 
@@ -727,8 +731,8 @@ def verify_classical(
     expected = {(i, s) for i in range(1, n + 1) for s in (+1, -1)}
     if set(A) != expected:
         raise ValueError("generator set must contain exactly (i, sign) for i=1..n")
-    e, f, h = chevalley_generators(A)
     anti = anticommutator_table(A)
+    e, f, h = chevalley_from_table(A, anti)
     results: list[CheckResult] = []
     results += membership_checks(A, anti, n)
     results += pbose_relation_checks(A, anti, n)

@@ -508,6 +508,21 @@ class QFrac:
             out = out * self
         return out
 
+    def mul_s_pow(self, e: int) -> "QFrac":
+        """self * s^e, by moving the numerator's exponents.
+
+        s is a unit, so the reduced (num, dp, dm) form stays reduced: this is
+        `self * QFrac(QCoeff.s_pow(e))` term for term and in the same order,
+        without a product or a reduction pass.
+        """
+        if not e:
+            return self
+        num = QCoeff.__new__(QCoeff)
+        num._t = {k + e: c for k, c in self.num._t.items()}
+        out = QFrac.__new__(QFrac)
+        out.num, out.dp, out.dm = num, self.dp, self.dm
+        return out
+
     # -- involutions and evaluation ------------------------------------
 
     def conjugate(self) -> "QFrac":

@@ -121,6 +121,7 @@ DEFAULT_RULES = Rules()
 # C_WEYL/(q-q^-1), the scale of the contraction identity; a perturbed rule
 # constant (`Rules.corrupted`) leaves it at its W_q(n) value
 _CONTRACT_SCALE = C_WEYL * INV_QMQI
+_NEG_CONTRACT_SCALE = -_CONTRACT_SCALE
 
 # a rewrite branch: (s-exponent delta, replacement word).  The contraction
 # a_i^- a_i^+ -> c kappa_i^-1 is the only branch that drops an a^+ letter; its
@@ -211,68 +212,81 @@ def _tweak(t: tuple[int, ...], i: int, delta: int) -> tuple[int, ...]:
     return t[:i] + (t[i] + delta,) + t[i + 1:]
 
 
-def _append_kappa(m: WeylMonomial, j: int, e: int) -> tuple[int, WeylMonomial]:
+# an appended letter's term: s^a times a constant factor (None for 1), landing
+# on a monomial
+_Term = tuple[int, QFrac | None, WeylMonomial]
+
+
+@lru_cache(maxsize=None)
+def _dissolve_factors(dj: int, rules: Rules) -> tuple[QFrac, QFrac]:
+    """(q^d S, c [d] - q^d S) with d = dj: the constants of (a_j^-)^d a_j^+."""
+    up = QFrac(QCoeff.s_pow(2 * dj)) * _CONTRACT_SCALE
+    return up, rules.s1_kappa * QFrac(q_int(dj)) - up
+
+
+def _append_kappa(m: WeylMonomial, j: int, e: int) -> list[_Term]:
     # kappa_j^e passes the whole minus block: q^{e*d_j}
-    return 2 * e * m.minus[j], WeylMonomial(m.plus, _tweak(m.kappa, j, e), m.minus)
+    return [(2 * e * m.minus[j], None, WeylMonomial(m.plus, _tweak(m.kappa, j, e), m.minus))]
 
 
-def _append_plus(m: WeylMonomial, j: int, rules: Rules) -> list[tuple[QFrac, WeylMonomial]]:
+def _append_plus(m: WeylMonomial, j: int, rules: Rules) -> list[_Term]:
     dj = m.minus[j]
     if dj == 0:
         s_exp = 2 * (sum(m.minus[j + 1:]) - sum(m.minus[:j])
                      + m.kappa[j] - sum(m.plus[j + 1:]))
-        return [(QFrac(QCoeff.s_pow(s_exp)),
-                 WeylMonomial(_tweak(m.plus, j, 1), m.kappa, m.minus))]
+        return [(s_exp, None, WeylMonomial(_tweak(m.plus, j, 1), m.kappa, m.minus))]
     # the appended a_j^+ dissolves against (a_j^-)^{d_j}:
     #   (a-)^d a+ = q^d * S * (kappa - ...) (a-)^{d-1} + c [d] kappa^-1 (a-)^{d-1}
-    # with S = _CONTRACT_SCALE
-    pre = QFrac(QCoeff.s_pow(-2 * sum(m.minus[:j])))
-    qd = QFrac(QCoeff.s_pow(2 * dj))
-    up = pre * qd * _CONTRACT_SCALE
-    down = pre * (rules.s1_kappa * QFrac(q_int(dj)) - qd * _CONTRACT_SCALE)
-    out = []
-    if not up.is_zero():
-        out.append((up, WeylMonomial(m.plus, _tweak(m.kappa, j, 1), _tweak(m.minus, j, -1))))
+    # with S = _CONTRACT_SCALE, after crossing the lower-mode minus letters
+    s_exp = -2 * sum(m.minus[:j])
+    up, down = _dissolve_factors(dj, rules)
+    out = [(s_exp, up, WeylMonomial(m.plus, _tweak(m.kappa, j, 1), _tweak(m.minus, j, -1)))]
     if not down.is_zero():
-        out.append((down, WeylMonomial(m.plus, _tweak(m.kappa, j, -1), _tweak(m.minus, j, -1))))
+        out.append((s_exp, down,
+                    WeylMonomial(m.plus, _tweak(m.kappa, j, -1), _tweak(m.minus, j, -1))))
     return out
 
 
-def _append_minus(m: WeylMonomial, j: int, rules: Rules) -> list[tuple[QFrac, WeylMonomial]]:
+def _append_minus(m: WeylMonomial, j: int) -> list[_Term]:
     if m.minus[j] > 0 or m.plus[j] == 0:
         # joins its own group after crossing the lower-mode minus letters
-        s_exp = 2 * sum(m.minus[:j])
-        return [(QFrac(QCoeff.s_pow(s_exp)),
+        return [(2 * sum(m.minus[:j]), None,
                  WeylMonomial(m.plus, m.kappa, _tweak(m.minus, j, 1)))]
     # crosses everything and contracts against the last a_j^+
     s_exp = 2 * (sum(m.minus[:j]) - sum(m.minus[j + 1:])
                  - m.kappa[j] + sum(m.plus[j + 1:]))
-    coeff = QFrac(QCoeff.s_pow(s_exp)) * _CONTRACT_SCALE
     p2 = _tweak(m.plus, j, -1)
-    return [(coeff, WeylMonomial(p2, _tweak(m.kappa, j, 1), m.minus)),
-            (-coeff, WeylMonomial(p2, _tweak(m.kappa, j, -1), m.minus))]
+    return [(s_exp, _CONTRACT_SCALE, WeylMonomial(p2, _tweak(m.kappa, j, 1), m.minus)),
+            (s_exp, _NEG_CONTRACT_SCALE, WeylMonomial(p2, _tweak(m.kappa, j, -1), m.minus))]
 
 
-def _append_letter(m: WeylMonomial, letter: Letter,
-                   rules: Rules) -> list[tuple[QFrac, WeylMonomial]]:
+def _append_letter(m: WeylMonomial, letter: Letter, rules: Rules) -> list[_Term]:
     kind, j, e = letter
     if kind == KA:
-        s_exp, m2 = _append_kappa(m, j, e)
-        return [(QFrac(QCoeff.s_pow(s_exp)), m2)]
+        return _append_kappa(m, j, e)
     if kind == AP:
         return _append_plus(m, j, rules)
-    return _append_minus(m, j, rules)
+    return _append_minus(m, j)
 
 
 def _append_word(cur: dict[WeylMonomial, QFrac], word: Iterable[Letter],
                  rules: Rules) -> dict[WeylMonomial, QFrac]:
-    """Multiply a combination of canonical monomials by a word on the right."""
+    """Multiply a combination of canonical monomials by a word on the right.
+
+    Each term is multiplied by s^a by moving exponents (s is a unit) and by
+    its constant factor, if any, as one QFrac product.  Products associate,
+    and shifting keeps the order of the terms, so the result is the one a
+    QFrac product with the whole factor s^a * constant gives, term for term.
+    """
     for letter in word:
         nxt: dict[WeylMonomial, QFrac] = {}
         for m, c in cur.items():
-            for c2, m2 in _append_letter(m, letter, rules):
+            for s_exp, k, m2 in _append_letter(m, letter, rules):
+                c2 = c.mul_s_pow(s_exp)
+                if k is not None:
+                    c2 = c2 * k
                 acc = nxt.get(m2)
-                s = c * c2 if acc is None else acc + c * c2
+                s = c2 if acc is None else acc + c2
                 if s.is_zero():
                     nxt.pop(m2, None)
                 else:
@@ -498,7 +512,7 @@ def commutator(x: WeylElement, y: WeylElement, s_exp: int = 0,
     sign=+1 anticommutator-like)."""
     xy = mul(x, y, rules)
     yx = mul(y, x, rules)
-    w = yx.scale(QFrac(QCoeff.s_pow(s_exp))) if s_exp else yx
+    w = WeylElement(x.n, {m: c.mul_s_pow(s_exp) for m, c in yx._terms.items()}) if s_exp else yx
     return xy + w if sign > 0 else xy - w
 
 
@@ -619,10 +633,16 @@ def _reduce_word(word: tuple[Letter, ...], n: int, strategy: str, rules: Rules,
         c = QFrac(QCoeff({se: Q2(k) for se, k in counts.items()}))
         t = n_plus - sum(m.plus)
         if t:
-            c = c * rules.s1_kappa ** t
+            c = c * _contraction_power(rules, t)
         if not c.is_zero():
             out[m] = c
     return out
+
+
+@lru_cache(maxsize=None)
+def _contraction_power(rules: Rules, t: int) -> QFrac:
+    """c^t with c = `rules.s1_kappa`, the price of t contractions."""
+    return rules.s1_kappa ** t
 
 
 @lru_cache(maxsize=65536)

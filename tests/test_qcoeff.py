@@ -230,6 +230,25 @@ def test_integer_paths_keep_terms_and_order():
         assert (f.dp, f.dm) == (max(dp - a, 0), max(dm - b, 0))
 
 
+def test_s_power_shift_matches_the_product():
+    rng = random.Random(515)
+    checked = 0
+    for _ in range(300):
+        x = _random_qcoeff(rng, 6)
+        f = QFrac(x, rng.randint(1, 4), rng.randint(1, 4))
+        if not (f.dp and f.dm):
+            continue
+        e = rng.choice((rng.randrange(-9, 10, 2), rng.randint(-9, -1)))
+        got = f.mul_s_pow(e)
+        want = f * QFrac(QCoeff.s_pow(e))
+        assert got == want
+        assert (list(got.num._t.items()), got.dp, got.dm) == \
+            (list(want.num._t.items()), want.dp, want.dm)
+        checked += 1
+    assert checked > 100
+    assert QFrac.zero().mul_s_pow(3) == QFrac.zero()
+
+
 def test_qfrac_addition_rescales_to_common_denominator():
     rng = random.Random(404)
     checked = 0

@@ -176,6 +176,82 @@ def test_merging_engine_matches_path_enumeration():
                 assert got == _dfs_reduce(w, n, strategy, rules), (w, strategy)
 
 
+def _ref_letter(m: WeylMonomial, letter, rules) -> list:
+    """The terms of m * letter, each factor priced as one whole QFrac built
+    from QFrac products, with no exponent shifting and no cached constant."""
+    kind, j, e = letter
+    scale = C_WEYL * INV_QMQI
+    tweak = lambda t, d: t[:j] + (t[j] + d,) + t[j + 1:]  # noqa: E731
+    below = sum(m.minus[:j])
+    above = sum(m.minus[j + 1:])
+    if kind == KA:
+        return [(_sq(2 * e * m.minus[j]), m._replace(kappa=tweak(m.kappa, e)))]
+    if kind == AP:
+        dj = m.minus[j]
+        if dj == 0:
+            ds = 2 * (above - below + m.kappa[j] - sum(m.plus[j + 1:]))
+            return [(_sq(ds), m._replace(plus=tweak(m.plus, 1)))]
+        pre, qd = _sq(-2 * below), _sq(2 * dj)
+        up = pre * qd * scale
+        down = pre * (rules.s1_kappa * QFrac(q_int(dj)) - qd * scale)
+        minus = tweak(m.minus, -1)
+        return [(c, WeylMonomial(m.plus, tweak(m.kappa, z), minus))
+                for c, z in ((up, 1), (down, -1)) if not c.is_zero()]
+    if m.minus[j] > 0 or m.plus[j] == 0:
+        return [(_sq(2 * below), m._replace(minus=tweak(m.minus, 1)))]
+    coeff = _sq(2 * (below - above - m.kappa[j] + sum(m.plus[j + 1:]))) * scale
+    plus = tweak(m.plus, -1)
+    return [(coeff, WeylMonomial(plus, tweak(m.kappa, 1), m.minus)),
+            (-coeff, WeylMonomial(plus, tweak(m.kappa, -1), m.minus))]
+
+
+def _ref_from_word(n: int, word, rules) -> dict:
+    """Reference append calculus: every letter factor is multiplied in as a
+    full QFrac product."""
+    cur = {WeylMonomial.identity(n): QFrac.one()}
+    for letter in word:
+        nxt: dict = {}
+        for m, c in cur.items():
+            for c2, m2 in _ref_letter(m, letter, rules):
+                s = c * c2 if m2 not in nxt else nxt[m2] + c * c2
+                if s.is_zero():
+                    nxt.pop(m2, None)
+                else:
+                    nxt[m2] = s
+        cur = nxt
+    return cur
+
+
+def _layout(terms: dict) -> list:
+    """Monomials in dict order, each with its numerator's terms in dict
+    order and its denominator exponents: what float sums see."""
+    return [(m, list(c.num._t.items()), c.dp, c.dm) for m, c in terms.items()]
+
+
+def test_append_shifts_match_full_products():
+    rng = random.Random(3131)
+    words = [(n, _rand_word(rng, n)) for n in (1, 2, 3) for _ in range(180)]
+    words += [(2, [(AM, 0, 0), (AM, 1, 0)] * 2 + [(AP, 1, 0), (AP, 0, 0)] * 2)]
+    for rules in (DEFAULT_RULES, DEFAULT_RULES.corrupted()):
+        for n, w in words:
+            got = WeylElement.from_word(n, w, rules)
+            ref = _ref_from_word(n, w, rules)
+            assert got == WeylElement(n, ref), w
+            assert _layout(got._terms) == _layout(ref), w
+
+
+def test_dissolve_factors_follow_the_rule_set():
+    # a1+ appended onto (a1-)^2 reads the rule constant c through c [2]
+    word, _ = parse_word("a1- a1- a1+")
+    bad = DEFAULT_RULES.corrupted()
+    first = WeylElement.from_word(1, word)
+    middle = WeylElement.from_word(1, word, bad)
+    third = WeylElement.from_word(1, word)
+    assert first == third
+    assert middle != first
+    assert middle == WeylElement(1, _ref_from_word(1, word, bad))
+
+
 def test_long_crossing_words_are_fast():
     t0 = time.perf_counter()
     cases = [(1, "a1- " * 10 + "a1+ " * 10),
