@@ -13,7 +13,7 @@ Every run emits a report whose JSON form is byte-stable except for the
 timestamp field, so reruns can be diffed.  Exit status is 0 when every
 requested check passes, 1 when at least one fails, and 2 for unusable
 arguments (bad ranges, size guards, words over the letter budget, parse
-errors).
+errors, a selection that yields no checks).
 """
 
 from __future__ import annotations
@@ -27,7 +27,12 @@ from . import __version__
 from .report import RESIDUAL_TOL, STRUCTURAL_TOL, CheckResult, summarize
 from .walgebra import DEFAULT_RULES, Rules, WeylElement, normal_order, parse_word
 from .ospclassic import verify_classical
-from .uqosp import classical_limit_checks, round_trip_checks, verify_relations
+from .uqosp import (
+    FAMILY_BUILDERS,
+    classical_limit_checks,
+    round_trip_checks,
+    verify_relations,
+)
 
 SIZE_GUARD = 100_000
 # longest word `normal-order` accepts (after k^e expands to |e| letters): the
@@ -35,14 +40,7 @@ SIZE_GUARD = 100_000
 # about 2.3 s on a 2-vCPU machine, and two more letters more than double that
 WORD_BUDGET = 18
 
-QUANTUM_FAMILY_KEYS = {
-    "CK": ("CK",),
-    "SERRE": ("SERRE_E", "SERRE_F"),
-    "PRE": ("PRE",),
-    "T": ("T",),
-    "G": ("G",),
-}
-FAMILY_ORDER = ("classical", "CK", "SERRE", "PRE", "T", "G")
+FAMILY_ORDER = ("classical", *FAMILY_BUILDERS)
 CHECK_ORDER = ("unitarity", "relations", "dims")
 
 
@@ -71,39 +69,41 @@ def build_report(command: str, parameters: dict, results: list[CheckResult]) -> 
     }
 
 
-def _emit(report: dict, fmt: str, out_path: str | None, stream) -> None:
+def _emit(report: dict, fmt: str, out_path: str | None, print_text) -> None:
+    """Write the JSON report to out_path if given, then show it on stdout:
+    as JSON, or as text by print_text(report)."""
     if out_path:
         with open(out_path, "w", encoding="utf-8") as fh:
             json.dump(report, fh, indent=2)
             fh.write("\n")
     if fmt == "json":
-        json.dump(report, stream, indent=2)
-        stream.write("\n")
+        json.dump(report, sys.stdout, indent=2)
+        sys.stdout.write("\n")
     else:
-        print(
-            f"ospq {report['command']}  "
-            + " ".join(f"{k}={v}" for k, v in report["parameters"].items()),
-            file=stream,
-        )
-        for row in report["results"]:
-            residual = row["residual"]
-            if isinstance(residual, float):
-                residual = f"{residual:.3e}"
-            line = f"{row['status']:4s}  {row['id']}  {residual}"
-            if row["detail"]:
-                line += f"  {row['detail']}"
-            print(line, file=stream)
-        _print_footer(report, stream)
+        print_text(report)
 
 
-def _print_footer(report: dict, stream) -> None:
-    s = report["summary"]
+def _print_rows(report: dict) -> None:
     print(
-        f"{report['status'].upper()}: {s['passed']}/{s['total']} checks passed",
-        file=stream,
+        f"ospq {report['command']}  "
+        + " ".join(f"{k}={v}" for k, v in report["parameters"].items())
     )
+    for row in report["results"]:
+        residual = row["residual"]
+        if isinstance(residual, float):
+            residual = f"{residual:.3e}"
+        line = f"{row['status']:4s}  {row['id']}  {residual}"
+        if row["detail"]:
+            line += f"  {row['detail']}"
+        print(line)
+    _print_footer(report)
+
+
+def _print_footer(report: dict) -> None:
+    s = report["summary"]
+    print(f"{report['status'].upper()}: {s['passed']}/{s['total']} checks passed")
     if s["failing_ids"]:
-        print("failing: " + " ".join(s["failing_ids"]), file=stream)
+        print("failing: " + " ".join(s["failing_ids"]))
 
 
 def _fail(message: str) -> int:
@@ -140,13 +140,13 @@ def cmd_verify(args) -> int:
     results: list[CheckResult] = []
     if "classical" in families:
         results += verify_classical(args.n)
-    quantum_keys: list[str] = []
-    for name in families:
-        quantum_keys += QUANTUM_FAMILY_KEYS.get(name, ())
-    results += verify_relations(args.n, rules, families=quantum_keys, seed=args.seed)
+    quantum = [name for name in families if name in FAMILY_BUILDERS]
+    results += verify_relations(args.n, rules, families=quantum, seed=args.seed)
     if set(families) == set(FAMILY_ORDER):
         results += round_trip_checks(args.n, rules)
         results += classical_limit_checks(args.n, rules)
+    if not results:
+        return _fail(f"no checks selected (--n {args.n}, --families {args.families})")
     parameters = {
         "n": args.n,
         "families": ",".join(families),
@@ -154,7 +154,7 @@ def cmd_verify(args) -> int:
         "corrupt_rules": bool(args.corrupt_rules),
     }
     report = build_report("verify", parameters, results)
-    _emit(report, args.format, args.out, sys.stdout)
+    _emit(report, args.format, args.out, _print_rows)
     return 0 if report["status"] == "pass" else 1
 
 
@@ -186,12 +186,14 @@ def cmd_rep(args) -> int:
         return _fail(str(exc))
     results: list[CheckResult] = []
     if "unitarity" in checks:
-        results += fockrep.check_unitarity(args.n, args.k, tol=args.tol_entry)
+        results += fockrep.check_unitarity(args.n, args.k)
         results += fockrep.check_weights(args.n, args.k)
     if "relations" in checks:
-        results += fockrep.check_matrix_relations(args.n, args.k, tol=args.tol_rel)
+        results += fockrep.check_matrix_relations(args.n, args.k)
     if "dims" in checks:
         results += fockrep.check_decomposition(args.n, args.k)
+    if not results:
+        return _fail(f"no checks selected (--checks {args.checks})")
     exports: list[str] = []
     if args.out:
         stem = args.out[:-4] if args.out.endswith(".csv") else args.out
@@ -207,12 +209,12 @@ def cmd_rep(args) -> int:
         "k": args.k,
         "dim": args.k**args.n,
         "checks": ",".join(checks),
-        "tol_rel": args.tol_rel,
-        "tol_entry": args.tol_entry,
+        "tol_rel": RESIDUAL_TOL,
+        "tol_entry": STRUCTURAL_TOL,
         "exports": exports,
     }
     report = build_report("rep", parameters, results)
-    _emit(report, args.format, None, sys.stdout)
+    _emit(report, args.format, None, _print_rows)
     return 0 if report["status"] == "pass" else 1
 
 
@@ -226,12 +228,7 @@ def cmd_decompose(args) -> int:
     parameters = {"n": args.n, "k": args.k, "dim": args.k**args.n}
     report = build_report("decompose", parameters, results)
     report["decomposition"] = fockrep.decomposition_to_json(dec)
-    if args.format == "json" or args.out:
-        _emit(report, args.format, args.out, sys.stdout)
-        if args.format != "json":
-            _print_blocks(dec, report)
-    else:
-        _print_blocks(dec, report)
+    _emit(report, args.format, args.out, lambda r: _print_blocks(dec, r))
     return 0 if report["status"] == "pass" else 1
 
 
@@ -240,7 +237,7 @@ def _print_blocks(dec, report) -> None:
     print(f"{len(dec.blocks)} blocks")
     for b in dec.blocks:
         print(f"  m={b.m}  dim={b.dim}  indices={list(b.indices)}")
-    _print_footer(report, sys.stdout)
+    _print_footer(report)
 
 
 def cmd_normal_order(args) -> int:
@@ -307,8 +304,6 @@ def make_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--format", choices=("text", "json"), default="text")
     p.add_argument("--out", help="CSV export prefix (one file per generator)")
-    p.add_argument("--tol-rel", type=float, default=RESIDUAL_TOL)
-    p.add_argument("--tol-entry", type=float, default=STRUCTURAL_TOL)
     p.set_defaults(func=cmd_rep)
 
     p = sub.add_parser("decompose", help="block decomposition of the Fock space")

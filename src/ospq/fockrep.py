@@ -48,7 +48,7 @@ from scipy import sparse
 from scipy.sparse.csgraph import connected_components
 
 from .qcoeff import QFrac, fock_norm_factors, q_int
-from .report import RESIDUAL_TOL, STRUCTURAL_TOL, CheckResult
+from .report import BRIDGE_TOL, RESIDUAL_TOL, STRUCTURAL_TOL, CheckResult
 from .uqosp import (
     AntiComm,
     Gen,
@@ -62,8 +62,6 @@ from .uqosp import (
     realize,
 )
 from .walgebra import AM, AP, KA, WeylElement
-
-BRIDGE_TOL = 1e-10
 
 
 # ---------------------------------------------------------------------------
@@ -339,7 +337,7 @@ def matrix_of_weyl(x: WeylElement, k: int) -> sparse.csr_matrix:
 # ---------------------------------------------------------------------------
 
 
-def check_unitarity(n: int, k: int, tol: float = STRUCTURAL_TOL) -> list[CheckResult]:
+def check_unitarity(n: int, k: int) -> list[CheckResult]:
     """(a_i^+)^dagger = a_i^- entrywise; kappa_i and L_i unitary diagonal."""
     _check_shape(n, k)
     out: list[CheckResult] = []
@@ -354,7 +352,7 @@ def check_unitarity(n: int, k: int, tol: float = STRUCTURAL_TOL) -> list[CheckRe
         out.append(
             CheckResult(
                 f"UNI.adjoint[n={n},k={k},i={i}]",
-                dev < tol,
+                dev < STRUCTURAL_TOL,
                 dev,
                 "a- vs a+ conjugate transpose",
             )
@@ -368,7 +366,7 @@ def check_unitarity(n: int, k: int, tol: float = STRUCTURAL_TOL) -> list[CheckRe
             out.append(
                 CheckResult(
                     f"UNI.diag[{label},n={n},k={k}]",
-                    dev < tol,
+                    dev < STRUCTURAL_TOL,
                     dev,
                     "unimodular diagonal",
                 )
@@ -439,7 +437,7 @@ def check_weights(n: int, k: int) -> list[CheckResult]:
 # ---------------------------------------------------------------------------
 
 
-def check_matrix_relations(n: int, k: int, tol: float = RESIDUAL_TOL) -> list[CheckResult]:
+def check_matrix_relations(n: int, k: int) -> list[CheckResult]:
     """Every catalog instance as a k^n x k^n matrix identity, with the
     symbolic normal form re-evaluated at the root as a cross-check of the
     same matrices."""
@@ -452,7 +450,7 @@ def check_matrix_relations(n: int, k: int, tol: float = RESIDUAL_TOL) -> list[Ch
         sym_rhs = _matrix_of_weyl(realize(inst.rhs, n), k)
         res = max(_residual(lhs, rhs), _residual(sym_lhs, lhs), _residual(sym_rhs, rhs))
         out.append(
-            CheckResult(f"MAT.{inst.id}[k={k}]", res < tol, res, "matrix residual")
+            CheckResult(f"MAT.{inst.id}[k={k}]", res < RESIDUAL_TOL, res, "matrix residual")
         )
     return out
 
@@ -462,15 +460,15 @@ def check_matrix_relations(n: int, k: int, tol: float = RESIDUAL_TOL) -> list[Ch
 # ---------------------------------------------------------------------------
 
 
-def positivity_diagnostic(q: complex, m_limit: int = 25) -> dict:
+def positivity_diagnostic(q: complex) -> dict:
     """Why a generic q does not give a unitary Fock space.
 
     Returns the modulus defect of q and the first occupation number whose
     squared norm fails to be positive (None if all stay positive up to
-    m_limit).  At q = exp(i pi / k) the norms are positive up to m = k-1
-    and vanish at m = k; for |q| != 1 the representation cannot be unitary
-    at all (the kappa weights are not unimodular), even though the norms
-    may stay positive.
+    m = 25), with the first 8 norms.  At q = exp(i pi / k) the norms are
+    positive up to m = k-1 and vanish at m = k; for |q| != 1 the
+    representation cannot be unitary at all (the kappa weights are not
+    unimodular), even though the norms may stay positive.
     """
     q = complex(q)
     if q == 0:
@@ -479,7 +477,7 @@ def positivity_diagnostic(q: complex, m_limit: int = 25) -> dict:
     modulus_ok = abs(abs(q) - 1.0) < STRUCTURAL_TOL
     first_non_positive: int | None = None
     values: list[float] = []
-    for m, norm in enumerate(fock_norm_factors(m_limit + 1)[1:], start=1):
+    for m, norm in enumerate(fock_norm_factors(26)[1:], start=1):
         val = complex(norm.eval_scalar(s))
         values.append(val.real)
         if first_non_positive is None and (
@@ -490,7 +488,7 @@ def positivity_diagnostic(q: complex, m_limit: int = 25) -> dict:
         "q": q,
         "modulus_ok": modulus_ok,
         "first_non_positive": first_non_positive,
-        "norms": values[: min(m_limit, 8)],
+        "norms": values[:8],
     }
 
 

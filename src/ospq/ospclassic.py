@@ -35,7 +35,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Iterable
 
-from .report import CheckResult
+from .report import CheckResult, residual_row
 from .scalars import SQRT2, Q2
 
 Entry = tuple[int, int]
@@ -114,14 +114,14 @@ class GradedMatrix:
             return NotImplemented
         return self.n == other.n and self.entries == other.entries
 
-    def __hash__(self) -> int:
-        return hash((self.n, frozenset(self.entries.items())))
+    def __len__(self) -> int:
+        return len(self.entries)
 
     def __str__(self) -> str:
-        rows = []
-        for row in self.dense():
-            rows.append("[" + ", ".join(str(v) for v in row) + "]")
-        return "\n".join(rows)
+        """The nonzero entries on one line: "(1,3): √2, (4,0): -√2"."""
+        if not self.entries:
+            return "0"
+        return ", ".join(f"({r},{c}): {v}" for (r, c), v in sorted(self.entries.items()))
 
     def __repr__(self) -> str:
         return f"GradedMatrix(n={self.n}, grade={self.grade}, nnz={len(self.entries)})"
@@ -290,10 +290,11 @@ def cartan_matrix(n: int) -> list[list[int]]:
     return alpha
 
 
-def chevalley_generators(
-    A: dict[tuple[int, int], GradedMatrix] | None = None, n: int | None = None
+def chevalley_from_table(
+    A: dict[tuple[int, int], GradedMatrix], anti: "AnticommutatorTable"
 ) -> tuple[dict[int, GradedMatrix], dict[int, GradedMatrix], dict[int, GradedMatrix]]:
-    """Chevalley triples (e, f, h) built from the odd generators.
+    """Chevalley triples (e, f, h) built from the odd generators A, with the
+    anticommutators read from ``anti = anticommutator_table(A)``.
 
     For i < n:
         e_i = (1/2) {A_i^-, A_{i+1}^+}
@@ -304,22 +305,8 @@ def chevalley_generators(
         f_n =  A_n^+ / sqrt(2)
         h_n = -(1/2) {A_n^-, A_n^+}
 
-    Returns 1-indexed dicts.  If A is supplied it is used as the source of
-    odd generators (so deliberately corrupted inputs propagate); otherwise
-    the standard matrices are built for the given n.
+    Returns 1-indexed dicts.  A corrupted generator set propagates.
     """
-    if A is None:
-        if n is None:
-            raise ValueError("either a generator set or n must be given")
-        A = parabose_set(n)
-    return chevalley_from_table(A, anticommutator_table(A))
-
-
-def chevalley_from_table(
-    A: dict[tuple[int, int], GradedMatrix], anti: "AnticommutatorTable"
-) -> tuple[dict[int, GradedMatrix], dict[int, GradedMatrix], dict[int, GradedMatrix]]:
-    """`chevalley_generators(A)` with the anticommutators read from
-    ``anti = anticommutator_table(A)``."""
     n = max(i for i, _ in A)
     half = Fraction(1, 2)
     inv_sqrt2 = SQRT2.inverse()
@@ -347,7 +334,7 @@ def parabose_from_chevalley(
     and A_n^- = -sqrt(2) e_n, A_n^+ = sqrt(2) f_n.  The alternating signs
     are forced by [e_i, A_{i+1}^-] = -A_i^- and [A_{i+1}^+, f_i] = -A_i^+,
     which follow from the conventions used for e_i, f_i here; they make the
-    round trip through chevalley_generators exact.
+    round trip through chevalley_from_table exact.
     """
     n = max(e)
     if not 1 <= i <= n:
@@ -462,7 +449,7 @@ def pbose_relation_checks(
                 for eta in signs:
                     for k in range(1, n + 1):
                         for eps in signs:
-                            out.append(_result(
+                            out.append(residual_row(
                                 f"C21[n={n},i={i},j={j},k={k},"
                                 f"xi={_SIGN_STR[xi]},eta={_SIGN_STR[eta]},"
                                 f"eps={_SIGN_STR[eps]}]",
@@ -521,7 +508,7 @@ def sp2n_relation_checks(anti: AnticommutatorTable, n: int) -> list[CheckResult]
                         for eps in signs:
                             for l in modes:
                                 for phi in signs:
-                                    out.append(_result(
+                                    out.append(residual_row(
                                         f"C28[n={n},i={i},j={j},k={k},l={l},"
                                         f"xi={_SIGN_STR[xi]},eta={_SIGN_STR[eta]},"
                                         f"eps={_SIGN_STR[eps]},phi={_SIGN_STR[phi]}]",
@@ -530,22 +517,11 @@ def sp2n_relation_checks(anti: AnticommutatorTable, n: int) -> list[CheckResult]
     return out
 
 
-def _result(ident: str, residual: GradedMatrix) -> CheckResult:
-    ok = residual.is_zero()
-    return CheckResult(
-        ident,
-        ok,
-        "exact-zero" if ok else "nonzero",
-        "" if ok else f"{len(residual.entries)} nonzero entries",
-    )
-
-
 def cartan_kac_checks(
     e: dict[int, GradedMatrix],
     f: dict[int, GradedMatrix],
     h: dict[int, GradedMatrix],
     n: int,
-    tag: str = "C",
 ) -> list[CheckResult]:
     """Cartan-Kac relations for the Chevalley generators.
 
@@ -557,32 +533,32 @@ def cartan_kac_checks(
     for i in range(1, n + 1):
         for j in range(1, n + 1):
             out.append(
-                _result(
-                    f"{tag}CK.hh[n={n},i={i},j={j}]",
+                residual_row(
+                    f"CCK.hh[n={n},i={i},j={j}]",
                     commutator(h[i], h[j]),
                 )
             )
             out.append(
-                _result(
-                    f"{tag}CK.he[n={n},i={i},j={j}]",
+                residual_row(
+                    f"CCK.he[n={n},i={i},j={j}]",
                     supercommutator(h[i], e[j]) - e[j].scale(alpha[i - 1][j - 1]),
                 )
             )
             out.append(
-                _result(
-                    f"{tag}CK.hf[n={n},i={i},j={j}]",
+                residual_row(
+                    f"CCK.hf[n={n},i={i},j={j}]",
                     supercommutator(h[i], f[j]) + f[j].scale(alpha[i - 1][j - 1]),
                 )
             )
             res = supercommutator(e[i], f[j])
             if i == j:
                 res = res - h[i]
-            out.append(_result(f"{tag}CK.ef[n={n},i={i},j={j}]", res))
+            out.append(residual_row(f"CCK.ef[n={n},i={i},j={j}]", res))
     return out
 
 
 def serre_checks(
-    gens: dict[int, GradedMatrix], n: int, family: str, tag: str = "C"
+    gens: dict[int, GradedMatrix], n: int, family: str
 ) -> list[CheckResult]:
     """Serre relations for one family ('e' or 'f') of simple generators.
 
@@ -598,14 +574,14 @@ def serre_checks(
     for i in range(1, n + 1):
         for j in range(i + 2, n + 1):
             out.append(
-                _result(
-                    f"{tag}S.{family}.far[n={n},i={i},j={j}]",
+                residual_row(
+                    f"CS.{family}.far[n={n},i={i},j={j}]",
                     supercommutator(g[i], g[j]),
                 )
             )
     for i, j in [(i, i + 1) for i in range(1, n)] + [(i, i - 1) for i in range(2, n)]:
         res = g[i] @ g[i] @ g[j] - (2 * (g[i] @ g[j] @ g[i])) + g[j] @ g[i] @ g[i]
-        out.append(_result(f"{tag}S.{family}.quad[n={n},i={i},j={j}]", res))
+        out.append(residual_row(f"CS.{family}.quad[n={n},i={i},j={j}]", res))
     if n >= 2:
         gn, gm = g[n], g[n - 1]
         res = (
@@ -614,7 +590,7 @@ def serre_checks(
             - (gn @ gm @ gn @ gn)
             + gm @ gn @ gn @ gn
         )
-        out.append(_result(f"{tag}S.{family}.quartic[n={n}]", res))
+        out.append(residual_row(f"CS.{family}.quartic[n={n}]", res))
     return out
 
 
@@ -706,7 +682,7 @@ def chain_checks(
         for s in (-1, +1):
             rebuilt = parabose_from_chevalley(e, f, i, s)
             out.append(
-                _result(
+                residual_row(
                     f"CHAIN[n={n},i={i},sign={_SIGN_STR[s]}]",
                     rebuilt - A[(i, s)],
                 )

@@ -279,23 +279,6 @@ class QCoeff:
             z += float(c) * s_val**e
         return z
 
-    # -- serialization ---------------------------------------------------
-
-    def to_json(self) -> dict:
-        return {
-            "terms": [
-                [e, [c.r.numerator, c.r.denominator], [c.w.numerator, c.w.denominator]]
-                for e, c in sorted(self._t.items())
-            ]
-        }
-
-    @classmethod
-    def from_json(cls, data: dict) -> "QCoeff":
-        t: dict[int, Q2] = {}
-        for e, (rn, rd), (wn, wd) in data["terms"]:
-            t[int(e)] = Q2(Fraction(rn, rd), Fraction(wn, wd))
-        return cls(t)
-
     # -- display ----------------------------------------------------------
 
     def __str__(self) -> str:
@@ -560,15 +543,6 @@ class QFrac:
         z = self.num.eval_scalar(s_val)
         den = (s_val + 1 / s_val) ** self.dp * (s_val - 1 / s_val) ** self.dm
         return z / den
-
-    # -- serialization -----------------------------------------------------
-
-    def to_json(self) -> dict:
-        return {"num": self.num.to_json(), "dp": self.dp, "dm": self.dm}
-
-    @classmethod
-    def from_json(cls, data: dict) -> "QFrac":
-        return cls(QCoeff.from_json(data["num"]), int(data["dp"]), int(data["dm"]))
 
     # -- display ------------------------------------------------------------
 

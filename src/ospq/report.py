@@ -13,9 +13,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-# default bounds of the matrix checks: relation residuals, entrywise deviations
+# fixed bounds of the matrix checks: relation residuals, entrywise
+# deviations, and squared amplitudes against the exact norm-factor ratios
 RESIDUAL_TOL = 1e-9
 STRUCTURAL_TOL = 1e-12
+BRIDGE_TOL = 1e-10
+
+# longest printed residual a failing exact row carries before it is cut
+RESIDUAL_TEXT_LIMIT = 200
+TRUNCATED_MARK = " [...]"
 
 
 @dataclass(frozen=True)
@@ -36,6 +42,18 @@ class CheckResult:
             "residual": "exact-zero" if self.residual is None else self.residual,
             "detail": self.detail,
         }
+
+
+def residual_row(ident: str, residual) -> CheckResult:
+    """An exact row: exact zero, or the residual's term count and its
+    printed form, cut at RESIDUAL_TEXT_LIMIT characters.  The residual is
+    anything with is_zero(), len() and a one-line str()."""
+    if residual.is_zero():
+        return CheckResult(ident, True, "exact-zero", "")
+    text = str(residual)
+    if len(text) > RESIDUAL_TEXT_LIMIT:
+        text = text[:RESIDUAL_TEXT_LIMIT] + TRUNCATED_MARK
+    return CheckResult(ident, False, "nonzero", f"{len(residual)} residual terms: {text}")
 
 
 def summarize(results: list[CheckResult]) -> dict:

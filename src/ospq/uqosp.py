@@ -48,7 +48,7 @@ from .ospclassic import (
     pbose_residual,
 )
 from .qcoeff import INV_QMQI, Q_MINUS_QINV, QCoeff, QFrac
-from .report import CheckResult
+from .report import CheckResult, residual_row
 from .scalars import Q2
 from .walgebra import (
     DEFAULT_RULES,
@@ -428,49 +428,50 @@ def _ck_instances(n: int) -> list[RelationInstance]:
     return out
 
 
-def _serre_instances(n: int, family: str) -> list[RelationInstance]:
-    g = gen_e if family == "SERRE_E" else gen_f
+def _serre_instances(n: int) -> list[RelationInstance]:
+    """Both Serre families: every SERRE_E instance, then every SERRE_F one."""
     out: list[RelationInstance] = []
     one = _as_weight(1)
     q_plus_qinv = QFrac(QCoeff({2: Q2(1), -2: Q2(1)}))
-    for i in range(1, n + 1):
-        for j in range(i + 2, n + 1):
-            out.append(
-                RelationInstance(
-                    f"{family}.far[n={n},i={i},j={j}]", family, (i, j), (),
-                    QBracket(g(i), g(j), 0), ZERO_EXPR,
+    c4 = QFrac(QCoeff({0: Q2(1), 2: Q2(-1), -2: Q2(-1)}))  # 1 - q - q^-1
+    for family, g in (("SERRE_E", gen_e), ("SERRE_F", gen_f)):
+        for i in range(1, n + 1):
+            for j in range(i + 2, n + 1):
+                out.append(
+                    RelationInstance(
+                        f"{family}.far[n={n},i={i},j={j}]", family, (i, j), (),
+                        QBracket(g(i), g(j), 0), ZERO_EXPR,
+                    )
+                )
+        for i, j in [(i, i + 1) for i in range(1, n)] + [(i, i - 1) for i in range(2, n)]:
+            lhs = Sum(
+                (
+                    (one, prod(g(i), g(i), g(j))),
+                    (-q_plus_qinv, prod(g(i), g(j), g(i))),
+                    (one, prod(g(j), g(i), g(i))),
                 )
             )
-    for i, j in [(i, i + 1) for i in range(1, n)] + [(i, i - 1) for i in range(2, n)]:
-        lhs = Sum(
-            (
-                (one, prod(g(i), g(i), g(j))),
-                (-q_plus_qinv, prod(g(i), g(j), g(i))),
-                (one, prod(g(j), g(i), g(i))),
+            out.append(
+                RelationInstance(
+                    f"{family}.quad[n={n},i={i},j={j}]", family, (i, j), (),
+                    lhs, ZERO_EXPR,
+                )
             )
-        )
-        out.append(
-            RelationInstance(
-                f"{family}.quad[n={n},i={i},j={j}]", family, (i, j), (),
-                lhs, ZERO_EXPR,
+        if n >= 2:
+            x, y = g(n), g(n - 1)
+            lhs = Sum(
+                (
+                    (one, prod(x, x, x, y)),
+                    (c4, prod(x, x, y, x)),
+                    (c4, prod(x, y, x, x)),
+                    (one, prod(y, x, x, x)),
+                )
             )
-        )
-    if n >= 2:
-        x, y = g(n), g(n - 1)
-        c4 = QFrac(QCoeff({0: Q2(1), 2: Q2(-1), -2: Q2(-1)}))  # 1 - q - q^-1
-        lhs = Sum(
-            (
-                (one, prod(x, x, x, y)),
-                (c4, prod(x, x, y, x)),
-                (c4, prod(x, y, x, x)),
-                (one, prod(y, x, x, x)),
+            out.append(
+                RelationInstance(
+                    f"{family}.quartic[n={n}]", family, (n - 1, n), (), lhs, ZERO_EXPR
+                )
             )
-        )
-        out.append(
-            RelationInstance(
-                f"{family}.quartic[n={n}]", family, (n - 1, n), (), lhs, ZERO_EXPR
-            )
-        )
     return out
 
 
@@ -843,10 +844,10 @@ def _g_instances(n: int) -> list[RelationInstance]:
     return out
 
 
-_FAMILY_BUILDERS = {
+# the catalog families in catalog order; `ospq verify --families` names them
+FAMILY_BUILDERS = {
     "CK": _ck_instances,
-    "SERRE_E": lambda n: _serre_instances(n, "SERRE_E"),
-    "SERRE_F": lambda n: _serre_instances(n, "SERRE_F"),
+    "SERRE": _serre_instances,
     "PRE": _pre_instances,
     "T": _t_instances,
     "G": _g_instances,
@@ -870,14 +871,14 @@ def catalog(
         raise ValueError("mode count must be at least 1")
     if sample is None and n > 3:
         sample = 500
-    chosen = _FAMILY_BUILDERS if families is None else {
-        f: _FAMILY_BUILDERS[f] for f in families
+    chosen = FAMILY_BUILDERS if families is None else {
+        f: FAMILY_BUILDERS[f] for f in families
     }
     out: list[RelationInstance] = []
-    for name in _FAMILY_BUILDERS:
+    for name in FAMILY_BUILDERS:
         if name not in chosen:
             continue
-        instances = _FAMILY_BUILDERS[name](n)
+        instances = FAMILY_BUILDERS[name](n)
         if sample is not None and len(instances) > sample:
             rng = random.Random(seed + len(name))
             instances = rng.sample(instances, sample)
@@ -885,27 +886,11 @@ def catalog(
     return out
 
 
-# longest printed residual a failing row carries before it is cut
-RESIDUAL_TEXT_LIMIT = 200
-TRUNCATED_MARK = " [...]"
-
-
-def _residual_row(ident: str, diff: WeylElement) -> CheckResult:
-    """A symbolic row: exact zero, or the residual's term count and its
-    printed form, cut at RESIDUAL_TEXT_LIMIT characters."""
-    if diff.is_zero():
-        return CheckResult(ident, True, "exact-zero", "")
-    text = str(diff)
-    if len(text) > RESIDUAL_TEXT_LIMIT:
-        text = text[:RESIDUAL_TEXT_LIMIT] + TRUNCATED_MARK
-    return CheckResult(ident, False, "nonzero", f"{len(diff)} residual terms: {text}")
-
-
 def verify_instance(
     inst: RelationInstance, n: int, rules: Rules = DEFAULT_RULES
 ) -> CheckResult:
     """Realize both sides and compare normal forms."""
-    return _residual_row(inst.id, realize(inst.lhs, n, rules) - realize(inst.rhs, n, rules))
+    return residual_row(inst.id, realize(inst.lhs, n, rules) - realize(inst.rhs, n, rules))
 
 
 def verify_relations(
@@ -937,20 +922,20 @@ def round_trip_checks(n: int, rules: Rules = DEFAULT_RULES) -> list[CheckResult]
     for i in range(1, n + 1):
         for s in (-1, +1):
             target = a_minus(n, i) if s == -1 else a_plus(n, i)
-            out.append(_residual_row(
+            out.append(residual_row(
                 f"RT.A[n={n},i={i},sign={_SIGN_STR[s]}]",
                 realize(build_preoscillator(n, i, s), n, rules) - target,
             ))
     for i in range(1, n + 1):
         target = kappa_el(n, i, -1).scale(_spow(-1))
-        out.append(_residual_row(
+        out.append(residual_row(
             f"RT.L[n={n},i={i}]", realize(build_cartan_L(n, i), n, rules) - target))
         e_expr, f_expr = build_chevalley_from_pre(n, i)
-        out.append(_residual_row(
+        out.append(residual_row(
             f"RT.e[n={n},i={i}]",
             realize(e_expr, n, rules) - realize(gen_e(i), n, rules),
         ))
-        out.append(_residual_row(
+        out.append(residual_row(
             f"RT.f[n={n},i={i}]",
             realize(f_expr, n, rules) - realize(gen_f(i), n, rules),
         ))

@@ -308,18 +308,60 @@ def _add_into(acc: dict, key: object, c: QFrac) -> None:
 # -------------------------------------------------------------- elements
 
 
-class WeylElement:
-    """A finite QFrac-linear combination of Weyl monomials."""
+class _Combination:
+    """A finite QFrac-linear combination of keys on n modes, zeros dropped;
+    the shared container of WeylElement and FockVector."""
 
     __slots__ = ("n", "_terms")
 
-    def __init__(self, n: int, terms: dict[WeylMonomial, QFrac] | None = None) -> None:
+    def __init__(self, n: int, terms: dict | None = None) -> None:
         self.n = n
-        self._terms: dict[WeylMonomial, QFrac] = {}
+        self._terms: dict = {}
         if terms:
             for m, c in terms.items():
                 if not c.is_zero():
                     self._terms[m] = c
+
+    def is_zero(self) -> bool:
+        return not self._terms
+
+    def __eq__(self, other: object) -> bool:
+        if isinstance(other, type(self)):
+            return self.n == other.n and self._terms == other._terms
+        return NotImplemented
+
+    def _check(self, other: "_Combination") -> None:
+        if self.n != other.n:
+            raise ValueError(f"mode count mismatch: {self.n} vs {other.n}")
+
+    def __add__(self, other: object):
+        if not isinstance(other, type(self)):
+            return NotImplemented
+        self._check(other)
+        t = dict(self._terms)
+        for m, c in other._terms.items():
+            _add_into(t, m, c)
+        return type(self)(self.n, t)
+
+    def __sub__(self, other: object):
+        if not isinstance(other, type(self)):
+            return NotImplemented
+        return self + (-other)
+
+    def __neg__(self):
+        return type(self)(self.n, {m: -c for m, c in self._terms.items()})
+
+    def scale(self, c: QFrac | QCoeff | int):
+        cc = QFrac._coerce(c)
+        if cc is None:
+            raise TypeError(f"cannot scale by {type(c).__name__}")
+        return type(self)(self.n, {m: v * cc for m, v in self._terms.items()})
+
+
+class WeylElement(_Combination):
+    """A finite QFrac-linear combination of Weyl monomials."""
+
+    __slots__ = ()
 
     # -- constructors --------------------------------------------------
 
@@ -352,51 +394,13 @@ class WeylElement:
     def coeff(self, m: WeylMonomial) -> QFrac:
         return self._terms.get(m, QFrac.zero())
 
-    def is_zero(self) -> bool:
-        return not self._terms
-
     def __bool__(self) -> bool:
         return bool(self._terms)
 
     def __len__(self) -> int:
         return len(self._terms)
 
-    def __eq__(self, other: object) -> bool:
-        if isinstance(other, WeylElement):
-            return self.n == other.n and self._terms == other._terms
-        return NotImplemented
-
-    def __hash__(self) -> int:  # pragma: no cover - not used as dict key
-        return hash((self.n, frozenset(self._terms.items())))
-
     # -- linear structure -------------------------------------------------
-
-    def _check(self, other: "WeylElement") -> None:
-        if self.n != other.n:
-            raise ValueError(f"mode count mismatch: {self.n} vs {other.n}")
-
-    def __add__(self, other: object) -> "WeylElement":
-        if not isinstance(other, WeylElement):
-            return NotImplemented
-        self._check(other)
-        t = dict(self._terms)
-        for m, c in other._terms.items():
-            _add_into(t, m, c)
-        return WeylElement(self.n, t)
-
-    def __sub__(self, other: object) -> "WeylElement":
-        if not isinstance(other, WeylElement):
-            return NotImplemented
-        return self + (-other)
-
-    def __neg__(self) -> "WeylElement":
-        return WeylElement(self.n, {m: -c for m, c in self._terms.items()})
-
-    def scale(self, c: QFrac | QCoeff | int) -> "WeylElement":
-        cc = QFrac._coerce(c)
-        if cc is None:
-            raise TypeError(f"cannot scale by {type(c).__name__}")
-        return WeylElement(self.n, {m: v * cc for m, v in self._terms.items()})
 
     def __rmul__(self, other: object) -> "WeylElement":
         cc = QFrac._coerce(other)
@@ -419,28 +423,6 @@ class WeylElement:
         and the bar involution on coefficients."""
         return WeylElement(
             self.n, {m.dagger(): c.conjugate() for m, c in self._terms.items()})
-
-    # -- serialization ---------------------------------------------------
-
-    def to_json(self) -> dict:
-        return {
-            "n": self.n,
-            "terms": [
-                {"plus": list(m.plus), "kappa": list(m.kappa),
-                 "minus": list(m.minus), "coeff": c.to_json()}
-                for m, c in self.terms()
-            ],
-        }
-
-    @classmethod
-    def from_json(cls, data: dict) -> "WeylElement":
-        n = int(data["n"])
-        t: dict[WeylMonomial, QFrac] = {}
-        for row in data["terms"]:
-            m = WeylMonomial(tuple(row["plus"]), tuple(row["kappa"]),
-                             tuple(row["minus"]))
-            t[m] = QFrac.from_json(row["coeff"])
-        return cls(n, t)
 
     # -- display ---------------------------------------------------------
 
@@ -769,18 +751,11 @@ def parse_word(text: str, n: int | None = None) -> tuple[list[Letter], int]:
 # ------------------------------------------------------------ Fock space
 
 
-class FockVector:
-    """Element of the symbolic Fock module: QFrac combination of |m> states."""
+class FockVector(_Combination):
+    """Element of the symbolic Fock module: QFrac combination of |m> states,
+    keyed by occupation tuples."""
 
-    __slots__ = ("n", "_amp")
-
-    def __init__(self, n: int, amp: dict[tuple[int, ...], QFrac] | None = None) -> None:
-        self.n = n
-        self._amp: dict[tuple[int, ...], QFrac] = {}
-        if amp:
-            for m, c in amp.items():
-                if not c.is_zero():
-                    self._amp[tuple(m)] = c
+    __slots__ = ()
 
     @classmethod
     def vacuum(cls, n: int) -> "FockVector":
@@ -794,38 +769,13 @@ class FockVector:
         return cls(n, {m: QFrac.one()})
 
     def amplitudes(self) -> list[tuple[tuple[int, ...], QFrac]]:
-        return sorted(self._amp.items())
+        return sorted(self._terms.items())
 
     def amplitude(self, m: Sequence[int]) -> QFrac:
-        return self._amp.get(tuple(m), QFrac.zero())
-
-    def is_zero(self) -> bool:
-        return not self._amp
-
-    def __eq__(self, other: object) -> bool:
-        if isinstance(other, FockVector):
-            return self.n == other.n and self._amp == other._amp
-        return NotImplemented
-
-    def __add__(self, other: "FockVector") -> "FockVector":
-        if self.n != other.n:
-            raise ValueError("mode count mismatch")
-        t = dict(self._amp)
-        for m, c in other._amp.items():
-            _add_into(t, m, c)
-        return FockVector(self.n, t)
-
-    def __sub__(self, other: "FockVector") -> "FockVector":
-        return self + other.scale(-1)
-
-    def scale(self, c: QFrac | int) -> "FockVector":
-        cc = QFrac._coerce(c)
-        if cc is None:
-            raise TypeError(f"bad coefficient type {type(c).__name__}")
-        return FockVector(self.n, {m: v * cc for m, v in self._amp.items()})
+        return self._terms.get(tuple(m), QFrac.zero())
 
     def __str__(self) -> str:
-        if not self._amp:
+        if not self._terms:
             return "0"
         return " + ".join(f"({c}) |{','.join(map(str, m))}>"
                           for m, c in self.amplitudes())
@@ -836,7 +786,7 @@ class FockVector:
 def _apply_letter_fock(letter: Letter, v: FockVector, k: int | None) -> FockVector:
     kind, j, e = letter
     out: dict[tuple[int, ...], QFrac] = {}
-    for m, c in v._amp.items():
+    for m, c in v._terms.items():
         if kind == AP:
             if k is not None and m[j] >= k - 1:
                 continue  # truncated: raising out of the top level kills the state
@@ -894,8 +844,8 @@ def inner(u: FockVector, v: FockVector) -> QFrac:
     if u.n != v.n:
         raise ValueError("mode count mismatch")
     out = QFrac.zero()
-    for m, cu in u._amp.items():
-        cv = v._amp.get(m)
+    for m, cu in u._terms.items():
+        cv = v._terms.get(m)
         if cv is None:
             continue
         w = cu.conjugate() * cv

@@ -3,9 +3,11 @@
 from __future__ import annotations
 
 import json
+import shlex
 import subprocess
 import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -87,9 +89,12 @@ def test_render_element_zero_and_identity():
 
 
 def test_verify_empty_family_range(capsys):
-    code, out, _ = run_main(capsys, "verify", "--n", "1", "--families", "SERRE")
-    assert code == 0
-    assert "0/0 checks passed" in out
+    # a selection that yields no rows is refused, never a vacuous pass
+    for families in ("SERRE", ","):
+        code, out, err = run_main(capsys, "verify", "--n", "1", "--families", families)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: no checks selected")
 
 
 def test_verify_family_subset_json(capsys):
@@ -199,6 +204,22 @@ def test_rep_checks_subset(capsys):
         r["id"].startswith(("UNI.", "WGT.")) for r in doc["results"]
     )
     assert doc["results"]
+    code, out, err = run_main(capsys, "rep", "--n", "1", "--k", "2", "--checks", ",")
+    assert code == 2
+    assert out == "" and err.startswith("error: no checks selected")
+
+
+def test_rep_bounds_are_fixed(capsys):
+    code, out, _ = run_main(
+        capsys, "rep", "--n", "1", "--k", "2", "--checks", "unitarity", "--format", "json"
+    )
+    assert code == 0
+    params = json.loads(out)["parameters"]
+    assert (params["tol_rel"], params["tol_entry"]) == (1e-9, 1e-12)
+    for flag in ("--tol-rel", "--tol-entry"):
+        with pytest.raises(SystemExit) as exc:
+            main(["rep", "--n", "1", "--k", "2", flag, "1"])
+        assert exc.value.code == 2
 
 
 def test_rep_size_guard(capsys):
@@ -250,6 +271,20 @@ def test_decompose_json(capsys):
     assert doc["status"] == "pass"
 
 
+def test_decompose_out_keeps_stdout(tmp_path, capsys):
+    argv = ("decompose", "--n", "2", "--k", "2")
+    code, plain, _ = run_main(capsys, *argv)
+    assert code == 0
+    path = tmp_path / "dec.json"
+    code, out, _ = run_main(capsys, *argv, "--out", str(path))
+    assert code == 0
+    assert out == plain
+    assert out.count("checks passed") == 1
+    doc = json.loads(path.read_text())
+    assert doc["command"] == "decompose" and doc["status"] == "pass"
+    assert [b["dim"] for b in doc["decomposition"]["blocks"]] == [1, 2, 1]
+
+
 def test_decompose_guard(capsys):
     assert run_main(capsys, "decompose", "--n", "4", "--k", "20")[0] == 2
 
@@ -274,6 +309,30 @@ def test_cli_import_leaves_numpy_and_scipy_unloaded():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+def _readme_commands() -> list[tuple[list[str], str]]:
+    """(argv, trailing comment) of each `ospq` line of the README's
+    command-line block."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    block = text.split("## Command line", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    out = []
+    for line in block.splitlines():
+        if line.startswith("ospq "):
+            command, _, comment = line.partition("  #")
+            out.append((shlex.split(command)[1:], comment.strip()))
+    return out
+
+
+def test_readme_command_examples(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    commands = _readme_commands()
+    assert len(commands) >= 9
+    for argv, comment in commands:
+        code, out, err = run_main(capsys, *argv)
+        assert code == (1 if "--corrupt-rules" in argv else 0), (argv, err)
+        if argv == ["normal-order", "a1- a1+"]:
+            assert out == comment + "\n"
 
 
 def test_missing_subcommand_exits_2():

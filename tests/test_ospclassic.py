@@ -12,7 +12,7 @@ from ospq.ospclassic import (
     anticommutator_table,
     cartan_h_upper,
     cartan_matrix,
-    chevalley_generators,
+    chevalley_from_table,
     classical_parabose,
     commutator,
     parabose_from_chevalley,
@@ -155,7 +155,8 @@ def test_graded_jacobi_identity():
 
 def test_chevalley_matrices_explicit():
     n = 2
-    e, f, h = chevalley_generators(n=n)
+    A = parabose_set(n)
+    e, f, h = chevalley_from_table(A, anticommutator_table(A))
     # e_1 = E_{21} - E_{34}, f_1 = E_{12} - E_{43} for n = 2
     assert e[1].entries == {(2, 1): ONE, (3, 4): -ONE}
     assert f[1].entries == {(1, 2): ONE, (4, 3): -ONE}
@@ -175,7 +176,8 @@ def test_cartan_matrix_shape():
 
 def test_cartan_kac_explicit_instances():
     n = 2
-    e, f, h = chevalley_generators(n=n)
+    A = parabose_set(n)
+    e, f, h = chevalley_from_table(A, anticommutator_table(A))
     assert commutator(h[1], e[1]) == e[1].scale(2)
     assert commutator(h[2], e[1]) == e[1].scale(-1)
     assert commutator(h[1], e[2]) == e[2].scale(-1)
@@ -193,7 +195,8 @@ def test_quartic_serre_holds_degenerately():
     # meaningful here; sensitivity is exercised in the symbolic deformed
     # algebra where the monomials survive.
     for n in (2, 3):
-        e, _, _ = chevalley_generators(n=n)
+        A = parabose_set(n)
+        e, _, _ = chevalley_from_table(A, anticommutator_table(A))
         x, y = e[n], e[n - 1]
         assert (x @ x @ x).is_zero()
         for word in (x @ x @ x @ y, x @ x @ y @ x, x @ y @ x @ x, y @ x @ x @ x):
@@ -206,7 +209,7 @@ def test_quartic_serre_holds_degenerately():
 def test_chain_round_trip_all_modes():
     for n in (1, 2, 3, 4):
         A = parabose_set(n)
-        e, f, _ = chevalley_generators(A)
+        e, f, _ = chevalley_from_table(A, anticommutator_table(A))
         for i in range(1, n + 1):
             for s in (+1, -1):
                 assert parabose_from_chevalley(e, f, i, s) == A[(i, s)], (n, i, s)
@@ -216,7 +219,7 @@ def test_chain_intermediate_identities():
     # the recursions that force the alternating chain signs
     n = 3
     A = parabose_set(n)
-    e, f, _ = chevalley_generators(A)
+    e, f, _ = chevalley_from_table(A, anticommutator_table(A))
     for i in (1, 2):
         assert commutator(e[i], A[(i + 1, -1)]) == -A[(i, -1)]
         assert commutator(A[(i + 1, +1)], f[i]) == -A[(i, +1)]
@@ -307,6 +310,10 @@ def test_corrupted_generator_is_detected():
     assert len(c21) == 18
     assert len(c28) == 90
     assert len(mem_pair) == 6
+    # a failing exact row names its nonzero entries
+    row = next(r for r in results if r.id == "C21[n=2,i=1,j=2,k=2,xi=+,eta=+,eps=-]")
+    assert row.residual == "nonzero"
+    assert row.detail == "1 residual terms: (0,3): 4√2"
 
 
 def test_check_result_rows_serialize():

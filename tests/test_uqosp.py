@@ -8,11 +8,10 @@ import pytest
 
 from ospq import uqosp
 from ospq.qcoeff import INV_QMQI, QCoeff, QFrac
+from ospq.report import RESIDUAL_TEXT_LIMIT, TRUNCATED_MARK
 from ospq.scalars import Q2
 from ospq.uqosp import (
     ONE_EXPR,
-    RESIDUAL_TEXT_LIMIT,
-    TRUNCATED_MARK,
     AntiComm,
     Gen,
     Product,
@@ -383,7 +382,7 @@ def test_verify_instance_reports_residual_size():
 
 def test_failing_rows_show_their_residual():
     bad = DEFAULT_RULES.corrupted()
-    serre = {i.id: i for i in catalog(2, families=["SERRE_E"])}
+    serre = {i.id: i for i in catalog(2, families=["SERRE"])}
     row = verify_instance(serre["SERRE_E.quad[n=2,i=1,j=2]"], 2, bad)
     assert not row.ok
     assert row.detail.startswith("1 residual terms: ")

@@ -1,7 +1,6 @@
 """Tests for W_q(n): rewriting engine, append calculus, Fock module."""
 from __future__ import annotations
 
-import json
 import random
 import time
 
@@ -423,17 +422,6 @@ def test_str_formats():
     assert "k1^-1" in txt and "a1+ a1-" in txt
     assert str(WeylElement.one(2)) == "1"
     assert str(WeylElement.zero(1)) == "0"
-
-
-# ------------------------------------------------------------------- json
-
-def test_element_json_round_trip():
-    rng = random.Random(37)
-    for _ in range(20):
-        n = rng.randint(1, 3)
-        x = _rand_element(rng, n)
-        blob = json.dumps(x.to_json())
-        assert WeylElement.from_json(json.loads(blob)) == x
 
 
 # -------------------------------------------------------------- commutator
