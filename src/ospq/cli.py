@@ -37,7 +37,7 @@ from .uqosp import (
 SIZE_GUARD = 100_000
 # longest word `normal-order` accepts (after k^e expands to |e| letters): the
 # costliest words of that length, a1-..a9- a1+..a9+ with --contract, take
-# about 2.3 s on a 2-vCPU machine, and two more letters more than double that
+# about 1.6 s on a 2-vCPU machine, and two more letters more than double that
 WORD_BUDGET = 18
 
 FAMILY_ORDER = ("classical", *FAMILY_BUILDERS)
@@ -176,7 +176,7 @@ def _export_labels(n: int) -> list[str]:
 
 
 def cmd_rep(args) -> int:
-    from . import fockrep  # numpy and scipy load only for the matrix commands
+    from . import fockrep  # numpy loads only for the matrix commands, scipy for --out
     guard = _guard_rep(args.n, args.k)
     if guard:
         return _fail(guard)

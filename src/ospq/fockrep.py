@@ -25,14 +25,14 @@ The gl(n) root vectors act as
 
 and preserve the total number m_1+...+m_n, so the space splits into
 n(k-1)+1 blocks; each block carries an irreducible gl(n) action (checked
-operationally via strong connectivity of the nonzero-entry graph), with
+operationally as strong connectivity along the nonzero weights), with
 dimension given both by the coefficient of x^m in ((1-x^k)/(1-x))^n and by
 the matching multinomial sum.
 
 Operators are weighted shifts {d: w}: |col> goes to sum_d w_d[col] |col + d>,
 with w_d zero wherever col + d leaves the space, so every letter is one shift.
 This is scipy's DIA layout with offset -d; CSR matrices are built from it
-only for export and for the connectivity graph.
+only for the matrix objects and CSV export, so no check imports scipy.
 """
 
 from __future__ import annotations
@@ -41,11 +41,11 @@ import cmath
 import math
 import re
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import TYPE_CHECKING, Iterable, Sequence
 
 import numpy as np
-from scipy import sparse
-from scipy.sparse.csgraph import connected_components
+if TYPE_CHECKING:
+    from scipy import sparse
 
 from .qcoeff import QFrac, fock_norm_factors, q_int
 from .report import BRIDGE_TOL, RESIDUAL_TOL, STRUCTURAL_TOL, CheckResult
@@ -217,6 +217,7 @@ def _residual(a: Op, b: Op) -> float:
 
 def _to_csr(op: Op, dim: int) -> sparse.csr_matrix:
     """{d: w} is scipy's DIA storage with offset -d."""
+    from scipy import sparse
     data = np.array(list(op.values()), dtype=np.complex128).reshape(len(op), dim)
     return sparse.dia_matrix((data, [-d for d in op]), shape=(dim, dim)).tocsr()
 
@@ -528,16 +529,18 @@ def block_dims_multinomial(n: int, k: int) -> list[int]:
     """Same dimensions as sums of multinomial coefficients n!/(j_0!...j_{k-1}!)
     over occupation-value multiplicities with sum j_i = n, sum i*j_i = m."""
     # (modes left, partial m) -> summed multinomial weight once the
-    # multiplicities of the values below `value` are chosen
+    # multiplicities of the values below `value` are chosen; a state with no
+    # modes left goes to dims at once, so at n = 1 one state stays live
     states = {(n, 0): 1}
+    dims = [0] * (n * (k - 1) + 1)
     for value in range(k - 1):
         nxt: dict[tuple[int, int], int] = {}
         for (left, m_acc), ways in states.items():
-            for j in range(left + 1):
+            for j in range(left):
                 key = (left - j, m_acc + value * j)
                 nxt[key] = nxt.get(key, 0) + ways * math.comb(left, j)
+            dims[m_acc + value * left] += ways  # all rest at this value
         states = nxt
-    dims = [0] * (n * (k - 1) + 1)
     for (left, m_acc), ways in states.items():
         dims[m_acc + (k - 1) * left] += ways  # all rest at the top value
     return dims
@@ -557,26 +560,34 @@ def decompose_gl(n: int, k: int) -> GlDecomposition:
 
 def _connected_blocks(ops: list[Op], labels: np.ndarray) -> np.ndarray:
     """For every block label b, whether the basis vectors labelled b form one
-    strongly connected component of the digraph whose edges are the nonzero
-    entries (source basis vector -> image basis vector) inside a block.
-    Edges between blocks are dropped, so each block is tested on its own."""
-    # start non-empty: at n = 1 there are no gl root vectors to concatenate
-    srcs = [np.empty(0, dtype=np.int64)]
-    dsts = [np.empty(0, dtype=np.int64)]
+    strongly connected component along the nonzero weights (col -> col + d)
+    inside their block: searches from the smallest of them, along the edges
+    and against them, both reach all of them."""
+    edges = []  # (d, has): an edge col -> col + d wherever has[col]
     for op in ops:
         for d, w in op.items():
-            cols = np.flatnonzero(_modulus(w) > STRUCTURAL_TOL)
-            cols = cols[labels[cols] == labels[cols + d]]
-            srcs.append(cols)
-            dsts.append(cols + d)
-    src = np.concatenate(srcs)
-    adj = sparse.csr_matrix(
-        (np.ones(len(src), dtype=np.int8), (src, np.concatenate(dsts))),
-        shape=(len(labels), len(labels)),
-    )
-    _, comp = connected_components(adj, directed=True, connection="strong")
-    label_comp = np.unique(np.stack([labels, comp]), axis=1)
-    return np.bincount(label_comp[0]) == 1
+            has = _modulus(w) > STRUCTURAL_TOL
+            cols = np.flatnonzero(has)
+            has[cols] = labels[cols] == labels[cols + d]
+            edges.append((d, has))
+    # has is False wherever col + d leaves the space, so a roll wraps no edge in
+    reverse = [(-d, np.roll(has, d)) for d, has in edges]
+    starts = np.unique(labels, return_index=True)[1]
+    slot = np.empty(len(labels), dtype=np.int64)
+    reached = np.ones(len(labels), dtype=bool)
+    for shifts in (edges, reverse):
+        seen = np.zeros(len(labels), dtype=bool)
+        frontier = starts
+        while frontier.size:
+            seen[frontier] = True
+            steps = [frontier[has[frontier]] + d for d, has in shifts]
+            nxt = np.concatenate([np.empty(0, dtype=np.int64), *steps])
+            nxt = nxt[~seen[nxt]]
+            # keep one copy per vertex, or the paths multiply every round
+            slot[nxt] = np.arange(nxt.size)
+            frontier = nxt[slot[nxt] == np.arange(nxt.size)]
+        reached &= seen
+    return np.bincount(labels, weights=~reached) == 0
 
 
 def check_decomposition(n: int, k: int) -> list[CheckResult]:

@@ -311,6 +311,22 @@ def test_cli_import_leaves_numpy_and_scipy_unloaded():
     assert proc.stdout.strip() == "[]"
 
 
+def test_rep_and_decompose_leave_scipy_unloaded():
+    # the checks search the weighted shifts; scipy serves only the matrix
+    # objects and rep --out
+    code = (
+        "import contextlib, io, sys\n"
+        "from ospq.cli import main\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    codes = [main(['rep', '--n', '2', '--k', '3']),\n"
+        "             main(['decompose', '--n', '2', '--k', '3'])]\n"
+        "print(codes, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[0, 0] []"
+
+
 def _readme_commands() -> list[tuple[list[str], str]]:
     """(argv, trailing comment) of each `ospq` line of the README's
     command-line block."""

@@ -10,6 +10,8 @@ import time
 
 import numpy as np
 import pytest
+from scipy import sparse
+from scipy.sparse.csgraph import connected_components
 
 from ospq import fockrep
 from ospq.fockrep import (
@@ -34,6 +36,7 @@ from ospq.fockrep import (
     _gl_matrix_direct,
 )
 from ospq.qcoeff import QFrac, fock_norm_factor, q_int
+from ospq.report import STRUCTURAL_TOL
 from ospq.uqosp import Gen, Product, build_gl_generator, realize
 from ospq.walgebra import AM, AP, KA, WeylElement, letter_str
 
@@ -327,7 +330,7 @@ def test_dimension_oracles_agree():
 def test_multinomial_oracle_at_long_occupation_ranges():
     # one mode with a thousand levels used to exceed the recursion limit
     assert block_dims_multinomial(1, 1000) == [1] * 1000
-    for n, k in ((1, 2), (2, 3), (3, 5), (4, 10), (5, 10), (2, 316), (3, 46)):
+    for n, k in ((1, 2), (2, 3), (3, 5), (4, 10), (5, 10), (2, 316), (3, 46), (1, 10**5)):
         assert block_dims_multinomial(n, k) == block_dims_polynomial(n, k)
 
 
@@ -339,6 +342,14 @@ def test_decomposition_checks_pass():
         assert len(ids) == len(set(ids))
         assert any(r.id.startswith("DEC.root_form") for r in rows)
         assert any(r.id.startswith("OSP.connected") for r in rows)
+
+
+def test_one_mode_decomposition_at_long_occupation_ranges_is_fast():
+    t0 = time.perf_counter()
+    rows = check_decomposition(1, 20000)
+    elapsed = time.perf_counter() - t0
+    assert len(rows) == 2 * 20000 + 3 and all(r.ok for r in rows)
+    assert elapsed < 10.0, f"check_decomposition(1, 20000) took {elapsed:.1f}s"
 
 
 def test_block_invariance_is_exact():
@@ -365,6 +376,63 @@ def test_strong_connectivity_needs_both_directions():
     both = one_way + [_gl_matrix_direct(2, 1, n, k)]
     assert not _connected_blocks(one_way, labels)[block.m]
     assert _connected_blocks(both, labels)[block.m]
+
+
+def _connected_blocks_csgraph(ops, labels):
+    """Reference verdicts: the same edges as a CSR graph, split into strongly
+    connected components by scipy."""
+    srcs = [np.empty(0, dtype=np.int64)]
+    dsts = [np.empty(0, dtype=np.int64)]
+    for op in ops:
+        for d, w in op.items():
+            cols = np.flatnonzero(fockrep._modulus(w) > STRUCTURAL_TOL)
+            cols = cols[labels[cols] == labels[cols + d]]
+            srcs.append(cols)
+            dsts.append(cols + d)
+    src = np.concatenate(srcs)
+    adj = sparse.csr_matrix(
+        (np.ones(len(src), dtype=np.int8), (src, np.concatenate(dsts))),
+        shape=(len(labels), len(labels)),
+    )
+    _, comp = connected_components(adj, directed=True, connection="strong")
+    label_comp = np.unique(np.stack([labels, comp]), axis=1)
+    return np.bincount(label_comp[0]) == 1
+
+
+def test_connectivity_search_matches_csgraph():
+    for n, k in ((2, 3), (3, 4), (4, 10), (5, 6), (2, 316), (1, 50)):
+        labels = fockrep._digits(n, k).sum(axis=1)
+        whole = np.zeros(k**n, dtype=np.int64)
+        gl = {
+            (i, j): _gl_matrix_direct(i, j, n, k)
+            for i in range(1, n + 1)
+            for j in range(1, n + 1)
+            if i != j
+        }
+        ladder = [fockrep._letter(kind, i, 0, n, k) for i in range(1, n + 1) for kind in (AP, AM)]
+        cases = [
+            (list(gl.values()), labels),
+            ([op for (i, j), op in gl.items() if i < j], labels),
+            (ladder, whole),
+            (ladder[::2], whole),  # a+ only
+            (ladder, labels),  # every edge leaves its block
+        ]
+        if n == 2:
+            # a block of two modes is a chain, so one missing step cuts it
+            ((d, w),) = gl[1, 2].items()
+            w = w.copy()
+            col = np.flatnonzero(w)[0]
+            w[col] = 0
+            cases.append(([{d: w}, gl[2, 1]], labels))
+        verdicts = []
+        for ops, blocks in cases:
+            got = _connected_blocks(ops, blocks)
+            assert np.array_equal(got, _connected_blocks_csgraph(ops, blocks)), (n, k)
+            verdicts.append(got)
+        assert verdicts[0].all() and verdicts[2].all()
+        assert not verdicts[3].any()
+        if n == 2:
+            assert not verdicts[5][labels[col]] and verdicts[5].sum() == len(verdicts[5]) - 1
 
 
 def test_positivity_diagnostic():

@@ -295,7 +295,7 @@ def test_verification_follows_catalog_seed():
 def test_round_trips():
     for n in (1, 2, 3):
         rows = round_trip_checks(n)
-        assert len(rows) == 5 * n
+        assert len(rows) == 3 * n
         assert all(r.ok for r in rows), [r.id for r in rows if not r.ok]
 
 
@@ -406,14 +406,7 @@ def test_long_residuals_are_cut():
     assert len(text) == RESIDUAL_TEXT_LIMIT + len(TRUNCATED_MARK)
 
 
-def test_round_trip_rows_show_their_residual(monkeypatch):
+def test_round_trip_rows_show_their_residual():
     rows = {r.id: r for r in round_trip_checks(2, DEFAULT_RULES.corrupted())}
     assert rows["RT.A[n=2,i=1,sign=+]"].detail == (
         "1 residual terms: ((1/2)s + (1/2)s^-1) a1+ k2^-2")
-    # e_i and f_i rows name their residual too
-    monkeypatch.setattr(uqosp, "build_chevalley_from_pre",
-                        lambda n, i: (gen_f(i), gen_e(i)))
-    rows = {r.id: r for r in round_trip_checks(1)}
-    for ident in ("RT.e[n=1,i=1]", "RT.f[n=1,i=1]"):
-        assert not rows[ident].ok
-        assert rows[ident].detail.startswith("2 residual terms: ")
