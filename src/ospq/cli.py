@@ -176,7 +176,7 @@ def _export_labels(n: int) -> list[str]:
 
 
 def cmd_rep(args) -> int:
-    from . import fockrep  # numpy loads only for the matrix commands, scipy for --out
+    from . import fockrep  # numpy loads only for the matrix commands
     guard = _guard_rep(args.n, args.k)
     if guard:
         return _fail(guard)

@@ -31,8 +31,8 @@ the matching multinomial sum.
 
 Operators are weighted shifts {d: w}: |col> goes to sum_d w_d[col] |col + d>,
 with w_d zero wherever col + d leaves the space, so every letter is one shift.
-This is scipy's DIA layout with offset -d; CSR matrices are built from it
-only for the matrix objects and CSV export, so no check imports scipy.
+Every check reads the shifts; the matrix objects and the CSV export list
+their nonzero weights as (row, col) entries.
 """
 
 from __future__ import annotations
@@ -41,11 +41,10 @@ import cmath
 import math
 import re
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Iterable, Sequence
+from functools import lru_cache
+from typing import Iterable, Sequence
 
 import numpy as np
-if TYPE_CHECKING:
-    from scipy import sparse
 
 from .qcoeff import QFrac, fock_norm_factors, q_int
 from .report import BRIDGE_TOL, RESIDUAL_TOL, STRUCTURAL_TOL, CheckResult
@@ -99,11 +98,30 @@ def root_s(k: int) -> complex:
 
 
 @dataclass(frozen=True)
+class SparseMatrix:
+    """The nonzero entries data[p] at (row[p], col[p]), in row-major order."""
+
+    shape: tuple[int, int]
+    row: np.ndarray
+    col: np.ndarray
+    data: np.ndarray
+
+    @property
+    def nnz(self) -> int:
+        return len(self.data)
+
+    def toarray(self) -> np.ndarray:
+        out = np.zeros(self.shape, dtype=np.complex128)
+        out[self.row, self.col] = self.data
+        return out
+
+
+@dataclass(frozen=True)
 class RepMatrix:
     label: str
     n: int
     k: int
-    matrix: sparse.csr_matrix
+    matrix: SparseMatrix
 
 
 Op = dict[int, np.ndarray]  # weighted shifts {d: w}, see the module docstring
@@ -123,10 +141,14 @@ def _amp_plus(m_i: int, k: int) -> float:
     ) / math.sin(math.pi / k)
 
 
+@lru_cache(maxsize=1)
 def _digits(n: int, k: int) -> np.ndarray:
-    """(k^n, n) occupation digits, row idx = basis_tuple(idx, n, k)."""
+    """(k^n, n) occupation digits, row idx = basis_tuple(idx, n, k); shared,
+    so read-only."""
     places = k ** np.arange(n - 1, -1, -1, dtype=np.int64)
-    return np.arange(k**n, dtype=np.int64)[:, None] // places % k
+    digits = np.arange(k**n, dtype=np.int64)[:, None] // places % k
+    digits.flags.writeable = False
+    return digits
 
 
 # letters of the most recently used (n, k) only, keyed (kind, i, exp, n, k)
@@ -215,11 +237,16 @@ def _residual(a: Op, b: Op) -> float:
     return float(np.sqrt(sum((np.abs(w[w != 0]) ** 2).sum() for w in diff.values())))
 
 
-def _to_csr(op: Op, dim: int) -> sparse.csr_matrix:
-    """{d: w} is scipy's DIA storage with offset -d."""
-    from scipy import sparse
-    data = np.array(list(op.values()), dtype=np.complex128).reshape(len(op), dim)
-    return sparse.dia_matrix((data, [-d for d in op]), shape=(dim, dim)).tocsr()
+def _entries(op: Op, dim: int) -> SparseMatrix:
+    """The nonzero weights as entries, w_d[col] at (col + d, col).  Read by
+    falling d, the columns within a row rise, so one stable sort by row
+    leaves them row-major."""
+    shifts = sorted(op, reverse=True)
+    weights = np.array([op[d] for d in shifts], dtype=np.complex128).reshape(-1, dim)
+    which, col = np.nonzero(weights)
+    row = col + np.array(shifts, dtype=np.int64)[which]
+    order = np.argsort(row, kind="stable")
+    return SparseMatrix((dim, dim), row[order], col[order], weights[which, col][order])
 
 
 def build_generator_matrix(label: str, n: int, k: int) -> RepMatrix:
@@ -232,7 +259,7 @@ def build_generator_matrix(label: str, n: int, k: int) -> RepMatrix:
         op = _gl_matrix_direct(int(m.group(1)), int(m.group(2)), n, k)
     else:
         op = _matrix_of_expr(_parse_label(label, n), n, k)
-    return RepMatrix(label, n, k, _to_csr(op, k**n))
+    return RepMatrix(label, n, k, _entries(op, k**n))
 
 
 def _gl_matrix_direct(i: int, j: int, n: int, k: int) -> Op:
@@ -312,9 +339,9 @@ def _matrix_of_expr(x: GenExpr, n: int, k: int) -> Op:
     raise TypeError(f"not a generator expression: {type(x).__name__}")
 
 
-def matrix_of_expr(x: GenExpr, n: int, k: int) -> sparse.csr_matrix:
+def matrix_of_expr(x: GenExpr, n: int, k: int) -> SparseMatrix:
     _check_shape(n, k)
-    return _to_csr(_matrix_of_expr(x, n, k), k**n)
+    return _entries(_matrix_of_expr(x, n, k), k**n)
 
 
 def _matrix_of_weyl(x: WeylElement, k: int) -> Op:
@@ -326,11 +353,11 @@ def _matrix_of_weyl(x: WeylElement, k: int) -> Op:
     return _sum(terms)
 
 
-def matrix_of_weyl(x: WeylElement, k: int) -> sparse.csr_matrix:
+def matrix_of_weyl(x: WeylElement, k: int) -> SparseMatrix:
     """Matrix of a normal-ordered element.  Together with matrix_of_expr
     this gives two independent routes from a relation to a matrix."""
     _check_shape(x.n, k)
-    return _to_csr(_matrix_of_weyl(x, k), k**x.n)
+    return _entries(_matrix_of_weyl(x, k), k**x.n)
 
 
 # ---------------------------------------------------------------------------
@@ -546,8 +573,9 @@ def block_dims_multinomial(n: int, k: int) -> list[int]:
     return dims
 
 
+@lru_cache(maxsize=1)
 def decompose_gl(n: int, k: int) -> GlDecomposition:
-    """Partition of the basis by total occupation number."""
+    """Partition of the basis by total occupation number; frozen, so shared."""
     _check_shape(n, k)
     labels = _digits(n, k).sum(axis=1)
     order = np.argsort(labels, kind="stable")
@@ -681,9 +709,7 @@ def csv_rows(rep: RepMatrix) -> Iterable[str]:
     """Coordinate-triplet lines ``row,col,re,im`` (0-based, row-major)."""
     yield "row,col,re,im"
     mat = rep.matrix
-    rows = np.repeat(np.arange(mat.shape[0]), np.diff(mat.indptr))
-    for pos in np.lexsort((mat.indices, rows)):
-        r, c, v = int(rows[pos]), int(mat.indices[pos]), complex(mat.data[pos])
+    for r, c, v in zip(mat.row.tolist(), mat.col.tolist(), mat.data.tolist()):
         yield f"{r},{c},{v.real!r},{v.imag!r}"
 
 

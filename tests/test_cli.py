@@ -11,6 +11,7 @@ from pathlib import Path
 
 import pytest
 
+from ospq import fockrep
 from ospq.cli import main, render_element
 from ospq.scalars import Q2
 from ospq.walgebra import normal_order
@@ -311,20 +312,31 @@ def test_cli_import_leaves_numpy_and_scipy_unloaded():
     assert proc.stdout.strip() == "[]"
 
 
-def test_rep_and_decompose_leave_scipy_unloaded():
-    # the checks search the weighted shifts; scipy serves only the matrix
-    # objects and rep --out
+def test_rep_and_decompose_leave_scipy_unloaded(tmp_path):
+    # numpy is the only runtime dependency: with scipy blocked from import,
+    # the checks and the CSV export of rep --out still run
+    stem = str(tmp_path / "m")
     code = (
         "import contextlib, io, sys\n"
+        "sys.modules['scipy'] = None\n"
         "from ospq.cli import main\n"
         "with contextlib.redirect_stdout(io.StringIO()):\n"
         "    codes = [main(['rep', '--n', '2', '--k', '3']),\n"
-        "             main(['decompose', '--n', '2', '--k', '3'])]\n"
-        "print(codes, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+        "             main(['decompose', '--n', '2', '--k', '3']),\n"
+        f"             main(['rep', '--n', '2', '--k', '3', '--out', {stem!r}])]\n"
+        "print(codes)"
     )
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "[0, 0] []"
+    assert proc.stdout.strip() == "[0, 0, 0]"
+    for label in ("a1+", "a1-", "k1", "L1", "a2+", "a2-", "k2", "L2"):
+        assert (tmp_path / f"m.{label}.csv").is_file()
+
+
+def test_decompose_builds_the_decomposition_once(capsys):
+    fockrep.decompose_gl.cache_clear()
+    assert main(["decompose", "--n", "2", "--k", "3"]) == 0
+    assert fockrep.decompose_gl.cache_info().misses == 1
 
 
 def _readme_commands() -> list[tuple[list[str], str]]:

@@ -37,7 +37,7 @@ from ospq.fockrep import (
 )
 from ospq.qcoeff import QFrac, fock_norm_factor, q_int
 from ospq.report import STRUCTURAL_TOL
-from ospq.uqosp import Gen, Product, build_gl_generator, realize
+from ospq.uqosp import ZERO_EXPR, Gen, Product, Sum, build_gl_generator, catalog, realize
 from ospq.walgebra import AM, AP, KA, WeylElement, letter_str
 
 
@@ -69,7 +69,7 @@ def test_ladder_column_structure():
         for i in range(1, n + 1):
             for sgn in "+-":
                 mat = build_generator_matrix(f"a{i}{sgn}", n, k).matrix
-                col_counts = np.diff(mat.tocsc().indptr)
+                col_counts = np.bincount(mat.col, minlength=k**n)
                 assert col_counts.max() <= 1
                 for col in range(k**n):
                     m = basis_tuple(col, n, k)
@@ -116,10 +116,10 @@ def test_letter_matrices_equal_per_column_formula():
                 (f"k{i}", _per_column_kappa(i, 1, n, k)),
                 (f"k{i}^-1", _per_column_kappa(i, -1, n, k)),
             ):
-                coo = build_generator_matrix(label, n, k).matrix.tocoo()
+                mat = build_generator_matrix(label, n, k).matrix
                 got = {
                     (int(r), int(c)): complex(v)
-                    for r, c, v in zip(coo.row, coo.col, coo.data)
+                    for r, c, v in zip(mat.row, mat.col, mat.data)
                 }
                 assert got == expected, (label, n, k)
 
@@ -130,6 +130,8 @@ def test_matrix_cache_holds_one_shape():
     build_generator_matrix("k2", 3, 2)
     assert fockrep._MATRIX_CACHE
     assert all(key[3:] == (3, 2) for key in fockrep._MATRIX_CACHE)
+    assert fockrep._digits.cache_info().currsize == 1
+    assert not fockrep._digits(3, 2).flags.writeable
 
 
 def test_structural_checks_at_size_guard_are_fast():
@@ -360,7 +362,7 @@ def test_block_invariance_is_exact():
         for idx in b.indices:
             block_of[idx] = b.m
     for i, j in ((1, 2), (2, 1)):
-        mat = build_generator_matrix(f"e{i},{j}", n, k).matrix.tocoo()
+        mat = build_generator_matrix(f"e{i},{j}", n, k).matrix
         for r, c in zip(mat.row, mat.col):
             assert block_of[int(r)] == block_of[int(c)]
 
@@ -433,6 +435,49 @@ def test_connectivity_search_matches_csgraph():
         assert not verdicts[3].any()
         if n == 2:
             assert not verdicts[5][labels[col]] and verdicts[5].sum() == len(verdicts[5]) - 1
+
+
+def _entries_csr(op, dim):
+    """Reference entries: the shifts as scipy's DIA storage with offset -d,
+    converted to CSR and read row by row with the columns sorted."""
+    data = np.array(list(op.values()), dtype=np.complex128).reshape(len(op), dim)
+    mat = sparse.dia_matrix((data, [-d for d in op]), shape=(dim, dim)).tocsr()
+    rows = np.repeat(np.arange(dim), np.diff(mat.indptr))
+    order = np.lexsort((mat.indices, rows))
+    return rows[order], mat.indices[order], mat.data[order]
+
+
+def _assert_entries_match_csr(mat, op):
+    row, col, data = _entries_csr(op, mat.shape[0])
+    assert mat.nnz == len(data)
+    assert np.array_equal(mat.row, row)
+    assert np.array_equal(mat.col, col)
+    assert np.array_equal(mat.data, data)
+
+
+def test_entries_match_scipy_csr_in_order():
+    for n, k in ((2, 3), (3, 4), (1, 50)):
+        labels = [
+            f"{p}{i}{s}" for i in range(1, n + 1)
+            for p, s in (("a", "+"), ("a", "-"), ("k", ""), ("L", ""))
+        ]
+        for label in labels:
+            op = fockrep._matrix_of_expr(fockrep._parse_label(label, n), n, k)
+            _assert_entries_match_csr(build_generator_matrix(label, n, k).matrix, op)
+        if n >= 2:
+            for i, j in ((1, 2), (2, 1)):
+                mat = build_generator_matrix(f"e{i},{j}", n, k).matrix
+                _assert_entries_match_csr(mat, _gl_matrix_direct(i, j, n, k))
+    # shifts +3, -1 and 0 meet in one row: its columns must still rise
+    n, k = 2, 3
+    one = QFrac.one()
+    mixed = Sum(((one, Gen("a", 1, +1)), (one, Gen("a", 2, -1)), (one, Gen("kappa", 1))))
+    for x in (mixed, ZERO_EXPR):
+        _assert_entries_match_csr(matrix_of_expr(x, n, k), fockrep._matrix_of_expr(x, n, k))
+    assert matrix_of_expr(ZERO_EXPR, n, k).nnz == 0
+    for inst in catalog(n):
+        x = realize(inst.lhs, n)
+        _assert_entries_match_csr(matrix_of_weyl(x, k), fockrep._matrix_of_weyl(x, k))
 
 
 def test_positivity_diagnostic():
