@@ -28,6 +28,7 @@ from .report import RESIDUAL_TOL, STRUCTURAL_TOL, CheckResult, summarize
 from .walgebra import DEFAULT_RULES, Rules, WeylElement, normal_order, parse_word
 from .ospclassic import verify_classical
 from .uqosp import (
+    CATALOG_SAMPLE,
     FAMILY_BUILDERS,
     classical_limit_checks,
     round_trip_checks,
@@ -57,7 +58,7 @@ def render_element(x: WeylElement) -> str:
 def build_report(command: str, parameters: dict, results: list[CheckResult]) -> dict:
     rows = [r.to_row() for r in sorted(results, key=lambda r: r.id)]
     return {
-        "schema": "1",
+        "schema": "2",
         "tool": "ospq",
         "version": __version__,
         "command": command,
@@ -92,7 +93,7 @@ def _print_rows(report: dict) -> None:
         residual = row["residual"]
         if isinstance(residual, float):
             residual = f"{residual:.3e}"
-        line = f"{row['status']:4s}  {row['id']}  {residual}"
+        line = f"{row['status']:4s}  {row['id']}  {residual or '-'}"
         if row["detail"]:
             line += f"  {row['detail']}"
         print(line)
@@ -284,7 +285,7 @@ def make_parser() -> argparse.ArgumentParser:
         "--seed",
         type=int,
         default=20250,
-        help="seed for sampling 500 instances of a family that has more "
+        help=f"seed for sampling {CATALOG_SAMPLE} instances of a family that has more "
         "(from n >= 4; today only T at n = 5)",
     )
     p.add_argument(

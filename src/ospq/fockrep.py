@@ -31,6 +31,8 @@ the matching multinomial sum.
 
 Operators are weighted shifts {d: w}: |col> goes to sum_d w_d[col] |col + d>,
 with w_d zero wherever col + d leaves the space, so every letter is one shift.
+Every word of letters -- a leaf's image under phi (uqosp.leaf_word), a
+monomial of a normal form, an explicit gl root vector -- is one product.
 Every check reads the shifts; the matrix objects and the CSV export list
 their nonzero weights as (row, col) entries.
 """
@@ -58,9 +60,10 @@ from .uqosp import (
     build_chevalley_from_pre,
     build_gl_generator,
     catalog,
+    leaf_word,
     realize,
 )
-from .walgebra import AM, AP, KA, WeylElement
+from .walgebra import AM, AP, KA, Letter, WeylElement
 
 
 # ---------------------------------------------------------------------------
@@ -207,8 +210,10 @@ def _product(ops: Sequence[Op], dim: int) -> Op:
     gather and multiply per pair of shifts, w = w_B * w_A[col + d_B] under
     the shift d_A + d_B; clipping col + d_B into the space is safe because
     w_B is zero wherever it leaves it."""
+    if len(ops) < 2:
+        return ops[0] if ops else {0: np.ones(dim, dtype=np.complex128)}
     cols = np.arange(dim)
-    acc = ops[0] if ops else {0: np.ones(dim, dtype=np.complex128)}
+    acc = ops[0]
     for op in ops[1:]:
         out: Op = {}
         for d_b, w_b in op.items():
@@ -218,6 +223,12 @@ def _product(ops: Sequence[Op], dim: int) -> Op:
                 out[d] = out[d] + w if d in out else w
         acc = out
     return acc
+
+
+def _word_op(word: Iterable[Letter], n: int, k: int) -> Op:
+    """Product of letters (kind, 0-based mode, exp), the leftmost acting last."""
+    ops = [_letter(kind, mode + 1, exp, n, k) for kind, mode, exp in word]
+    return _product(ops, k**n)
 
 
 def _sum(terms: Iterable[tuple[complex, Op]]) -> Op:
@@ -268,13 +279,11 @@ def _gl_matrix_direct(i: int, j: int, n: int, k: int) -> Op:
     if i == j or not 1 <= i <= n or not 1 <= j <= n:
         raise ValueError(f"gl root vector needs distinct modes in 1..{n}")
     coeff = -math.cos(math.pi / (2 * k))
-    a_up = _letter(AP, j, 0, n, k)
-    a_dn = _letter(AM, i, 0, n, k)
     if i < j:
-        factors = (_letter(KA, j, 1, n, k), a_up, a_dn)
+        word = ((KA, j - 1, 1), (AP, j - 1, 0), (AM, i - 1, 0))
     else:
-        factors = (a_up, a_dn, _letter(KA, i, -1, n, k))
-    return _sum([(coeff, _product(factors, k**n))])
+        word = ((AP, j - 1, 0), (AM, i - 1, 0), (KA, i - 1, -1))
+    return _sum([(coeff, _word_op(word, n, k))])
 
 
 def _parse_label(label: str, n: int) -> GenExpr:
@@ -301,29 +310,15 @@ def _parse_label(label: str, n: int) -> GenExpr:
 
 def _matrix_of_expr(x: GenExpr, n: int, k: int) -> Op:
     """Evaluate an expression tree by operator products only (no symbolic
-    normal ordering): the first of the two verification routes."""
-    s = root_s(k)
+    normal ordering): the first of the two verification routes.  A leaf
+    other than e/f is phi's letter word (uqosp.leaf_word) times s^a."""
     if isinstance(x, Gen):
-        if x.kind in ("a", "A"):
-            return _letter(AP if x.exp == +1 else AM, x.index, 0, n, k)
-        if x.kind == "kappa":
-            return _letter(KA, x.index, x.exp, n, k)
-        if x.kind == "L":
-            # L_i -> q^{-1/2} kappa_i^{-1}, raised to x.exp
-            return _sum([(s ** (-x.exp), _letter(KA, x.index, -x.exp, n, k))])
-        if x.kind == "k":
-            # k_i -> kappa_i^{-1} kappa_{i+1} (i < n), k_n -> L_n
-            if not 1 <= x.index <= n:
-                raise ValueError(f"mode index {x.index} outside 1..{n}")
-            if x.index < n:
-                pair = (Gen("kappa", x.index, -x.exp), Gen("kappa", x.index + 1, x.exp))
-                return _matrix_of_expr(Product(pair), n, k)
-            return _matrix_of_expr(Gen("L", n, x.exp), n, k)
-        if x.kind == "e":
-            return _matrix_of_expr(build_chevalley_from_pre(n, x.index)[0], n, k)
-        if x.kind == "f":
-            return _matrix_of_expr(build_chevalley_from_pre(n, x.index)[1], n, k)
-        raise ValueError(f"unknown generator kind {x.kind!r}")
+        if x.kind in ("e", "f"):
+            e_expr, f_expr = build_chevalley_from_pre(n, x.index)
+            return _matrix_of_expr(e_expr if x.kind == "e" else f_expr, n, k)
+        a, word = leaf_word(x.kind, x.index, x.exp, n)
+        op = _word_op(word, n, k)
+        return _sum([(root_s(k) ** a, op)]) if a else op
     if isinstance(x, Product):
         return _product([_matrix_of_expr(fac, n, k) for fac in x.factors], k**n)
     if isinstance(x, Sum):
@@ -334,7 +329,7 @@ def _matrix_of_expr(x: GenExpr, n: int, k: int) -> Op:
     if isinstance(x, (QBracket, AntiComm)):
         a = _matrix_of_expr(x.left, n, k)
         b = _matrix_of_expr(x.right, n, k)
-        coeff = -(s**x.s_exp) if isinstance(x, QBracket) else 1
+        coeff = -(root_s(k) ** x.s_exp) if isinstance(x, QBracket) else 1
         return _sum(((1, _product((a, b), k**n)), (coeff, _product((b, a), k**n))))
     raise TypeError(f"not a generator expression: {type(x).__name__}")
 
@@ -346,11 +341,10 @@ def matrix_of_expr(x: GenExpr, n: int, k: int) -> SparseMatrix:
 
 def _matrix_of_weyl(x: WeylElement, k: int) -> Op:
     """Root-evaluated coefficients times letter products."""
-    terms = []
-    for mono, coeff in x.terms():
-        word = [_letter(kind, mode + 1, exp, x.n, k) for kind, mode, exp in mono.word()]
-        terms.append((complex(coeff.eval_root(k)), _product(word, k**x.n)))
-    return _sum(terms)
+    return _sum(
+        (complex(coeff.eval_root(k)), _word_op(mono.word(), x.n, k))
+        for mono, coeff in x.terms()
+    )
 
 
 def matrix_of_weyl(x: WeylElement, k: int) -> SparseMatrix:

@@ -3,10 +3,11 @@
 Every verification routine in this package (classical matrices, symbolic
 algebra, numeric representations) produces a flat list of CheckResult rows,
 one per relation instance.  A row carries a stable identifier, a boolean
-outcome, a residual (``"exact-zero"`` for symbolic checks, a float for
-numeric ones, ``None`` for structural ones), and an optional human-readable
-detail string.  Keeping the shape identical across layers lets the
-`ospq` command serialize any mixture of checks into a single report.
+outcome, a residual (``"exact-zero"`` or ``"nonzero"`` for exact checks, a
+float for numeric ones, ``None`` for structural ones, which compute none),
+and an optional human-readable detail string.  Keeping the shape identical
+across layers lets the `ospq` command serialize any mixture of checks into a
+single report.
 """
 
 from __future__ import annotations
@@ -35,11 +36,11 @@ class CheckResult:
 
     def to_row(self) -> dict:
         """Serialize to the dict shape used in JSON reports; a row without
-        a residual reports "exact-zero"."""
+        a residual reports null."""
         return {
             "id": self.id,
             "status": "pass" if self.ok else "fail",
-            "residual": "exact-zero" if self.residual is None else self.residual,
+            "residual": self.residual,
             "detail": self.detail,
         }
 

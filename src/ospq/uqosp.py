@@ -10,6 +10,8 @@ through the homomorphism
 into the deformed Weyl algebra, where every expression has a unique normal
 form.  All defining and derived relations are verified there: a relation
 holds exactly when the normal form of (lhs - rhs) is the zero element.
+phi is written once: leaf_word gives the image of every leaf but e_i, f_i,
+which build_chevalley_from_pre writes over A and L.
 
 The expression layer is a small immutable AST (GenExpr) with leaves for the
 named generators and nodes for products, weighted sums, anticommutators and
@@ -51,14 +53,15 @@ from .qcoeff import INV_QMQI, Q_MINUS_QINV, QCoeff, QFrac
 from .report import CheckResult, residual_row
 from .scalars import Q2
 from .walgebra import (
+    AM,
+    AP,
     DEFAULT_RULES,
+    KA,
+    Letter,
     Rules,
     WeylElement,
     _check_mode,
-    a_minus,
-    a_plus,
     commutator,
-    kappa_el,
     mul,
 )
 
@@ -285,34 +288,40 @@ def build_gl_generator(n: int, i: int, j: int) -> GenExpr:
 
 
 @lru_cache(maxsize=4096)
-def _leaf_image(kind: str, index: int, exp: int, n: int, rules: Rules) -> WeylElement:
-    if kind == "a" or kind == "A":
-        return a_plus(n, index) if exp == +1 else a_minus(n, index)
+def leaf_word(
+    kind: str, index: int, exp: int, n: int
+) -> tuple[int, tuple[Letter, ...]]:
+    """phi on a leaf other than e/f: (a, word) for s^a times a word of W_q(n)
+    letters.  phi(A_i^+-) = a_i^+-, phi(L_i^e) = q^{-e/2} kappa_i^{-e},
+    phi(k_i^e) = kappa_i^{-e} kappa_{i+1}^e for i < n, phi(k_n) = phi(L_n),
+    and the letters a, kappa map to themselves.  realize() and the matrix
+    route of fockrep both read phi here."""
+    _check_mode(n, index)
+    mode = index - 1
+    if kind in ("a", "A"):
+        return 0, ((AP if exp == +1 else AM, mode, 0),)
     if kind == "kappa":
-        return kappa_el(n, index, exp)
-    if kind == "L":
-        # phi(L_i)^exp = q^{-exp/2} kappa_i^{-exp}
-        return kappa_el(n, index, -exp).scale(_spow(-exp))
+        return 0, ((KA, mode, exp),)
+    if kind == "L" or (kind == "k" and index == n):
+        return -exp, ((KA, mode, -exp),)
     if kind == "k":
-        # k_i = L_i L_{i+1}^{-1}: kappa_i^{-1} kappa_{i+1} for i < n,
-        # k_n = q^{-1/2} kappa_n^{-1}
-        if index < n:
-            return mul(
-                kappa_el(n, index, -exp), kappa_el(n, index + 1, exp), rules
-            )
-        return kappa_el(n, n, -exp).scale(_spow(-exp))
-    if kind == "e":
-        expr, _ = build_chevalley_from_pre(n, index)
-        return _realize(expr, n, rules)
-    if kind == "f":
-        _, expr = build_chevalley_from_pre(n, index)
-        return _realize(expr, n, rules)
-    raise ValueError(f"unknown generator kind {kind!r}")
+        return 0, ((KA, mode, -exp), (KA, mode + 1, exp))
+    raise ValueError(f"generator kind {kind!r} has no letter word")
 
 
-def _realize(x: GenExpr, n: int, rules: Rules) -> WeylElement:
+@lru_cache(maxsize=4096)
+def _leaf_image(kind: str, index: int, exp: int, n: int, rules: Rules) -> WeylElement:
+    if kind in ("e", "f"):
+        e_expr, f_expr = build_chevalley_from_pre(n, index)
+        return realize(e_expr if kind == "e" else f_expr, n, rules)
+    a, word = leaf_word(kind, index, exp, n)
+    image = WeylElement.from_word(n, word, rules)
+    return image.scale(_spow(a)) if a else image
+
+
+def realize(x: GenExpr, n: int, rules: Rules = DEFAULT_RULES) -> WeylElement:
+    """Normal-ordered image of an expression under phi."""
     if isinstance(x, Gen):
-        _check_mode(n, x.index)
         return _leaf_image(x.kind, x.index, x.exp, n, rules)
     return _realize_node(x, n, rules)
 
@@ -327,35 +336,30 @@ def _realize_node(x: GenExpr, n: int, rules: Rules) -> WeylElement:
     if isinstance(x, Product):
         acc = WeylElement.one(n)
         for fac in x.factors:
-            acc = mul(acc, _realize(fac, n, rules), rules)
+            acc = mul(acc, realize(fac, n, rules), rules)
         return acc
     if isinstance(x, Sum):
         acc = WeylElement.zero(n)
         for coeff, term in x.terms:
-            acc = acc + _realize(term, n, rules).scale(coeff)
+            acc = acc + realize(term, n, rules).scale(coeff)
         return acc
     if isinstance(x, QBracket):
         return commutator(
-            _realize(x.left, n, rules),
-            _realize(x.right, n, rules),
+            realize(x.left, n, rules),
+            realize(x.right, n, rules),
             s_exp=x.s_exp,
             sign=-1,
             rules=rules,
         )
     if isinstance(x, AntiComm):
         return commutator(
-            _realize(x.left, n, rules),
-            _realize(x.right, n, rules),
+            realize(x.left, n, rules),
+            realize(x.right, n, rules),
             s_exp=0,
             sign=+1,
             rules=rules,
         )
     raise TypeError(f"not a generator expression: {type(x).__name__}")
-
-
-def realize(x: GenExpr, n: int, rules: Rules = DEFAULT_RULES) -> WeylElement:
-    """Normal-ordered image of an expression under phi."""
-    return _realize(x, n, rules)
 
 
 # ---------------------------------------------------------------------------
@@ -854,23 +858,22 @@ FAMILY_BUILDERS = {
 }
 
 
+CATALOG_SAMPLE = 500  # instances per family at most, for n >= 4
+
+
 def catalog(
     n: int,
     families: Sequence[str] | None = None,
-    sample: int | None = None,
     seed: int = 20250,
 ) -> list[RelationInstance]:
     """All relation instances for n modes.
 
     For n <= 3 the index sweeps are exhaustive.  For larger n the catalog
     grows fast, so each family is reduced to a deterministic pseudo-random
-    sample (default 500 instances per family, seeded) unless ``sample`` is
-    given explicitly.
+    sample of CATALOG_SAMPLE instances, drawn from ``seed``.
     """
     if n < 1:
         raise ValueError("mode count must be at least 1")
-    if sample is None and n > 3:
-        sample = 500
     chosen = FAMILY_BUILDERS if families is None else {
         f: FAMILY_BUILDERS[f] for f in families
     }
@@ -879,9 +882,9 @@ def catalog(
         if name not in chosen:
             continue
         instances = FAMILY_BUILDERS[name](n)
-        if sample is not None and len(instances) > sample:
+        if n > 3 and len(instances) > CATALOG_SAMPLE:
             rng = random.Random(seed + len(name))
-            instances = rng.sample(instances, sample)
+            instances = rng.sample(instances, CATALOG_SAMPLE)
         out.extend(instances)
     return out
 
@@ -911,21 +914,21 @@ def verify_relations(
 
 def round_trip_checks(n: int, rules: Rules = DEFAULT_RULES) -> list[CheckResult]:
     """phi applied to the bracket-chain and telescoped expressions must land
-    exactly on the distinguished Weyl elements:
+    exactly on the images of the leaves they spell out:
 
-        phi(chain for A_i^+-) = a_i^+-,
-        phi(k_i k_{i+1} ... k_n) = q^{-1/2} kappa_i^{-1}.
+        phi(chain for A_i^+-) = phi(A_i^+-) = a_i^+-,
+        phi(k_i k_{i+1} ... k_n) = phi(L_i) = q^{-1/2} kappa_i^{-1}.
     """
     out: list[CheckResult] = []
     for i in range(1, n + 1):
         for s in (-1, +1):
-            target = a_minus(n, i) if s == -1 else a_plus(n, i)
+            target = realize(gen_A(i, s), n, rules)
             out.append(residual_row(
                 f"RT.A[n={n},i={i},sign={_SIGN_STR[s]}]",
                 realize(build_preoscillator(n, i, s), n, rules) - target,
             ))
     for i in range(1, n + 1):
-        target = kappa_el(n, i, -1).scale(_spow(-1))
+        target = realize(gen_L(i), n, rules)
         out.append(residual_row(
             f"RT.L[n={n},i={i}]", realize(build_cartan_L(n, i), n, rules) - target))
     return out

@@ -108,7 +108,7 @@ def test_verify_family_subset_json(capsys):
         "schema", "tool", "version", "command", "timestamp",
         "parameters", "summary", "status", "results",
     ]
-    assert doc["schema"] == "1"
+    assert doc["schema"] == "2"
     assert doc["status"] == "pass"
     assert doc["parameters"]["families"] == "CK,PRE"
     assert doc["summary"]["total"] == 38  # 15 Cartan-Kac + 23 pre-oscillator
@@ -124,7 +124,10 @@ def test_verify_full_run_exact_zero(capsys):
     assert code == 0
     doc = json.loads(out)
     assert doc["status"] == "pass"
-    assert all(r["residual"] == "exact-zero" for r in doc["results"])
+    # membership, span and classical-limit rows compute no residual
+    for r in doc["results"]:
+        no_residual = r["id"].startswith(("MEM.", "SPAN.", "LIM."))
+        assert r["residual"] == (None if no_residual else "exact-zero"), r
     # classical + catalog + round-trip + classical-limit rows, each once
     ids = [r["id"] for r in doc["results"]]
     assert len(ids) == len(set(ids))
@@ -162,7 +165,7 @@ def test_verify_out_file(tmp_path, capsys):
     )
     assert code == 0
     doc = json.loads(path.read_text())
-    assert doc["schema"] == "1" and doc["status"] == "pass"
+    assert doc["schema"] == "2" and doc["status"] == "pass"
     assert "PASS" in out  # text report still on stdout
 
 
@@ -272,6 +275,23 @@ def test_decompose_json(capsys):
     assert doc["status"] == "pass"
 
 
+def test_decompose_rows_without_residual_report_null(capsys):
+    # block counts, dimensions and connectivity compute no residual: they
+    # report null, and the text rows of `rep` print "-"
+    argv = ("--n", "2", "--k", "3")
+    doc = json.loads(run_main(capsys, "decompose", *argv, "--format", "json")[1])
+    null_ids = [r["id"] for r in doc["results"] if r["residual"] is None]
+    assert len(null_ids) == 13
+    assert {i.split("[")[0] for i in null_ids} == {
+        "DEC.blocks", "DEC.dimsum", "DEC.dim", "DEC.connected", "OSP.connected"
+    }
+    assert all(isinstance(r["residual"], float) for r in doc["results"]
+               if r["id"] not in null_ids)
+    text = run_main(capsys, "rep", *argv)[1]
+    assert "pass  DEC.dimsum[n=2,k=3]  -  sum 9, expected 9" in text
+    assert "exact-zero" not in text
+
+
 def test_decompose_out_keeps_stdout(tmp_path, capsys):
     argv = ("decompose", "--n", "2", "--k", "2")
     code, plain, _ = run_main(capsys, *argv)
@@ -361,6 +381,30 @@ def test_readme_command_examples(tmp_path, monkeypatch, capsys):
         assert code == (1 if "--corrupt-rules" in argv else 0), (argv, err)
         if argv == ["normal-order", "a1- a1+"]:
             assert out == comment + "\n"
+
+
+def test_readme_library_quick_start():
+    # exec the README's python block, then check each result against the
+    # comment on the line that made it
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    block = text.split("## Library quick start", 1)[1].split("```python\n", 1)[1]
+    block = block.split("```", 1)[0]
+    scope: dict = {}
+    exec(block, scope)
+    comments = dict(
+        (code.strip(), comment.strip())
+        for code, _, comment in (line.partition("#") for line in block.splitlines())
+        if comment
+    )
+    x, rows, rep, dec = (scope[name] for name in ("x", "rows", "rep", "dec"))
+    assert str(x) == json.loads(comments["str(x)"]) == "q a1+ a1- + (2/(s+s^-1)) k1^-1"
+    assert len(rows) == 99
+    assert all(r.ok and r.residual == "exact-zero" for r in rows)
+    assert comments["rows = verify_relations(2)"] == "99 relation instances, all exact zero"
+    assert rep.matrix.shape == (9, 9)
+    assert comments['rep = build_generator_matrix("a1+", n=2, k=3)'].startswith("9x9 ")
+    assert [b.dim for b in dec.blocks] == [1, 2, 3, 2, 1]
+    assert comments["dec = decompose_gl(2, 3)"] == "blocks of dims 1, 2, 3, 2, 1"
 
 
 def test_missing_subcommand_exits_2():

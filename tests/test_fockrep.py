@@ -532,11 +532,21 @@ def test_verify_representation_bundle():
 
 
 def test_L_matrix_matches_realized_image():
-    for n, k in ((1, 2), (2, 3)):
+    # every leaf kind but e/f, k_n included: both routes read phi from
+    # uqosp.leaf_word, so this guards what each route does with it (s^a as
+    # a complex power or as an exact scale, the word as letter matrices or
+    # through the append calculus)
+    for n, k in ((1, 2), (2, 3), (3, 2)):
         for i in range(1, n + 1):
-            direct = dense(f"L{i}", n, k)
-            via_weyl = matrix_of_weyl(realize(Gen("L", i), n), k).toarray()
-            assert np.abs(direct - via_weyl).max() < 1e-14
+            leaves = [Gen(kind, i, e) for kind in ("A", "a", "L", "k", "kappa")
+                      for e in (+1, -1)]
+            for leaf in leaves:
+                direct = matrix_of_expr(leaf, n, k).toarray()
+                via_weyl = matrix_of_weyl(realize(leaf, n), k).toarray()
+                assert np.abs(direct - via_weyl).max() < 1e-14, (leaf, n, k)
+            # the exported label L{i} is the same leaf
+            direct = matrix_of_expr(Gen("L", i), n, k).toarray()
+            assert np.array_equal(dense(f"L{i}", n, k), direct)
 
 
 def test_csv_export_format():
