@@ -2,8 +2,8 @@
 
 Layers, bottom to top:
 
-- scalars / qcoeff: exact coefficients (Q(sqrt 2), Laurent polynomials in
-  s = q^(1/2), canonical-denominator fractions).
+- scalars / qcoeff: exact coefficients (Q(sqrt 2), and one fraction type
+  over Laurent polynomials in s = q^(1/2) with canonical denominators).
 - walgebra: the deformed Weyl algebra W_q(n) -- normal ordering, products,
   and the symbolic Fock module.
 - ospclassic: the classical orthosymplectic Lie superalgebra osp(1|2n) as
@@ -20,7 +20,6 @@ __version__ = "0.1.0"
 
 from .scalars import Q2
 from .qcoeff import (
-    QCoeff,
     QFrac,
     q_int,
     q_factorial,
@@ -30,7 +29,6 @@ from .qcoeff import (
 
 __all__ = [
     "Q2",
-    "QCoeff",
     "QFrac",
     "q_int",
     "q_factorial",

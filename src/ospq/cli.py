@@ -164,8 +164,13 @@ def _guard_rep(n: int, k: int) -> str | None:
         return "--n must be at least 1"
     if k < 2:
         return "--k must be at least 2"
-    if k**n > SIZE_GUARD:
-        return f"k^n = {k ** n} exceeds the size guard {SIZE_GUARD}"
+    # multiply only until the guard is passed, so a huge n costs nothing and
+    # no oversized power is ever built or printed
+    dim = 1
+    for _ in range(n):
+        dim *= k
+        if dim > SIZE_GUARD:
+            return f"k^n = {k}^{n} exceeds the size guard {SIZE_GUARD}"
     return None
 
 
@@ -249,6 +254,10 @@ def cmd_normal_order(args) -> int:
     if len(letters) > WORD_BUDGET:
         return _fail(f"word has {len(letters)} letters; normal-order takes at most "
                      f"{WORD_BUDGET}")
+    # every monomial is an n-tuple, so the mode count is bounded too; a word
+    # within the letter budget names at most WORD_BUDGET modes
+    if n > WORD_BUDGET:
+        return _fail(f"{n} modes; normal-order takes at most {WORD_BUDGET}")
     print(render_element(normal_order(letters, n, contract=args.contract)))
     return 0
 

@@ -1,23 +1,21 @@
 """Exact coefficient arithmetic for the deformed algebras.
 
-All symbolic dependence on the deformation parameter is carried by Laurent
-polynomials in s = q^(1/2) with coefficients in Q(sqrt 2):
+All symbolic dependence on the deformation parameter lives in one field:
+rational functions in s = q^(1/2) over Q(sqrt 2) whose denominators are
+products of the two coprime binomials
 
-    QCoeff : sum_e (r_e + w_e*sqrt(2)) s^e,  e in Z
+    Dp = s + s^-1        Dm = s - s^-1        (note Dp*Dm = q - q^-1).
 
-Many structure constants are fractions with denominators that are products
-of the two coprime binomials
+The coefficient type is
 
-    Dp = s + s^-1        Dm = s - s^-1        (note Dp*Dm = q - q^-1),
+    QFrac : (sum_e (r_e + w_e*sqrt(2)) s^e) / (Dp^dp * Dm^dm),  dp, dm >= 0,
 
-so the working coefficient type is
-
-    QFrac  : QCoeff / (Dp^dp * Dm^dm),  dp, dm >= 0,
-
-kept in reduced form (the numerator is divisible by neither binomial unless
-the corresponding exponent is zero).  Since Dp ~ (s^2+1)/s and
-Dm ~ (s^2-1)/s share no roots, the reduced (num, dp, dm) triple is a
-canonical form and equality is structural.
+with the numerator held as a dict {e: Q2}; a Laurent polynomial is the
+fraction with dp = dm = 0.  Fractions are kept in reduced form (the
+numerator is divisible by neither binomial unless the corresponding exponent
+is zero).  Since Dp ~ (s^2+1)/s and Dm ~ (s^2-1)/s share no roots, the
+reduced (numerator, dp, dm) triple is a canonical form and equality is
+structural.
 
 Products, and the reduction by Dp and Dm, run on the integer triples
 (a, b, d) of `scalars.Q2` directly and build one Q2 per resulting term.
@@ -39,6 +37,9 @@ from .scalars import Q2
 _from_triple = Q2.from_triple
 
 ScalarLike = Union[int, Fraction, Q2]
+
+# a numerator: {power of s: nonzero Q2}
+_Poly = dict[int, Q2]
 
 
 def _as_q2(x: object) -> Q2 | None:
@@ -78,261 +79,96 @@ def join_signed(pieces: list[str]) -> str:
     return text
 
 
-class QCoeff:
-    """Exact Laurent polynomial in s = q^(1/2) over Q(sqrt 2)."""
+# ---------------------------------------------------------------- numerators
 
-    __slots__ = ("_t",)
 
-    def __init__(self, terms: dict[int, Q2] | None = None) -> None:
-        # strip exact zeros so representation is unique
-        self._t: dict[int, Q2] = {}
-        if terms:
-            for e, c in terms.items():
-                if c:
-                    self._t[e] = c
-
-    # -- constructors ---------------------------------------------------
-
-    @classmethod
-    def zero(cls) -> "QCoeff":
-        return cls()
-
-    @classmethod
-    def one(cls) -> "QCoeff":
-        return cls({0: Q2(1)})
-
-    @classmethod
-    def from_scalar(cls, x: ScalarLike) -> "QCoeff":
-        c = _as_q2(x)
-        if c is None:
-            raise TypeError(f"cannot build QCoeff from {type(x).__name__}")
-        return cls({0: c})
-
-    @classmethod
-    def s_pow(cls, e: int, coeff: ScalarLike = 1) -> "QCoeff":
-        """The monomial coeff * s^e."""
-        c = _as_q2(coeff)
-        if c is None:
-            raise TypeError("coefficient must be rational or Q2")
-        return cls({e: c})
-
-    # -- inspection ------------------------------------------------------
-
-    def terms(self) -> list[tuple[int, Q2]]:
-        """(exponent, coefficient) pairs sorted by descending exponent."""
-        return sorted(self._t.items(), key=lambda p: -p[0])
-
-    def is_zero(self) -> bool:
-        return not self._t
-
-    def __bool__(self) -> bool:
-        return bool(self._t)
-
-    def min_exp(self) -> int:
-        return min(self._t)
-
-    def max_exp(self) -> int:
-        return max(self._t)
-
-    def coeff(self, e: int) -> Q2:
-        return self._t.get(e, Q2(0))
-
-    # -- ring operations ---------------------------------------------------
-
-    def __add__(self, other: object) -> "QCoeff":
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        t = dict(self._t)
-        for e, c in o._t.items():
-            c2 = t.get(e)
-            if c2 is None:
-                t[e] = c
+def _padd(t: _Poly, u: _Poly) -> _Poly:
+    """t + u; a power whose sum cancels leaves the dict."""
+    t = dict(t)
+    for e, c in u.items():
+        c2 = t.get(e)
+        if c2 is None:
+            t[e] = c
+        else:
+            s = c2 + c
+            if s:
+                t[e] = s
             else:
-                s = c2 + c
-                if s:
-                    t[e] = s
-                else:
-                    del t[e]
-        out = QCoeff.__new__(QCoeff)
-        out._t = t
-        return out
+                del t[e]
+    return t
 
-    __radd__ = __add__
 
-    def __neg__(self) -> "QCoeff":
-        out = QCoeff.__new__(QCoeff)
-        out._t = {e: -c for e, c in self._t.items()}
-        return out
-
-    def __sub__(self, other: object) -> "QCoeff":
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self + (-o)
-
-    def __rsub__(self, other: object) -> "QCoeff":
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return o + (-self)
-
-    def __mul__(self, other: object) -> "QCoeff":
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        # each power's coefficient is summed as an unreduced integer triple
-        # (a, b, d) and reduced once; a sum that cancels leaves the dict and
-        # a later term puts it back at the end, which fixes the term order
-        acc: dict[int, tuple[int, int, int]] = {}
-        get = acc.get
-        for e1, c1 in self._t.items():
-            a1, b1, d1 = c1.a, c1.b, c1.d
-            for e2, c2 in o._t.items():
-                a2, b2 = c2.a, c2.b
-                if b1 or b2:
-                    a = a1 * a2 + 2 * b1 * b2
-                    b = a1 * b2 + b1 * a2
-                else:
-                    a, b = a1 * a2, 0
-                d = d1 * c2.d
-                e = e1 + e2
-                prev = get(e)
-                if prev is not None:
-                    pa, pb, pd = prev
-                    if pd == d:
-                        a += pa
-                        b += pb
-                    else:
-                        g = gcd(pd, d)
-                        a = a * (pd // g) + pa * (d // g)
-                        b = b * (pd // g) + pb * (d // g)
-                        d = d // g * pd
-                    if not (a or b):
-                        del acc[e]
-                        continue
-                acc[e] = (a, b, d)
-        out = QCoeff.__new__(QCoeff)
-        out._t = {e: _from_triple(a, b, d) for e, (a, b, d) in acc.items()}
-        return out
-
-    __rmul__ = __mul__
-
-    def __pow__(self, n: int) -> "QCoeff":
-        if not isinstance(n, int) or n < 0:
-            return NotImplemented
-        out = QCoeff.one()
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base
-            n >>= 1
-        return out
-
-    @staticmethod
-    def _coerce(x: object) -> "QCoeff | None":
-        if isinstance(x, QCoeff):
-            return x
-        c = _as_q2(x)
-        if c is not None:
-            return QCoeff({0: c})
-        return None
-
-    def __eq__(self, other: object) -> bool:
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self._t == o._t
-
-    def __hash__(self) -> int:
-        return hash(frozenset(self._t.items()))
-
-    # -- involutions and evaluation ------------------------------------
-
-    def conjugate(self) -> "QCoeff":
-        """The bar involution s -> s^-1 (coefficients in Q(sqrt 2) are real)."""
-        out = QCoeff.__new__(QCoeff)
-        out._t = {-e: c for e, c in self._t.items()}
-        return out
-
-    def eval_root(self, k: int) -> complex:
-        """Numerical value at s = exp(i*pi/(2k)), i.e. q = exp(i*pi/k)."""
-        if k < 1:
-            raise ValueError("k must be a positive integer")
-        z = 0j
-        for e, c in self._t.items():
-            z += float(c) * cmath.exp(1j * cmath.pi * e / (2 * k))
-        return z
-
-    def eval_one(self) -> Q2:
-        """Exact value at s = 1 (the classical point q = 1)."""
-        out = Q2(0)
-        for c in self._t.values():
-            out = out + c
-        return out
-
-    def eval_scalar(self, s_val: complex) -> complex:
-        """Numerical value at an arbitrary nonzero s."""
-        z = 0j
-        for e, c in self._t.items():
-            z += float(c) * s_val**e
-        return z
-
-    # -- display ----------------------------------------------------------
-
-    def __str__(self) -> str:
-        """Terms in descending powers; even powers of s print as powers
-        of q = s^2: "2q^3 + 4q + 2q^-1", "(1/2)s - √2"."""
-        pieces: list[str] = []
-        for e, z in self.terms():
-            scalar = str(z)
-            power = _spow_text(e)
-            if not power:
-                pieces.append(scalar)
-            elif scalar == "1":
-                pieces.append(power)
-            elif scalar == "-1":
-                pieces.append(f"-{power}")
+def _pmul(t: _Poly, u: _Poly) -> _Poly:
+    """t * u.  Each power's coefficient is summed as an unreduced integer
+    triple (a, b, d) and reduced once; a sum that cancels leaves the dict and
+    a later term puts it back at the end, which fixes the term order."""
+    acc: dict[int, tuple[int, int, int]] = {}
+    get = acc.get
+    for e1, c1 in t.items():
+        a1, b1, d1 = c1.a, c1.b, c1.d
+        for e2, c2 in u.items():
+            a2, b2 = c2.a, c2.b
+            if b1 or b2:
+                a = a1 * a2 + 2 * b1 * b2
+                b = a1 * b2 + b1 * a2
             else:
-                pieces.append(f"{_grouped(scalar)}{power}")
-        return join_signed(pieces) if pieces else "0"
+                a, b = a1 * a2, 0
+            d = d1 * c2.d
+            e = e1 + e2
+            prev = get(e)
+            if prev is not None:
+                pa, pb, pd = prev
+                if pd == d:
+                    a += pa
+                    b += pb
+                else:
+                    g = gcd(pd, d)
+                    a = a * (pd // g) + pa * (d // g)
+                    b = b * (pd // g) + pb * (d // g)
+                    d = d // g * pd
+                if not (a or b):
+                    del acc[e]
+                    continue
+            acc[e] = (a, b, d)
+    return {e: _from_triple(a, b, d) for e, (a, b, d) in acc.items()}
 
-    def __repr__(self) -> str:
-        return f"QCoeff({self})"
+
+def _pstr(t: _Poly) -> str:
+    """Terms in descending powers; even powers of s print as powers
+    of q = s^2: "2q^3 + 4q + 2q^-1", "(1/2)s - √2"."""
+    pieces: list[str] = []
+    for e, z in sorted(t.items(), key=lambda p: -p[0]):
+        scalar = str(z)
+        power = _spow_text(e)
+        if not power:
+            pieces.append(scalar)
+        elif scalar == "1":
+            pieces.append(power)
+        elif scalar == "-1":
+            pieces.append(f"-{power}")
+        else:
+            pieces.append(f"{_grouped(scalar)}{power}")
+    return join_signed(pieces) if pieces else "0"
 
 
-# the two canonical denominator binomials
-DPLUS = QCoeff({1: Q2(1), -1: Q2(1)})    # s + s^-1
-DMINUS = QCoeff({1: Q2(1), -1: Q2(-1)})  # s - s^-1
-Q_MINUS_QINV = DPLUS * DMINUS            # q - q^-1 = s^2 - s^-2
+def _rescale(t: _Poly, dp: int, dm: int) -> _Poly:
+    """t * Dp^dp * Dm^dm, multiplying only by a factor that is not 1.
 
-
-@lru_cache(maxsize=None)
-def _den_pow(dp: int, dm: int) -> QCoeff:
-    """Dp^dp * Dm^dm, shared by every addition that rescales a numerator
-    (callers never mutate a QCoeff, so the cached value stays exact)."""
-    return DPLUS ** dp * DMINUS ** dm
-
-
-def _rescale(num: QCoeff, dp: int, dm: int) -> QCoeff:
-    """num * Dp^dp * Dm^dm, multiplying only by a factor that is not 1.
-
-    The two factors are applied one after the other, as num * Dp^dp * Dm^dm
+    The two factors are applied one after the other, as t * Dp^dp * Dm^dm
     associates: the product's terms then come out in the same order, which
     keeps every float sum over them (`eval_root`) the same to the last bit.
     """
     if dp:
-        num = num * _den_pow(dp, 0)
+        t = _pmul(t, _den_pow(dp, 0)._t)
     if dm:
-        num = num * _den_pow(0, dm)
-    return num
+        t = _pmul(t, _den_pow(0, dm)._t)
+    return t
 
 
-def _cancel_binomials(num: QCoeff, dp: int, dm: int) -> tuple[QCoeff, int, int]:
-    """Divide num by Dp while it is divisible and dp > 0, then by Dm.
+def _cancel_binomials(t: _Poly, dp: int, dm: int) -> tuple[_Poly, int, int]:
+    """Divide t by Dp while it is divisible and dp > 0, then by Dm.
 
-    With x = s and num = s^mn P(x), Dp = s^-1 (x^2 + 1) and
+    With x = s and t = s^mn P(x), Dp = s^-1 (x^2 + 1) and
     Dm = s^-1 (x^2 - 1).  Both are irreducible over Q(sqrt 2), so x^2 + 1
     divides P iff P(i) = 0, and x^2 - 1 divides P iff P(1) = P(-1) = 0.
     P is kept as two integer lists, the a and b parts of its coefficients
@@ -340,7 +176,6 @@ def _cancel_binomials(num: QCoeff, dp: int, dm: int) -> tuple[QCoeff, int, int]:
     division by x^2 + sign is synthetic, and the quotient's terms come out in
     ascending powers.
     """
-    t = num._t
     mn = min(t)
     L = 1
     for c in t.values():
@@ -352,17 +187,16 @@ def _cancel_binomials(num: QCoeff, dp: int, dm: int) -> tuple[QCoeff, int, int]:
         f = L // c.d
         A[e - mn] = c.a * f
         B[e - mn] = c.b * f
-    # num = s^shift P(s); dividing by s^-1 (s^2 +- 1) raises the shift by 1
+    # t = s^shift P(s); dividing by s^-1 (s^2 +- 1) raises the shift by 1
     shift = mn
     while dp and _divides(A, 1) and _divides(B, 1):
         A, B, dp, shift = _divide(A, 1), _divide(B, 1), dp - 1, shift + 1
     while dm and _divides(A, -1) and _divides(B, -1):
         A, B, dm, shift = _divide(A, -1), _divide(B, -1), dm - 1, shift + 1
     if shift != mn:
-        num = QCoeff.__new__(QCoeff)
-        num._t = {i + shift: _from_triple(a, b, L)
-                  for i, (a, b) in enumerate(zip(A, B)) if a or b}
-    return num, dp, dm
+        t = {i + shift: _from_triple(a, b, L)
+             for i, (a, b) in enumerate(zip(A, B)) if a or b}
+    return t, dp, dm
 
 
 def _divides(P: list[int], sign: int) -> bool:
@@ -383,65 +217,112 @@ def _divide(P: list[int], sign: int) -> list[int]:
     return Q
 
 
-class QFrac:
-    """A QCoeff divided by the canonical denominator Dp^dp * Dm^dm.
+def _frac(t: _Poly, dp: int = 0, dm: int = 0) -> "QFrac":
+    """The reduced t / (Dp^dp * Dm^dm), for a numerator with no zero terms."""
+    out = QFrac.__new__(QFrac)
+    if not t:
+        dp = dm = 0
+    elif dp or dm:
+        t, dp, dm = _cancel_binomials(t, dp, dm)
+    out._t, out.dp, out.dm = t, dp, dm
+    return out
 
-    Instances are reduced on construction; equality is then structural
-    because Dp and Dm are coprime non-units of the Laurent ring.
+
+# ------------------------------------------------------------------ fractions
+
+
+class QFrac:
+    """A Laurent numerator over Q(sqrt 2) divided by Dp^dp * Dm^dm.
+
+    `QFrac(num, dp, dm)` is num / (Dp^dp * Dm^dm), where num is a QFrac (its
+    own denominator adds), a {power of s: Q2} dict or a scalar.  Instances
+    are reduced on construction; equality is then structural because Dp and
+    Dm are coprime non-units of the Laurent ring.
     """
 
-    __slots__ = ("num", "dp", "dm")
+    __slots__ = ("_t", "dp", "dm")
 
-    def __init__(self, num: QCoeff | ScalarLike, dp: int = 0, dm: int = 0) -> None:
-        if not isinstance(num, QCoeff):
-            num = QCoeff.from_scalar(num)
+    def __init__(self, num: "QFrac | _Poly | ScalarLike", dp: int = 0, dm: int = 0) -> None:
         if dp < 0 or dm < 0:
             raise ValueError("denominator exponents must be nonnegative")
-        if num.is_zero():
-            num, dp, dm = QCoeff.zero(), 0, 0
+        if isinstance(num, QFrac):
+            t, dp, dm = num._t, dp + num.dp, dm + num.dm
+        elif isinstance(num, dict):
+            t = {e: c for e, c in num.items() if c}
+        else:
+            c = _as_q2(num)
+            if c is None:
+                raise TypeError(f"cannot build QFrac from {type(num).__name__}")
+            t = {0: c} if c else {}
+        if not t:
+            dp = dm = 0
         elif dp or dm:
-            num, dp, dm = _cancel_binomials(num, dp, dm)
-        self.num = num
-        self.dp = dp
-        self.dm = dm
+            t, dp, dm = _cancel_binomials(t, dp, dm)
+        self._t, self.dp, self.dm = t, dp, dm
 
     # -- constructors -----------------------------------------------------
 
     @classmethod
     def zero(cls) -> "QFrac":
-        return cls(QCoeff.zero())
+        return _frac({})
 
     @classmethod
     def one(cls) -> "QFrac":
-        return cls(QCoeff.one())
+        return _frac({0: Q2(1)})
+
+    @classmethod
+    def s_pow(cls, e: int, coeff: ScalarLike = 1) -> "QFrac":
+        """The monomial coeff * s^e."""
+        c = _as_q2(coeff)
+        if c is None:
+            raise TypeError("coefficient must be rational or Q2")
+        return _frac({e: c} if c else {})
 
     @staticmethod
     def _coerce(x: object) -> "QFrac | None":
         if isinstance(x, QFrac):
             return x
-        if isinstance(x, QCoeff):
-            return QFrac(x)
         c = _as_q2(x)
         if c is not None:
-            return QFrac(QCoeff({0: c}))
+            return _frac({0: c} if c else {})
         return None
+
+    # -- the numerator ----------------------------------------------------
+
+    @property
+    def num(self) -> "QFrac":
+        """The numerator, as a Laurent polynomial."""
+        return _frac(self._t) if self.dp or self.dm else self
+
+    def terms(self) -> list[tuple[int, Q2]]:
+        """The numerator's (exponent, coefficient) pairs by descending exponent."""
+        return sorted(self._t.items(), key=lambda p: -p[0])
+
+    def min_exp(self) -> int:
+        return min(self._t)
+
+    def max_exp(self) -> int:
+        return max(self._t)
+
+    def coeff(self, e: int) -> Q2:
+        return self._t.get(e, Q2(0))
 
     # -- predicates -------------------------------------------------------
 
     def is_zero(self) -> bool:
-        return self.num.is_zero()
+        return not self._t
 
     def __bool__(self) -> bool:
-        return bool(self.num)
+        return bool(self._t)
 
     def __eq__(self, other: object) -> bool:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return self.num == o.num and self.dp == o.dp and self.dm == o.dm
+        return self._t == o._t and self.dp == o.dp and self.dm == o.dm
 
     def __hash__(self) -> int:
-        return hash((self.num, self.dp, self.dm))
+        return hash((frozenset(self._t.items()), self.dp, self.dm))
 
     # -- arithmetic ---------------------------------------------------------
 
@@ -451,16 +332,14 @@ class QFrac:
             return NotImplemented
         dp = max(self.dp, o.dp)
         dm = max(self.dm, o.dm)
-        return QFrac(_rescale(self.num, dp - self.dp, dm - self.dm)
-                     + _rescale(o.num, dp - o.dp, dm - o.dm), dp, dm)
+        return _frac(_padd(_rescale(self._t, dp - self.dp, dm - self.dm),
+                           _rescale(o._t, dp - o.dp, dm - o.dm)), dp, dm)
 
     __radd__ = __add__
 
     def __neg__(self) -> "QFrac":
         out = QFrac.__new__(QFrac)
-        out.num, out.dp, out.dm = -self.num, self.dp, self.dm
-        if out.num.is_zero():
-            out.dp = out.dm = 0
+        out._t, out.dp, out.dm = {e: -c for e, c in self._t.items()}, self.dp, self.dm
         return out
 
     def __sub__(self, other: object) -> "QFrac":
@@ -479,7 +358,7 @@ class QFrac:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return QFrac(self.num * o.num, self.dp + o.dp, self.dm + o.dm)
+        return _frac(_pmul(self._t, o._t), self.dp + o.dp, self.dm + o.dm)
 
     __rmul__ = __mul__
 
@@ -487,44 +366,50 @@ class QFrac:
         if not isinstance(n, int) or n < 0:
             return NotImplemented
         out = QFrac.one()
-        for _ in range(n):
-            out = out * self
+        base = self
+        while n:
+            if n & 1:
+                out = out * base
+            n >>= 1
+            if n:
+                base = base * base
         return out
 
     def mul_s_pow(self, e: int) -> "QFrac":
         """self * s^e, by moving the numerator's exponents.
 
-        s is a unit, so the reduced (num, dp, dm) form stays reduced: this is
-        `self * QFrac(QCoeff.s_pow(e))` term for term and in the same order,
-        without a product or a reduction pass.
+        s is a unit, so the reduced form stays reduced: this is
+        `self * QFrac.s_pow(e)` term for term and in the same order, without
+        a product or a reduction pass.
         """
         if not e:
             return self
-        num = QCoeff.__new__(QCoeff)
-        num._t = {k + e: c for k, c in self.num._t.items()}
         out = QFrac.__new__(QFrac)
-        out.num, out.dp, out.dm = num, self.dp, self.dm
+        out._t, out.dp, out.dm = {k + e: c for k, c in self._t.items()}, self.dp, self.dm
         return out
 
     # -- involutions and evaluation ------------------------------------
 
     def conjugate(self) -> "QFrac":
-        """Bar involution s -> s^-1.
+        """Bar involution s -> s^-1 (coefficients in Q(sqrt 2) are real).
 
         Dp is invariant while Dm flips sign, so the conjugate picks up
         (-1)^dm on the numerator; reduction state is unchanged.
         """
-        out = QFrac.__new__(QFrac)
-        n = self.num.conjugate()
+        t = {-e: c for e, c in self._t.items()}
         if self.dm % 2:
-            n = -n
-        out.num, out.dp, out.dm = n, self.dp, self.dm
+            t = {e: -c for e, c in t.items()}
+        out = QFrac.__new__(QFrac)
+        out._t, out.dp, out.dm = t, self.dp, self.dm
         return out
 
     def eval_root(self, k: int) -> complex:
+        """Numerical value at s = exp(i*pi/(2k)), i.e. q = exp(i*pi/k)."""
         if k < 1:
             raise ValueError("k must be a positive integer")
-        z = self.num.eval_root(k)
+        z = 0j
+        for e, c in self._t.items():
+            z += float(c) * cmath.exp(1j * cmath.pi * e / (2 * k))
         s = cmath.exp(1j * cmath.pi / (2 * k))
         den = (s + 1 / s) ** self.dp * (s - 1 / s) ** self.dm
         return z / den
@@ -536,11 +421,16 @@ class QFrac:
             return Q2(0)
         if self.dm > 0:
             raise ValueError("pole at s = 1 (Dm factor in denominator)")
-        v = self.num.eval_one()
+        v = Q2(0)
+        for c in self._t.values():
+            v = v + c
         return _from_triple(v.a, v.b, v.d << self.dp)
 
     def eval_scalar(self, s_val: complex) -> complex:
-        z = self.num.eval_scalar(s_val)
+        """Numerical value at an arbitrary nonzero s."""
+        z = 0j
+        for e, c in self._t.items():
+            z += float(c) * s_val**e
         den = (s_val + 1 / s_val) ** self.dp * (s_val - 1 / s_val) ** self.dm
         return z / den
 
@@ -551,10 +441,10 @@ class QFrac:
         with several terms is parenthesized, as is the whole fraction, and
         so is a lone scalar with an inner sign or a fraction bar:
         "((1+√2)/(s+s^-1))", "((1/2)/(s+s^-1))"."""
-        num = str(self.num)
-        if len(self.num._t) > 1:
+        num = _pstr(self._t)
+        if len(self._t) > 1:
             num = f"({num})"
-        elif (self.dp or self.dm) and 0 in self.num._t:
+        elif (self.dp or self.dm) and 0 in self._t:
             num = _grouped(num)
         dens = []
         if self.dp:
@@ -570,12 +460,22 @@ class QFrac:
         return f"QFrac({self})"
 
 
-# frequently used constants
-C_WEYL = QFrac(QCoeff.from_scalar(2), 1, 0)          # c = 2/(s+s^-1)
-INV_QMQI = QFrac(QCoeff.one(), 1, 1)                 # 1/(q - q^-1)
+# the two canonical denominator binomials, and frequently used constants
+DPLUS = _frac({1: Q2(1), -1: Q2(1)})     # s + s^-1
+DMINUS = _frac({1: Q2(1), -1: Q2(-1)})   # s - s^-1
+Q_MINUS_QINV = DPLUS * DMINUS            # q - q^-1 = s^2 - s^-2
+C_WEYL = QFrac(2, 1, 0)                  # c = 2/(s+s^-1)
+INV_QMQI = QFrac(1, 1, 1)                # 1/(q - q^-1)
 
 
-def q_int(m: int) -> QCoeff:
+@lru_cache(maxsize=None)
+def _den_pow(dp: int, dm: int) -> QFrac:
+    """Dp^dp * Dm^dm, shared by every addition that rescales a numerator
+    (callers never mutate a QFrac, so the cached value stays exact)."""
+    return DPLUS ** dp * DMINUS ** dm
+
+
+def q_int(m: int) -> QFrac:
     """The symmetric q-integer [m] = (q^m - q^-m)/(q - q^-1).
 
     Laurent-polynomial form: q^(m-1) + q^(m-3) + ... + q^(1-m); [0] = 0 and
@@ -583,15 +483,14 @@ def q_int(m: int) -> QCoeff:
     """
     if m < 0:
         return -q_int(-m)
-    t = {2 * (m - 1 - 2 * j): Q2(1) for j in range(m)}
-    return QCoeff(t)
+    return _frac({2 * (m - 1 - 2 * j): Q2(1) for j in range(m)})
 
 
-def q_factorial(m: int) -> QCoeff:
+def q_factorial(m: int) -> QFrac:
     """[m]! = [1][2]...[m]; [0]! = 1."""
     if m < 0:
         raise ValueError("q-factorial needs m >= 0")
-    out = QCoeff.one()
+    out = QFrac.one()
     for t in range(2, m + 1):
         out = out * q_int(t)
     return out
@@ -608,7 +507,7 @@ def fock_norm_factor(m: int) -> QFrac:
     """
     if m < 0:
         raise ValueError("level must be nonnegative")
-    return QFrac(QCoeff.from_scalar(2 ** m) * q_factorial(m), m, 0)
+    return QFrac(QFrac(2 ** m) * q_factorial(m), m, 0)
 
 
 def fock_norm_factors(levels: int) -> list[QFrac]:
@@ -619,17 +518,17 @@ def fock_norm_factors(levels: int) -> list[QFrac]:
     q-integer product per level instead of m.
     """
     out: list[QFrac] = []
-    fact = QCoeff.one()
+    fact = QFrac.one()
     for m in range(levels):
         if m > 1:
             fact = fact * q_int(m)
-        out.append(QFrac(QCoeff.from_scalar(2 ** m) * fact, m, 0))
+        out.append(QFrac(QFrac(2 ** m) * fact, m, 0))
     return out
 
 
-def eval_root(x: QCoeff | QFrac | ScalarLike, k: int) -> complex:
+def eval_root(x: QFrac | ScalarLike, k: int) -> complex:
     """Evaluate any coefficient-like object at q = exp(i*pi/k)."""
-    if isinstance(x, (QCoeff, QFrac)):
+    if isinstance(x, QFrac):
         return x.eval_root(k)
     c = _as_q2(x)
     if c is None:

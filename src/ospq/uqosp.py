@@ -49,7 +49,7 @@ from .ospclassic import (
     parabose_set,
     pbose_residual,
 )
-from .qcoeff import INV_QMQI, Q_MINUS_QINV, QCoeff, QFrac
+from .qcoeff import INV_QMQI, Q_MINUS_QINV, QFrac
 from .report import CheckResult, residual_row
 from .scalars import Q2
 from .walgebra import (
@@ -130,22 +130,17 @@ class AntiComm(GenExpr):
 ONE_EXPR = Product(())
 ZERO_EXPR = Sum(())
 
-_SQRT2_Q = QFrac(QCoeff.from_scalar(Q2(0, 1)))
-_INV_SQRT2_Q = QFrac(QCoeff.from_scalar(Q2(0, Fraction(1, 2))))
-_HALF_Q = QFrac(QCoeff.from_scalar(Fraction(1, 2)))
-_QMQI = QFrac(Q_MINUS_QINV)
+_SQRT2_Q = QFrac(Q2(0, 1))
+_INV_SQRT2_Q = QFrac(Q2(0, Fraction(1, 2)))
+_HALF_Q = QFrac(Fraction(1, 2))
 
 
 def _as_weight(c) -> QFrac:
-    if isinstance(c, QFrac):
-        return c
-    if isinstance(c, QCoeff):
-        return QFrac(c)
-    return QFrac(QCoeff.from_scalar(c))
+    return c if isinstance(c, QFrac) else QFrac(c)
 
 
 def _spow(e: int) -> QFrac:
-    return QFrac(QCoeff.s_pow(e))
+    return QFrac.s_pow(e)
 
 
 def scaled(c, x: GenExpr) -> GenExpr:
@@ -256,11 +251,11 @@ def build_chevalley_from_pre(n: int, i: int) -> tuple[GenExpr, GenExpr]:
             scaled(_INV_SQRT2_Q, gen_A(n, +1)),
         )
     e_expr = scaled(
-        QFrac(QCoeff.s_pow(2, Fraction(-1, 2))),
+        QFrac.s_pow(2, Fraction(-1, 2)),
         prod(AntiComm(gen_A(i, -1), gen_A(i + 1, +1)), gen_L(i + 1, -1)),
     )
     f_expr = scaled(
-        QFrac(QCoeff.s_pow(-2, Fraction(-1, 2))),
+        QFrac.s_pow(-2, Fraction(-1, 2)),
         prod(gen_L(i + 1), AntiComm(gen_A(i, +1), gen_A(i + 1, -1))),
     )
     return e_expr, f_expr
@@ -436,8 +431,8 @@ def _serre_instances(n: int) -> list[RelationInstance]:
     """Both Serre families: every SERRE_E instance, then every SERRE_F one."""
     out: list[RelationInstance] = []
     one = _as_weight(1)
-    q_plus_qinv = QFrac(QCoeff({2: Q2(1), -2: Q2(1)}))
-    c4 = QFrac(QCoeff({0: Q2(1), 2: Q2(-1), -2: Q2(-1)}))  # 1 - q - q^-1
+    q_plus_qinv = QFrac({2: Q2(1), -2: Q2(1)})
+    c4 = QFrac({0: Q2(1), 2: Q2(-1), -2: Q2(-1)})  # 1 - q - q^-1
     for family, g in (("SERRE_E", gen_e), ("SERRE_F", gen_f)):
         for i in range(1, n + 1):
             for j in range(i + 2, n + 1):
@@ -589,7 +584,7 @@ def _t_instances(n: int) -> list[RelationInstance]:
                     if t:
                         terms.append(
                             (
-                                -t * _QMQI,
+                                -t * Q_MINUS_QINV,
                                 prod(
                                     AntiComm(gen_A(i, -xi), gen_A(k, xi)),
                                     gen_A(j, xi),
@@ -616,7 +611,7 @@ def _t_instances(n: int) -> list[RelationInstance]:
                     if t:
                         terms.append(
                             (
-                                t * _QMQI,
+                                t * Q_MINUS_QINV,
                                 prod(
                                     AntiComm(gen_A(i, xi), gen_A(k, -xi)),
                                     gen_A(j, xi),
@@ -627,7 +622,7 @@ def _t_instances(n: int) -> list[RelationInstance]:
                     if t:
                         terms.append(
                             (
-                                t * _QMQI,
+                                t * Q_MINUS_QINV,
                                 prod(
                                     AntiComm(gen_A(j, xi), gen_A(k, -xi)),
                                     gen_A(i, xi),
@@ -665,7 +660,7 @@ def _t_instances(n: int) -> list[RelationInstance]:
                     terms = []
                     if xi == eta and tau(k, i):
                         coeff = QFrac(
-                            QCoeff({2 * tau(k, i): Q2(2), 0: Q2(-2)})
+                            {2 * tau(k, i): Q2(2), 0: Q2(-2)}
                         )  # 2 (q^{tau_ki} - 1)
                         terms.append(
                             (
@@ -681,12 +676,12 @@ def _t_instances(n: int) -> list[RelationInstance]:
                         w_minus = (
                             base
                             * INV_QMQI
-                            * QFrac(QCoeff({2 * xi: Q2(1), 0: Q2(-1)}))
+                            * QFrac({2 * xi: Q2(1), 0: Q2(-1)})
                         )  # (q^xi - 1)
                         w_plus = (
                             base
                             * INV_QMQI
-                            * QFrac(QCoeff({0: Q2(1), -2 * xi: Q2(-1)}))
+                            * QFrac({0: Q2(1), -2 * xi: Q2(-1)})
                         )  # (1 - q^-xi)
                         terms.append(
                             (w_minus, prod(gen_A(i, xi), gen_L(i, -1)))
@@ -758,7 +753,7 @@ def _g_instances(n: int) -> list[RelationInstance]:
             if theta(j, k, i, l):
                 terms.append(
                     (
-                        _QMQI,
+                        Q_MINUS_QINV,
                         prod(
                             build_gl_generator(n, k, j),
                             build_gl_generator(n, i, l),
@@ -779,7 +774,7 @@ def _g_instances(n: int) -> list[RelationInstance]:
             if theta(k, j, l, i):
                 terms.append(
                     (
-                        -_QMQI,
+                        -Q_MINUS_QINV,
                         prod(
                             *head2,
                             build_gl_generator(n, i, l),
@@ -832,7 +827,7 @@ def _g_instances(n: int) -> list[RelationInstance]:
                 if t:
                     terms.append(
                         (
-                            t * _QMQI,
+                            t * Q_MINUS_QINV,
                             prod(
                                 build_gl_generator(n, k, j),
                                 build_gl_generator(n, i, l),

@@ -47,7 +47,6 @@ from typing import Iterable, NamedTuple, Sequence, Union
 from .qcoeff import (
     C_WEYL,
     INV_QMQI,
-    QCoeff,
     QFrac,
     fock_norm_factor,
     join_signed,
@@ -220,8 +219,8 @@ _Term = tuple[int, QFrac | None, WeylMonomial]
 @lru_cache(maxsize=None)
 def _dissolve_factors(dj: int, rules: Rules) -> tuple[QFrac, QFrac]:
     """(q^d S, c [d] - q^d S) with d = dj: the constants of (a_j^-)^d a_j^+."""
-    up = QFrac(QCoeff.s_pow(2 * dj)) * _CONTRACT_SCALE
-    return up, rules.s1_kappa * QFrac(q_int(dj)) - up
+    up = QFrac.s_pow(2 * dj) * _CONTRACT_SCALE
+    return up, rules.s1_kappa * q_int(dj) - up
 
 
 def _append_kappa(m: WeylMonomial, j: int, e: int) -> list[_Term]:
@@ -351,7 +350,7 @@ class _Combination:
     def __neg__(self):
         return type(self)(self.n, {m: -c for m, c in self._terms.items()})
 
-    def scale(self, c: QFrac | QCoeff | int):
+    def scale(self, c: QFrac | int):
         cc = QFrac._coerce(c)
         if cc is None:
             raise TypeError(f"cannot scale by {type(c).__name__}")
@@ -612,7 +611,7 @@ def _reduce_word(word: tuple[Letter, ...], n: int, strategy: str, rules: Rules,
     n_plus = sum(1 for kind, _, _ in word if kind == AP)
     out: dict[WeylMonomial, QFrac] = {}
     for m, counts in collected.items():
-        c = QFrac(QCoeff({se: Q2(k) for se, k in counts.items()}))
+        c = QFrac({se: Q2(k) for se, k in counts.items()})
         t = n_plus - sum(m.plus)
         if t:
             c = c * _contraction_power(rules, t)
@@ -651,15 +650,16 @@ def _collect_prenormal(word: tuple[Letter, ...], n: int) -> WeylMonomial:
 WordLike = Union[str, Sequence[Letter], WeylElement]
 
 
-def normal_order(word: WordLike, n: int | None = None, *,
+def normal_order(word: WordLike, n: int | None = None, *, contract: bool,
                  strategy: str = "leftmost", rules: Rules = DEFAULT_RULES,
-                 contract: bool = True, check_measure: bool = False) -> WeylElement:
+                 check_measure: bool = False) -> WeylElement:
     """Normal-order a word (or re-normalize an element).
 
     With contract=False the result is the pre-normal form produced by the
-    local exchange rules alone (a_i^+ a_i^- left untouched); the default
+    local exchange rules alone (a_i^+ a_i^- left untouched); contract=True
     applies the contraction identity afterwards, landing in the canonical
-    min(p_i, d_i) = 0 basis used by `mul`.
+    min(p_i, d_i) = 0 basis used by `mul`.  Callers choose: `ospq
+    normal-order` leaves the pairs unless given --contract.
     """
     # (scale, word) pairs; a bare word has no scale to multiply in
     items: list[tuple[QFrac | None, tuple[Letter, ...]]]
@@ -790,15 +790,15 @@ def _apply_letter_fock(letter: Letter, v: FockVector, k: int | None) -> FockVect
         if kind == AP:
             if k is not None and m[j] >= k - 1:
                 continue  # truncated: raising out of the top level kills the state
-            coeff = QFrac(QCoeff.s_pow(-2 * sum(m[:j])))
+            coeff = QFrac.s_pow(-2 * sum(m[:j]))
             m2 = m[:j] + (m[j] + 1,) + m[j + 1:]
         elif kind == AM:
             if m[j] == 0:
                 continue
-            coeff = QFrac(QCoeff.s_pow(2 * sum(m[:j]))) * C_WEYL * QFrac(q_int(m[j]))
+            coeff = QFrac.s_pow(2 * sum(m[:j])) * C_WEYL * q_int(m[j])
             m2 = m[:j] + (m[j] - 1,) + m[j + 1:]
         else:
-            coeff = QFrac(QCoeff.s_pow(2 * e * m[j]))
+            coeff = QFrac.s_pow(2 * e * m[j])
             m2 = m
         _add_into(out, m2, c * coeff)
     return FockVector(v.n, out)

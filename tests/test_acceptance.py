@@ -135,14 +135,14 @@ def test_criterion_7_rewriting_robustness():
     for _ in range(10_000):
         n = rng.randint(1, 3)
         w = rand_word(rng, n)
-        left = normal_order(w, n=n, strategy="leftmost")
-        right = normal_order(w, n=n, strategy="rightmost")
+        left = normal_order(w, n=n, strategy="leftmost", contract=True)
+        right = normal_order(w, n=n, strategy="rightmost", contract=True)
         assert left == right  # exact coefficient equality
     for _ in range(1_000):
         n = rng.randint(1, 3)
-        x = normal_order(rand_word(rng, n, 5), n=n)
-        y = normal_order(rand_word(rng, n, 5), n=n)
-        z = normal_order(rand_word(rng, n, 5), n=n)
+        x = normal_order(rand_word(rng, n, 5), n=n, contract=True)
+        y = normal_order(rand_word(rng, n, 5), n=n, contract=True)
+        z = normal_order(rand_word(rng, n, 5), n=n, contract=True)
         assert mul(mul(x, y), z) == mul(x, mul(y, z))
     elapsed = time.time() - t0
     assert elapsed < 30.0, f"robustness battery took {elapsed:.1f}s"

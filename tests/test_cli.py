@@ -6,6 +6,7 @@ import json
 import shlex
 import subprocess
 import sys
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -43,7 +44,7 @@ def test_normal_order_contracted_form(capsys):
     # the two printed forms denote the same element: re-reducing the
     # uncontracted form lands on the contracted one
     uncontracted = normal_order("a1- a1+", contract=False)
-    assert normal_order(uncontracted) == normal_order("a1- a1+")
+    assert normal_order(uncontracted, contract=True) == normal_order("a1- a1+", contract=True)
 
 
 def test_normal_order_parse_error(capsys):
@@ -62,6 +63,18 @@ def test_normal_order_letter_budget(capsys):
     assert code == 2
     assert out == ""
     assert err == "error: word has 19 letters; normal-order takes at most 18\n"
+
+
+def test_normal_order_mode_bound(capsys):
+    # every monomial is an n-tuple: the mode count has the letter budget too
+    for argv in (["a19+"], ["a1+", "--n", "19"], ["a1000000000+"]):
+        start = time.perf_counter()
+        code, out, err = run_main(capsys, "normal-order", *argv)
+        assert time.perf_counter() - start < 1.0, argv
+        assert code == 2 and out == "", argv
+        assert "modes; normal-order takes at most 18" in err
+    assert run_main(capsys, "normal-order", "a18+") == (0, "a18+\n", "")
+    assert run_main(capsys, "normal-order", "a1+", "--n", "18") == (0, "a1+\n", "")
 
 
 def test_render_scalar_marker():
@@ -86,7 +99,7 @@ def test_render_element_zero_and_identity():
 
     assert render_element(WeylElement.zero(1)) == "0"
     assert render_element(WeylElement.one(1)) == "1"
-    assert render_element(normal_order("a1+ a1+")) == "a1+ a1+"
+    assert render_element(normal_order("a1+ a1+", contract=True)) == "a1+ a1+"
 
 
 def test_verify_empty_family_range(capsys):
@@ -226,9 +239,23 @@ def test_rep_bounds_are_fixed(capsys):
         assert exc.value.code == 2
 
 
+def _assert_guarded(capsys, command: str, n: int, k: int) -> None:
+    start = time.perf_counter()
+    code, out, err = run_main(capsys, command, "--n", str(n), "--k", str(k))
+    assert time.perf_counter() - start < 1.0, (command, n, k)
+    assert code == 2 and out == "" and "guard" in err, (command, n, k)
+
+
+# shapes whose k^n has more digits than int -> str converts, and one whose
+# k^n would take a 1.6-billion-bit integer to build
+_HUGE_SHAPES = ((20000, 2), (5000, 10), (10**6, 2), (10**9, 3))
+
+
 def test_rep_size_guard(capsys):
     code, _, err = run_main(capsys, "rep", "--n", "4", "--k", "20")
     assert code == 2 and "guard" in err
+    for n, k in _HUGE_SHAPES:
+        _assert_guarded(capsys, "rep", n, k)
     assert run_main(capsys, "rep", "--n", "1", "--k", "1")[0] == 2
     assert run_main(capsys, "rep", "--n", "0", "--k", "2")[0] == 2
 
@@ -308,6 +335,8 @@ def test_decompose_out_keeps_stdout(tmp_path, capsys):
 
 def test_decompose_guard(capsys):
     assert run_main(capsys, "decompose", "--n", "4", "--k", "20")[0] == 2
+    for n, k in _HUGE_SHAPES:
+        _assert_guarded(capsys, "decompose", n, k)
 
 
 def test_module_entry_point():

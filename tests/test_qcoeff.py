@@ -1,6 +1,8 @@
-"""Tests for the exact coefficient layer: Q(sqrt 2), Laurent ring, fractions."""
+"""Tests for the exact coefficient layer: Q(sqrt 2), Laurent polynomials and
+fractions, one QFrac type."""
 from __future__ import annotations
 
+import hashlib
 import math
 import random
 from fractions import Fraction
@@ -13,7 +15,6 @@ from ospq.qcoeff import (
     DMINUS,
     DPLUS,
     INV_QMQI,
-    QCoeff,
     QFrac,
     Q_MINUS_QINV,
     _den_pow,
@@ -23,6 +24,8 @@ from ospq.qcoeff import (
     q_factorial,
     q_int,
 )
+from ospq.uqosp import catalog, realize
+from ospq.walgebra import DEFAULT_RULES, Rules, normal_order
 
 
 # ---------------------------------------------------------------- Q(sqrt 2)
@@ -59,9 +62,9 @@ def test_q2_field_random():
 
 def test_q_int_small_values():
     assert q_int(0).is_zero()
-    assert q_int(1) == QCoeff.one()
-    assert q_int(2) == QCoeff({2: Q2(1), -2: Q2(1)})          # q + q^-1
-    assert q_int(3) == QCoeff({4: Q2(1), 0: Q2(1), -4: Q2(1)})
+    assert q_int(1) == QFrac.one()
+    assert q_int(2) == QFrac({2: Q2(1), -2: Q2(1)})          # q + q^-1
+    assert q_int(3) == QFrac({4: Q2(1), 0: Q2(1), -4: Q2(1)})
     assert q_int(-3) == -q_int(3)
 
 
@@ -69,7 +72,7 @@ def test_q_int_defining_identity():
     # [m] * (q - q^-1) == q^m - q^-m, exactly
     for m in range(13):
         lhs = q_int(m) * Q_MINUS_QINV
-        rhs = QCoeff({2 * m: Q2(1)}) - QCoeff({-2 * m: Q2(1)})
+        rhs = QFrac({2 * m: Q2(1)}) - QFrac({-2 * m: Q2(1)})
         assert lhs == rhs
 
 
@@ -96,28 +99,28 @@ def test_golden_ratio_values():
 
 # ------------------------------------------------------------ Laurent ring
 
-def _random_qcoeff(rng: random.Random, size: int = 4) -> QCoeff:
+def _random_laurent(rng: random.Random, size: int = 4) -> QFrac:
     t = {}
     for _ in range(rng.randint(0, size)):
         e = rng.randint(-6, 6)
         t[e] = Q2(Fraction(rng.randint(-4, 4), rng.randint(1, 3)),
                   Fraction(rng.randint(-4, 4), rng.randint(1, 3)))
-    return QCoeff(t)
+    return QFrac(t)
 
 
 def test_qcoeff_ring_axioms_random():
     rng = random.Random(20240)
     for _ in range(150):
-        a = _random_qcoeff(rng)
-        b = _random_qcoeff(rng)
-        c = _random_qcoeff(rng)
+        a = _random_laurent(rng)
+        b = _random_laurent(rng)
+        c = _random_laurent(rng)
         assert (a + b) + c == a + (b + c)
         assert a + b == b + a
         assert a * b == b * a
         assert (a * b) * c == a * (b * c)
         assert a * (b + c) == a * b + a * c
-        assert a - a == QCoeff.zero()
-        assert a * QCoeff.one() == a
+        assert a - a == QFrac.zero()
+        assert a * QFrac.one() == a
         # conjugation is an involutive ring automorphism
         assert a.conjugate().conjugate() == a
         assert (a * b).conjugate() == a.conjugate() * b.conjugate()
@@ -126,8 +129,8 @@ def test_qcoeff_ring_axioms_random():
 def test_qcoeff_eval_is_ring_hom():
     rng = random.Random(9)
     for _ in range(60):
-        a = _random_qcoeff(rng)
-        b = _random_qcoeff(rng)
+        a = _random_laurent(rng)
+        b = _random_laurent(rng)
         for k in (2, 5):
             assert abs(eval_root(a * b, k) - eval_root(a, k) * eval_root(b, k)) < 1e-10
             assert abs(eval_root(a + b, k) - (eval_root(a, k) + eval_root(b, k))) < 1e-10
@@ -136,7 +139,7 @@ def test_qcoeff_eval_is_ring_hom():
 # ------------------------------------------------------------- fractions
 
 def test_qfrac_reduction_cancels_denominators():
-    x = _random_qcoeff(random.Random(5), 3) + QCoeff.one()
+    x = _random_laurent(random.Random(5), 3) + QFrac.one()
     f = QFrac(x * DPLUS * DMINUS, 1, 1)
     assert f == QFrac(x)
     assert f.dp == 0 and f.dm == 0
@@ -151,9 +154,9 @@ def test_qfrac_reduction_cancels_denominators():
 def test_qfrac_field_like_identities():
     rng = random.Random(77)
     for _ in range(80):
-        a = QFrac(_random_qcoeff(rng), rng.randint(0, 2), rng.randint(0, 2))
-        b = QFrac(_random_qcoeff(rng), rng.randint(0, 2), rng.randint(0, 2))
-        c = QFrac(_random_qcoeff(rng), rng.randint(0, 2), rng.randint(0, 2))
+        a = QFrac(_random_laurent(rng), rng.randint(0, 2), rng.randint(0, 2))
+        b = QFrac(_random_laurent(rng), rng.randint(0, 2), rng.randint(0, 2))
+        c = QFrac(_random_laurent(rng), rng.randint(0, 2), rng.randint(0, 2))
         assert (a + b) * c == a * c + b * c
         assert a * b == b * a
         assert (a * b) * c == a * (b * c)
@@ -165,7 +168,7 @@ def test_qfrac_field_like_identities():
             assert abs((a * b).eval_root(k) - a.eval_root(k) * b.eval_root(k)) < 1e-9
 
 
-def _termwise_product(x: QCoeff, y: QCoeff) -> list:
+def _termwise_product(x: QFrac, y: QFrac) -> list:
     """x * y summed one Q2 product at a time into a dict, a cancelled power
     dropped and re-inserted at the end: the term order eval_root sums in."""
     t: dict = {}
@@ -181,7 +184,7 @@ def _termwise_product(x: QCoeff, y: QCoeff) -> list:
     return list(t.items())
 
 
-def _long_division(num: QCoeff, dp: int, dm: int) -> tuple[list, int, int]:
+def _long_division(num: QFrac, dp: int, dm: int) -> tuple[list, int, int]:
     """Cancel Dp, then Dm, by Q2 long division while the remainder is zero."""
     for den, left in ((DPLUS, dp), (DMINUS, dm)):
         while left and num:
@@ -195,7 +198,7 @@ def _long_division(num: QCoeff, dp: int, dm: int) -> tuple[list, int, int]:
                     R[i + j] = R[i + j] - Q[i] * D[j]
             if len(R) < 3 or any(R[:2]):
                 break
-            num = QCoeff({i + lo + 1: c for i, c in enumerate(Q) if c})
+            num = QFrac({i + lo + 1: c for i, c in enumerate(Q) if c})
             left -= 1
         dp, dm = (left, dm) if den is DPLUS else (dp, left)
     return list(num._t.items()), dp, dm
@@ -205,11 +208,11 @@ def test_integer_paths_keep_terms_and_order():
     rng = random.Random(77)
     for _ in range(400):
         # unit coefficients on few powers cancel and come back often
-        u, v = (QCoeff({rng.randint(-3, 3): Q2(rng.choice((1, -1)))
+        u, v = (QFrac({rng.randint(-3, 3): Q2(rng.choice((1, -1)))
                         for _ in range(rng.randint(1, 5))}) for _ in range(2))
         assert list((u * v)._t.items()) == _termwise_product(u, v)
-        x = _random_qcoeff(rng, 6)
-        y = _random_qcoeff(rng, 6)
+        x = _random_laurent(rng, 6)
+        y = _random_laurent(rng, 6)
         assert list((x * y)._t.items()) == _termwise_product(x, y)
         if not x:
             continue
@@ -225,13 +228,13 @@ def test_s_power_shift_matches_the_product():
     rng = random.Random(515)
     checked = 0
     for _ in range(300):
-        x = _random_qcoeff(rng, 6)
+        x = _random_laurent(rng, 6)
         f = QFrac(x, rng.randint(1, 4), rng.randint(1, 4))
         if not (f.dp and f.dm):
             continue
         e = rng.choice((rng.randrange(-9, 10, 2), rng.randint(-9, -1)))
         got = f.mul_s_pow(e)
-        want = f * QFrac(QCoeff.s_pow(e))
+        want = f * QFrac.s_pow(e)
         assert got == want
         assert (list(got.num._t.items()), got.dp, got.dm) == \
             (list(want.num._t.items()), want.dp, want.dm)
@@ -244,8 +247,8 @@ def test_qfrac_addition_rescales_to_common_denominator():
     rng = random.Random(404)
     checked = 0
     while checked < 150:
-        a = QFrac(_random_qcoeff(rng), rng.randint(0, 3), rng.randint(0, 3))
-        b = QFrac(_random_qcoeff(rng), rng.randint(0, 3), rng.randint(0, 3))
+        a = QFrac(_random_laurent(rng), rng.randint(0, 3), rng.randint(0, 3))
+        b = QFrac(_random_laurent(rng), rng.randint(0, 3), rng.randint(0, 3))
         if (a.dp, a.dm) == (b.dp, b.dm):
             continue
         dp, dm = max(a.dp, b.dp), max(a.dm, b.dm)
@@ -261,14 +264,14 @@ def test_qfrac_addition_rescales_to_common_denominator():
 
 
 def test_qfrac_str_groups_a_lone_signed_scalar():
-    assert str(QFrac(QCoeff({0: Q2(1, 1)}), 1, 0)) == "((1+√2)/(s+s^-1))"
-    assert str(QFrac(QCoeff({0: Q2(0, 1)}), 1, 0)) == "(√2/(s+s^-1))"
-    assert str(QFrac(QCoeff({0: Q2(-1, -1)}), 0, 1)) == "((-1-√2)/(s-s^-1))"
-    assert str(QFrac(QCoeff({0: Q2(-2)}), 1, 0)) == "(-2/(s+s^-1))"
+    assert str(QFrac({0: Q2(1, 1)}, 1, 0)) == "((1+√2)/(s+s^-1))"
+    assert str(QFrac({0: Q2(0, 1)}, 1, 0)) == "(√2/(s+s^-1))"
+    assert str(QFrac({0: Q2(-1, -1)}, 0, 1)) == "((-1-√2)/(s-s^-1))"
+    assert str(QFrac({0: Q2(-2)}, 1, 0)) == "(-2/(s+s^-1))"
     # a power already groups its scalar, and without a denominator the
     # scalar stands alone
-    assert str(QFrac(QCoeff({2: Q2(1, 1)}), 1, 0)) == "((1+√2)q/(s+s^-1))"
-    assert str(QFrac(QCoeff({0: Q2(1, 1)}))) == "1+√2"
+    assert str(QFrac({2: Q2(1, 1)}, 1, 0)) == "((1+√2)q/(s+s^-1))"
+    assert str(QFrac({0: Q2(1, 1)})) == "1+√2"
 
 
 def test_qfrac_conjugation_signs():
@@ -279,7 +282,7 @@ def test_qfrac_conjugation_signs():
 
 
 def test_qfrac_eval_one():
-    assert QFrac(QCoeff.from_scalar(2), 1, 0).eval_one() == Q2(1)  # c -> 1 at s=1
+    assert QFrac(2, 1, 0).eval_one() == Q2(1)  # c -> 1 at s=1
     assert QFrac.zero().eval_one() == Q2(0)
     try:
         INV_QMQI.eval_one()
@@ -296,7 +299,7 @@ def test_fock_norm_factor_small():
     assert fock_norm_factor(1) == C_WEYL
     f2 = fock_norm_factor(2)
     assert f2.dp == 2 and f2.dm == 0
-    assert f2.num == QCoeff({2: Q2(4), -2: Q2(4)})
+    assert f2.num == QFrac({2: Q2(4), -2: Q2(4)})
     assert fock_norm_factor(3) == C_WEYL ** 3 * QFrac(q_factorial(3))
 
 
@@ -342,3 +345,32 @@ def test_norm_factor_real_q_all_positive():
         v = fock_norm_factor(m).eval_scalar(s)
         assert abs(complex(v).imag) < 1e-12
         assert complex(v).real > 0
+
+
+# ------------------------------------------------------------ golden digest
+
+# sha256 of one line per coefficient of the realized catalog (n = 1..3) and of
+# long normal forms, under the default and the corrupted rules: it pins each
+# term's value, its place in the numerator's order (which fixes the float sum
+# in eval_root to the last bit) and the printed form
+_COEFFICIENT_DIGEST = "568999d61c6c74d390ef85b0589e7307252530a43ccb90f8b24e43f8dd9f1e9f"
+
+
+def _coefficient_lines(rules):
+    elements = [realize(side, n, rules)
+                for n in (1, 2, 3) for inst in catalog(n) for side in (inst.lhs, inst.rhs)]
+    words = ([(" ".join(["a1-"] * m + ["a1+"] * m), 1) for m in range(1, 7)]
+             + [(" ".join(["a1- a2-"] * m + ["a1+ a2+"] * m), 2) for m in range(1, 4)])
+    elements += [normal_order(w, n, rules=rules, contract=contract)
+                 for w, n in words for contract in (False, True)]
+    for el in elements:
+        for mono, c in el.terms():
+            yield f"{mono}|{c}|{c.eval_root(5)!r}|{c.eval_root(7)!r}\n"
+
+
+def test_coefficient_layer_golden_digest():
+    lines = [line for rules in (DEFAULT_RULES, Rules.corrupted())
+             for line in _coefficient_lines(rules)]
+    assert len(lines) == 1415
+    digest = hashlib.sha256("".join(lines).encode()).hexdigest()
+    assert digest == _COEFFICIENT_DIGEST

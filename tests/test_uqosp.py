@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 
 from ospq import uqosp
-from ospq.qcoeff import INV_QMQI, QCoeff, QFrac
+from ospq.qcoeff import INV_QMQI, QFrac
 from ospq.report import RESIDUAL_TEXT_LIMIT, TRUNCATED_MARK
 from ospq.scalars import Q2
 from ospq.uqosp import (
@@ -41,7 +41,7 @@ from ospq.walgebra import DEFAULT_RULES, a_minus, a_plus, kappa_el, mul
 
 
 def _spow(e: int, c=1) -> QFrac:
-    return QFrac(QCoeff.s_pow(e, c))
+    return QFrac.s_pow(e, c)
 
 
 # ---------------------------------------------------------------------------
@@ -85,7 +85,7 @@ def test_preoscillator_structure():
     assert isinstance(expr, Sum) and len(expr.terms) == 1
     coeff, body = expr.terms[0]
     assert body == Gen("e", 1)
-    assert coeff == QFrac(QCoeff.from_scalar(Q2(0, -1)))
+    assert coeff == QFrac(Q2(0, -1))
     # two modes: A_1^- = -sqrt(2) [e_1, e_2]_{q^-1}
     expr = build_preoscillator(2, 1, -1)
     _, body = expr.terms[0]
@@ -94,7 +94,7 @@ def test_preoscillator_structure():
     expr = build_preoscillator(2, 2, +1)
     coeff, body = expr.terms[0]
     assert body == Gen("f", 2)
-    assert coeff == QFrac(QCoeff.from_scalar(Q2(0, 1)))
+    assert coeff == QFrac(Q2(0, 1))
     # plus chain nests on the left
     expr = build_preoscillator(3, 1, +1)
     _, body = expr.terms[0]
@@ -147,10 +147,10 @@ def test_leaf_images():
 def test_short_root_images():
     n = 2
     assert realize(gen_e(2), n) == a_minus(n, 2).scale(
-        QFrac(QCoeff.from_scalar(Q2(0, Fraction(-1, 2))))
+        QFrac(Q2(0, Fraction(-1, 2)))
     )
     assert realize(gen_f(2), n) == a_plus(n, 2).scale(
-        QFrac(QCoeff.from_scalar(Q2(0, Fraction(1, 2))))
+        QFrac(Q2(0, Fraction(1, 2)))
     )
 
 
@@ -160,7 +160,7 @@ def test_long_root_image_normal_form():
     img = realize(gen_e(1), n)
     expected = (
         mul(mul(a_plus(n, 2), kappa_el(n, 2)), a_minus(n, 1))
-    ).scale(QFrac(QCoeff({3: Q2(Fraction(-1, 2)), 1: Q2(Fraction(-1, 2))})))
+    ).scale(QFrac({3: Q2(Fraction(-1, 2)), 1: Q2(Fraction(-1, 2))}))
     assert img == expected
 
 
@@ -171,7 +171,7 @@ def test_gl_generator_image_matches_cos_form():
     img = realize(build_gl_generator(n, 1, 2), n)
     expected = (
         mul(mul(a_plus(n, 2), kappa_el(n, 2)), a_minus(n, 1))
-    ).scale(QFrac(QCoeff({3: Q2(Fraction(-1, 2)), 1: Q2(Fraction(-1, 2))})))
+    ).scale(QFrac({3: Q2(Fraction(-1, 2)), 1: Q2(Fraction(-1, 2))}))
     assert img == expected
     # same element as the realized e_1 (they differ only by L-dressing
     # conventions that cancel for this index pattern)
@@ -181,7 +181,7 @@ def test_gl_generator_image_matches_cos_form():
     img21 = realize(build_gl_generator(n, 2, 1), n)
     expected21 = (
         mul(mul(a_plus(n, 1), kappa_el(n, 2, -1)), a_minus(n, 2))
-    ).scale(QFrac(QCoeff({-1: Q2(Fraction(-1, 2)), -3: Q2(Fraction(-1, 2))})))
+    ).scale(QFrac({-1: Q2(Fraction(-1, 2)), -3: Q2(Fraction(-1, 2))}))
     assert img21 == expected21
 
 
@@ -241,7 +241,7 @@ def test_t2_instance_shape():
     assert isinstance(inst.lhs, QBracket) and inst.lhs.s_exp == 0
     assert isinstance(inst.rhs, Sum) and len(inst.rhs.terms) == 1
     coeff, body = inst.rhs.terms[0]
-    assert coeff == QFrac(QCoeff.from_scalar(-2))
+    assert coeff == QFrac(-2)
     assert body == Product((gen_A(2, +1), gen_L(1, 1)))
 
 
