@@ -63,7 +63,7 @@ from .uqosp import (
     leaf_word,
     realize,
 )
-from .walgebra import AM, AP, KA, Letter, WeylElement
+from .walgebra import AM, AP, KA, Letter, WeylElement, WeylMonomial
 
 
 # ---------------------------------------------------------------------------
@@ -308,27 +308,60 @@ def _parse_label(label: str, n: int) -> GenExpr:
 # ---------------------------------------------------------------------------
 
 
-def _matrix_of_expr(x: GenExpr, n: int, k: int) -> Op:
+# bytes of weights one _Memo stores; at k^n = 10^5 one shift is 1.6 MB
+MEMO_BYTES = 64 * 2**20
+
+
+class _Memo(dict):
+    """Operators already built within one call, keyed by a leaf Gen or by a
+    WeylMonomial, for one (n, k).  It stores until it holds MEMO_BYTES of
+    weights, then only looks up.  A stored operator is exactly what the same
+    deterministic operations would build again, so no result changes; its
+    weights are shared, so read-only."""
+
+    nbytes = 0  # of weights stored; a class default, as most memos hold a leaf or two
+
+    def keep(self, key: Gen | WeylMonomial, op: Op) -> Op:
+        size = 0
+        for w in op.values():
+            size += w.nbytes
+        if self.nbytes + size <= MEMO_BYTES:
+            for w in op.values():
+                w.setflags(write=False)
+            self[key] = op
+            self.nbytes += size
+        return op
+
+
+def _matrix_of_expr(x: GenExpr, n: int, k: int, memo: _Memo | None = None) -> Op:
     """Evaluate an expression tree by operator products only (no symbolic
     normal ordering): the first of the two verification routes.  A leaf
-    other than e/f is phi's letter word (uqosp.leaf_word) times s^a."""
+    other than e/f is phi's letter word (uqosp.leaf_word) times s^a; each
+    leaf is built once per memo."""
+    if memo is None:
+        memo = _Memo()
     if isinstance(x, Gen):
+        op = memo.get(x)
+        if op is not None:
+            return op
         if x.kind in ("e", "f"):
             e_expr, f_expr = build_chevalley_from_pre(n, x.index)
-            return _matrix_of_expr(e_expr if x.kind == "e" else f_expr, n, k)
-        a, word = leaf_word(x.kind, x.index, x.exp, n)
-        op = _word_op(word, n, k)
-        return _sum([(root_s(k) ** a, op)]) if a else op
+            op = _matrix_of_expr(e_expr if x.kind == "e" else f_expr, n, k, memo)
+        else:
+            a, word = leaf_word(x.kind, x.index, x.exp, n)
+            op = _word_op(word, n, k)
+            op = _sum([(root_s(k) ** a, op)]) if a else op
+        return memo.keep(x, op)
     if isinstance(x, Product):
-        return _product([_matrix_of_expr(fac, n, k) for fac in x.factors], k**n)
+        return _product([_matrix_of_expr(fac, n, k, memo) for fac in x.factors], k**n)
     if isinstance(x, Sum):
         return _sum(
-            (complex(coeff.eval_root(k)), _matrix_of_expr(term, n, k))
+            (complex(coeff.eval_root(k)), _matrix_of_expr(term, n, k, memo))
             for coeff, term in x.terms
         )
     if isinstance(x, (QBracket, AntiComm)):
-        a = _matrix_of_expr(x.left, n, k)
-        b = _matrix_of_expr(x.right, n, k)
+        a = _matrix_of_expr(x.left, n, k, memo)
+        b = _matrix_of_expr(x.right, n, k, memo)
         coeff = -(root_s(k) ** x.s_exp) if isinstance(x, QBracket) else 1
         return _sum(((1, _product((a, b), k**n)), (coeff, _product((b, a), k**n))))
     raise TypeError(f"not a generator expression: {type(x).__name__}")
@@ -339,12 +372,17 @@ def matrix_of_expr(x: GenExpr, n: int, k: int) -> SparseMatrix:
     return _entries(_matrix_of_expr(x, n, k), k**n)
 
 
-def _matrix_of_weyl(x: WeylElement, k: int) -> Op:
-    """Root-evaluated coefficients times letter products."""
-    return _sum(
-        (complex(coeff.eval_root(k)), _word_op(mono.word(), x.n, k))
-        for mono, coeff in x.terms()
-    )
+def _matrix_of_weyl(x: WeylElement, k: int, memo: _Memo | None = None) -> Op:
+    """Root-evaluated coefficients times letter products, each monomial's
+    product built once per memo."""
+    if memo is None:
+        memo = _Memo()
+
+    def monomial(mono: WeylMonomial) -> Op:
+        op = memo.get(mono)
+        return op if op is not None else memo.keep(mono, _word_op(mono.word(), x.n, k))
+
+    return _sum((complex(coeff.eval_root(k)), monomial(mono)) for mono, coeff in x.terms())
 
 
 def matrix_of_weyl(x: WeylElement, k: int) -> SparseMatrix:
@@ -462,14 +500,16 @@ def check_weights(n: int, k: int) -> list[CheckResult]:
 def check_matrix_relations(n: int, k: int) -> list[CheckResult]:
     """Every catalog instance as a k^n x k^n matrix identity, with the
     symbolic normal form re-evaluated at the root as a cross-check of the
-    same matrices."""
+    same matrices.  Leaves and monomials are built once for the whole
+    catalog, by one memo dropped on return."""
     _check_shape(n, k)
     out: list[CheckResult] = []
+    memo = _Memo()
     for inst in catalog(n):
-        lhs = _matrix_of_expr(inst.lhs, n, k)
-        rhs = _matrix_of_expr(inst.rhs, n, k)
-        sym_lhs = _matrix_of_weyl(realize(inst.lhs, n), k)
-        sym_rhs = _matrix_of_weyl(realize(inst.rhs, n), k)
+        lhs = _matrix_of_expr(inst.lhs, n, k, memo)
+        rhs = _matrix_of_expr(inst.rhs, n, k, memo)
+        sym_lhs = _matrix_of_weyl(realize(inst.lhs, n), k, memo)
+        sym_rhs = _matrix_of_weyl(realize(inst.rhs, n), k, memo)
         res = max(_residual(lhs, rhs), _residual(sym_lhs, lhs), _residual(sym_rhs, rhs))
         out.append(
             CheckResult(f"MAT.{inst.id}[k={k}]", res < RESIDUAL_TOL, res, "matrix residual")

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import cmath
+import hashlib
 import json
 import math
 import random
@@ -10,8 +11,6 @@ import time
 
 import numpy as np
 import pytest
-from scipy import sparse
-from scipy.sparse.csgraph import connected_components
 
 from ospq import fockrep
 from ospq.fockrep import (
@@ -214,11 +213,61 @@ def test_perturbed_letter_fails_unitarity_and_relations(monkeypatch):
     assert rows["UNI.adjoint[n=2,k=3,i=2]"].ok
     failing = [r.id for r in check_matrix_relations(n, k) if not r.ok]
     assert any(i.startswith("MAT.") for i in failing)
+    # the per-call memo cannot hide it: built afresh, the same rows fail
+    monkeypatch.setattr(fockrep, "MEMO_BYTES", 0)
+    assert [r.id for r in check_matrix_relations(n, k) if not r.ok] == failing
 
 
 def test_matrix_relations_three_modes():
     rows = check_matrix_relations(3, 2)
     assert len(rows) == 303 and all(r.ok for r in rows)
+
+
+def test_matrix_residuals_golden_digest():
+    # the repr of every residual, over the acceptance ROOT_GRID plus larger
+    # shapes: a change that moves any last bit of any route shows here
+    grid = ((1, 2), (1, 3), (1, 5), (2, 2), (2, 3), (3, 2), (2, 5))
+    digest = hashlib.sha256()
+    count = 0
+    for n, k in grid + ((3, 4), (4, 3), (2, 7), (1, 50)):
+        for r in check_matrix_relations(n, k):
+            digest.update(f"{r.id}|{r.ok}|{r.residual!r}\n".encode())
+            count += 1
+    assert count == 1752
+    assert digest.hexdigest() == (
+        "645604545694e94e7737233fe20cd805d351551e7060e04b05582d02397c50f4"
+    )
+
+
+def test_memo_bound_keeps_rows_and_is_never_exceeded(monkeypatch):
+    def rows():
+        return [(r.id, r.ok, repr(r.residual)) for r in check_matrix_relations(3, 2)]
+
+    memos = []
+
+    class Spy(fockrep._Memo):
+        def __init__(self):
+            super().__init__()
+            memos.append(self)
+
+    monkeypatch.setattr(fockrep, "_Memo", Spy)
+    expected = rows()
+    default = fockrep.MEMO_BYTES
+    entries = {}
+    for bound in (0, 4096, default):
+        monkeypatch.setattr(fockrep, "MEMO_BYTES", bound)
+        memos.clear()
+        assert rows() == expected, bound
+        (memo,) = memos  # one memo shared across the catalog, then dropped
+        stored = [w for op in memo.values() for w in op.values()]
+        assert memo.nbytes == sum(w.nbytes for w in stored) <= bound
+        for w in stored:
+            with pytest.raises(ValueError):
+                w[0] = 0  # shared with later rows, so read-only
+        entries[bound] = len(memo)
+    assert entries[0] == 0 < entries[4096] < entries[default]
+    # nothing but letters outlives the call
+    assert all(len(key) == 5 and key[3:] == (3, 2) for key in fockrep._MATRIX_CACHE)
 
 
 def test_cartan_anticommutator_as_two_by_two_matrices():
@@ -383,6 +432,8 @@ def test_strong_connectivity_needs_both_directions():
 def _connected_blocks_csgraph(ops, labels):
     """Reference verdicts: the same edges as a CSR graph, split into strongly
     connected components by scipy."""
+    from scipy import sparse
+    from scipy.sparse.csgraph import connected_components
     srcs = [np.empty(0, dtype=np.int64)]
     dsts = [np.empty(0, dtype=np.int64)]
     for op in ops:
@@ -402,6 +453,7 @@ def _connected_blocks_csgraph(ops, labels):
 
 
 def test_connectivity_search_matches_csgraph():
+    pytest.importorskip("scipy")
     for n, k in ((2, 3), (3, 4), (4, 10), (5, 6), (2, 316), (1, 50)):
         labels = fockrep._digits(n, k).sum(axis=1)
         whole = np.zeros(k**n, dtype=np.int64)
@@ -440,6 +492,8 @@ def test_connectivity_search_matches_csgraph():
 def _entries_csr(op, dim):
     """Reference entries: the shifts as scipy's DIA storage with offset -d,
     converted to CSR and read row by row with the columns sorted."""
+    from scipy import sparse
+
     data = np.array(list(op.values()), dtype=np.complex128).reshape(len(op), dim)
     mat = sparse.dia_matrix((data, [-d for d in op]), shape=(dim, dim)).tocsr()
     rows = np.repeat(np.arange(dim), np.diff(mat.indptr))
@@ -456,6 +510,7 @@ def _assert_entries_match_csr(mat, op):
 
 
 def test_entries_match_scipy_csr_in_order():
+    pytest.importorskip("scipy")
     for n, k in ((2, 3), (3, 4), (1, 50)):
         labels = [
             f"{p}{i}{s}" for i in range(1, n + 1)
