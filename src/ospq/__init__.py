@@ -5,7 +5,7 @@ Layers, bottom to top:
 - scalars / qcoeff: exact coefficients (Q(sqrt 2), and one fraction type
   over Laurent polynomials in s = q^(1/2) with canonical denominators).
 - walgebra: the deformed Weyl algebra W_q(n) -- normal ordering, products,
-  and the symbolic Fock module.
+  and the defining action of one letter on a Fock state.
 - ospclassic: the classical orthosymplectic Lie superalgebra osp(1|2n) as
   exact graded matrices, with its defining triple relations.
 - uqosp: the quantum superalgebra U_q[osp(1/2n)] -- Chevalley generators,

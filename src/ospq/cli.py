@@ -247,6 +247,8 @@ def _print_blocks(dec, report) -> None:
 
 
 def cmd_normal_order(args) -> int:
+    if args.n is not None and args.n < 1:
+        return _fail("--n must be at least 1")
     try:
         letters, n = parse_word(args.word, args.n)
     except ValueError as exc:

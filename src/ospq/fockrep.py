@@ -11,12 +11,14 @@ the explicit matrix elements are
     kappa_i |m> = exp(i pi m_i / k) |m>
 
 with the raising amplitude vanishing at m_i = k-1 and the lowering one at
-m_i = 0.  The squared amplitudes are exactly the ratios of the symbolic
-norm factors evaluated at the root, which ties this module to the exact
-coefficient layer; unitarity ((a_i^+)^dagger = a_i^-) holds by construction
-up to floating-point rounding, and fails for any |q| != 1, which is why
-matrices are only built at roots of unity while other q values get a
-positivity diagnostic instead.
+m_i = 0.  This is the exact defining action (walgebra.fock_letter) in the
+normalized basis, where the squared amplitudes are the ratios of the norm
+factors; check_weights compares the kappa weights, the phases and the
+squared amplitudes with that action evaluated at the root, which ties this
+module to the exact layer.  Unitarity ((a_i^+)^dagger = a_i^-) holds by
+construction up to floating-point rounding, and fails for any |q| != 1,
+which is why matrices are only built at roots of unity while other q values
+get a positivity diagnostic instead.
 
 The gl(n) root vectors act as
 
@@ -48,7 +50,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .qcoeff import QFrac, fock_norm_factors, q_int
+from .qcoeff import fock_norm_factors
 from .report import BRIDGE_TOL, RESIDUAL_TOL, STRUCTURAL_TOL, CheckResult
 from .uqosp import (
     AntiComm,
@@ -63,31 +65,7 @@ from .uqosp import (
     leaf_word,
     realize,
 )
-from .walgebra import AM, AP, KA, Letter, WeylElement, WeylMonomial
-
-
-# ---------------------------------------------------------------------------
-# basis indexing
-# ---------------------------------------------------------------------------
-
-
-def basis_index(m: Sequence[int], k: int) -> int:
-    """Mixed-radix linear index with m_1 most significant."""
-    idx = 0
-    for v in m:
-        if not 0 <= v < k:
-            raise ValueError(f"occupation {v} outside 0..{k - 1}")
-        idx = idx * k + v
-    return idx
-
-
-def basis_tuple(idx: int, n: int, k: int) -> tuple[int, ...]:
-    if not 0 <= idx < k**n:
-        raise ValueError(f"index {idx} outside 0..{k**n - 1}")
-    out = [0] * n
-    for pos in range(n - 1, -1, -1):
-        idx, out[pos] = divmod(idx, k)
-    return tuple(out)
+from .walgebra import AM, AP, KA, Letter, WeylElement, WeylMonomial, fock_letter
 
 
 def root_s(k: int) -> complex:
@@ -146,8 +124,8 @@ def _amp_plus(m_i: int, k: int) -> float:
 
 @lru_cache(maxsize=1)
 def _digits(n: int, k: int) -> np.ndarray:
-    """(k^n, n) occupation digits, row idx = basis_tuple(idx, n, k); shared,
-    so read-only."""
+    """(k^n, n) occupation digits: row idx holds m_1..m_n of basis vector idx,
+    m_1 most significant.  Shared, so read-only."""
     places = k ** np.arange(n - 1, -1, -1, dtype=np.int64)
     digits = np.arange(k**n, dtype=np.int64)[:, None] // places % k
     digits.flags.writeable = False
@@ -441,22 +419,25 @@ def _modulus(z: np.ndarray) -> np.ndarray:
 
 
 def check_weights(n: int, k: int) -> list[CheckResult]:
-    """kappa_i eigenvalue on |m> is exp(i pi m_i / k) for every basis
-    vector, and the raising amplitudes match the symbolic norm ratios."""
+    """The kappa weights, the raising phases and the squared raising
+    amplitudes against the defining action (walgebra.fock_letter) evaluated
+    at the root."""
     _check_shape(n, k)
     out: list[CheckResult] = []
     digits = _digits(n, k)
-    weight = np.array([cmath.exp(1j * math.pi * m / k) for m in range(k)])
-    # |amp|^2 equals the root-evaluated ratio of norm factors, and the phase
-    # of the raising amplitude is exactly the kappa-weight prefix phase.  The
-    # ratio of levels m + 1 and m is the small exact c [m+1], c = 2/(s+s^-1):
-    # the full factors c^m [m]! grow with m and cancel badly at the root
-    ratios = np.array(
-        [QFrac(2 * q_int(m + 1), 1, 0).eval_root(k).real for m in range(k - 1)]
-    )
+
+    def at_root(letter: Letter, m: tuple[int, ...]) -> complex:
+        return fock_letter(letter, m)[0].eval_root(k)
+
+    # kappa on |m> is s^{2m}; a^+ behind a prefix sum p has phase s^{-2p}, read
+    # on one state per p; |amp|^2 is the ratio of the norms of levels m + 1
+    # and m, which is a^- on |m+1>, the small exact c [m+1]: the full norms
+    # c^m [m]! grow with m and cancel badly at the root
+    weight = np.array([at_root((KA, 0, 1), (m,)) for m in range(k)])
     phases = np.array(
-        [cmath.exp(-1j * math.pi * p / k) for p in range(n * (k - 1) + 1)]
+        [at_root((AP, 1, 0), (p, 0)) for p in range((n - 1) * (k - 1) + 1)]
     )
+    ratios = np.array([at_root((AM, 0, 0), (m + 1,)).real for m in range(k - 1)])
     worst_amp = 0.0
     worst_phase = 0.0
     for i in range(1, n + 1):

@@ -31,10 +31,9 @@ Two reduction routes are implemented and cross-checked:
 - a closed-form append calculus (`mul`) that multiplies canonical monomials
   directly; all structure constants were derived from the same relations.
 
-The symbolic Fock module lives here too: `FockVector` over QFrac
-coefficients, the ladder action `apply_fock` (optionally truncated at level
-k-1 for the root-of-unity module), and the sesquilinear `inner` induced by
-<0|0> = 1 with (a_i^-)^dagger = a_i^+.
+The defining Fock action lives here too: `fock_letter` applies one letter to
+an unnormalized state |m>, exactly.  fockrep's weight checks read it at the
+root of unity.
 """
 from __future__ import annotations
 
@@ -48,7 +47,6 @@ from .qcoeff import (
     C_WEYL,
     INV_QMQI,
     QFrac,
-    fock_norm_factor,
     join_signed,
     q_int,
 )
@@ -307,60 +305,18 @@ def _add_into(acc: dict, key: object, c: QFrac) -> None:
 # -------------------------------------------------------------- elements
 
 
-class _Combination:
-    """A finite QFrac-linear combination of keys on n modes, zeros dropped;
-    the shared container of WeylElement and FockVector."""
+class WeylElement:
+    """A finite QFrac-linear combination of Weyl monomials, zeros dropped."""
 
     __slots__ = ("n", "_terms")
 
     def __init__(self, n: int, terms: dict | None = None) -> None:
         self.n = n
-        self._terms: dict = {}
+        self._terms: dict[WeylMonomial, QFrac] = {}
         if terms:
             for m, c in terms.items():
                 if not c.is_zero():
                     self._terms[m] = c
-
-    def is_zero(self) -> bool:
-        return not self._terms
-
-    def __eq__(self, other: object) -> bool:
-        if isinstance(other, type(self)):
-            return self.n == other.n and self._terms == other._terms
-        return NotImplemented
-
-    def _check(self, other: "_Combination") -> None:
-        if self.n != other.n:
-            raise ValueError(f"mode count mismatch: {self.n} vs {other.n}")
-
-    def __add__(self, other: object):
-        if not isinstance(other, type(self)):
-            return NotImplemented
-        self._check(other)
-        t = dict(self._terms)
-        for m, c in other._terms.items():
-            _add_into(t, m, c)
-        return type(self)(self.n, t)
-
-    def __sub__(self, other: object):
-        if not isinstance(other, type(self)):
-            return NotImplemented
-        return self + (-other)
-
-    def __neg__(self):
-        return type(self)(self.n, {m: -c for m, c in self._terms.items()})
-
-    def scale(self, c: QFrac | int):
-        cc = QFrac._coerce(c)
-        if cc is None:
-            raise TypeError(f"cannot scale by {type(c).__name__}")
-        return type(self)(self.n, {m: v * cc for m, v in self._terms.items()})
-
-
-class WeylElement(_Combination):
-    """A finite QFrac-linear combination of Weyl monomials."""
-
-    __slots__ = ()
 
     # -- constructors --------------------------------------------------
 
@@ -400,6 +356,41 @@ class WeylElement(_Combination):
         return len(self._terms)
 
     # -- linear structure -------------------------------------------------
+
+    def is_zero(self) -> bool:
+        return not self._terms
+
+    def __eq__(self, other: object) -> bool:
+        if isinstance(other, WeylElement):
+            return self.n == other.n and self._terms == other._terms
+        return NotImplemented
+
+    def _check(self, other: "WeylElement") -> None:
+        if self.n != other.n:
+            raise ValueError(f"mode count mismatch: {self.n} vs {other.n}")
+
+    def __add__(self, other: object) -> "WeylElement":
+        if not isinstance(other, WeylElement):
+            return NotImplemented
+        self._check(other)
+        t = dict(self._terms)
+        for m, c in other._terms.items():
+            _add_into(t, m, c)
+        return WeylElement(self.n, t)
+
+    def __sub__(self, other: object) -> "WeylElement":
+        if not isinstance(other, WeylElement):
+            return NotImplemented
+        return self + (-other)
+
+    def __neg__(self) -> "WeylElement":
+        return WeylElement(self.n, {m: -c for m, c in self._terms.items()})
+
+    def scale(self, c: QFrac | int) -> "WeylElement":
+        cc = QFrac._coerce(c)
+        if cc is None:
+            raise TypeError(f"cannot scale by {type(c).__name__}")
+        return WeylElement(self.n, {m: v * cc for m, v in self._terms.items()})
 
     def __rmul__(self, other: object) -> "WeylElement":
         cc = QFrac._coerce(other)
@@ -751,105 +742,22 @@ def parse_word(text: str, n: int | None = None) -> tuple[list[Letter], int]:
 # ------------------------------------------------------------ Fock space
 
 
-class FockVector(_Combination):
-    """Element of the symbolic Fock module: QFrac combination of |m> states,
-    keyed by occupation tuples."""
+def fock_letter(letter: Letter,
+                m: tuple[int, ...]) -> tuple[QFrac, tuple[int, ...]] | None:
+    """One letter on the unnormalized Fock state |m>, the defining action.
 
-    __slots__ = ()
-
-    @classmethod
-    def vacuum(cls, n: int) -> "FockVector":
-        return cls(n, {(0,) * n: QFrac.one()})
-
-    @classmethod
-    def basis(cls, n: int, m: Sequence[int]) -> "FockVector":
-        m = tuple(m)
-        if len(m) != n or any(x < 0 for x in m):
-            raise ValueError(f"bad occupation tuple {m} for n={n}")
-        return cls(n, {m: QFrac.one()})
-
-    def amplitudes(self) -> list[tuple[tuple[int, ...], QFrac]]:
-        return sorted(self._terms.items())
-
-    def amplitude(self, m: Sequence[int]) -> QFrac:
-        return self._terms.get(tuple(m), QFrac.zero())
-
-    def __str__(self) -> str:
-        if not self._terms:
-            return "0"
-        return " + ".join(f"({c}) |{','.join(map(str, m))}>"
-                          for m, c in self.amplitudes())
-
-    __repr__ = __str__
-
-
-def _apply_letter_fock(letter: Letter, v: FockVector, k: int | None) -> FockVector:
+    a_j^+ raises m_j with factor q^{-(m_1+..+m_{j-1})}, a_j^- lowers it with
+    factor q^{+(m_1+..+m_{j-1})} c [m_j], and kappa_j^e scales by q^{e m_j}.
+    Returns (coefficient, image), or None where a_j^- meets m_j = 0.  The
+    states pair as <m|m> = prod_i fock_norm_factor(m_i), under which
+    (a_j^-)^dagger = a_j^+.
+    """
     kind, j, e = letter
-    out: dict[tuple[int, ...], QFrac] = {}
-    for m, c in v._terms.items():
-        if kind == AP:
-            if k is not None and m[j] >= k - 1:
-                continue  # truncated: raising out of the top level kills the state
-            coeff = QFrac.s_pow(-2 * sum(m[:j]))
-            m2 = m[:j] + (m[j] + 1,) + m[j + 1:]
-        elif kind == AM:
-            if m[j] == 0:
-                continue
-            coeff = QFrac.s_pow(2 * sum(m[:j])) * C_WEYL * q_int(m[j])
-            m2 = m[:j] + (m[j] - 1,) + m[j + 1:]
-        else:
-            coeff = QFrac.s_pow(2 * e * m[j])
-            m2 = m
-        _add_into(out, m2, c * coeff)
-    return FockVector(v.n, out)
-
-
-def apply_fock(x: WordLike, v: FockVector, k: int | None = None) -> FockVector:
-    """Apply an element (or word) to a symbolic Fock vector.
-
-    The action is the defining one: a_j^+ shifts m_j up with factor
-    q^{-(m_1+..+m_{j-1})}, a_j^- shifts down with factor
-    q^{+(m_1+..+m_{j-1})} c [m_j], kappa_j scales by q^{m_j}.  With k given,
-    the module is truncated at occupation k-1 per mode (the root-of-unity
-    Fock module): raising out of the top level gives zero.
-    """
-    if isinstance(x, WeylElement):
-        if x.n != v.n:
-            raise ValueError("mode count mismatch")
-        out = FockVector(v.n)
-        for m, c in x._terms.items():
-            w = v
-            for letter in reversed(m.word()):
-                w = _apply_letter_fock(letter, w, k)
-                if w.is_zero():
-                    break
-            out = out + w.scale(c)
-        return out
-    if isinstance(x, str):
-        letters, _ = parse_word(x, v.n)
-    else:
-        letters = list(x)
-    w = v
-    for letter in reversed(letters):
-        w = _apply_letter_fock(letter, w, k)
-    return w
-
-
-def inner(u: FockVector, v: FockVector) -> QFrac:
-    """Sesquilinear pairing <u|v> with <m|m> = prod_i beta(m_i).
-
-    beta is `fock_norm_factor`; the left argument's coefficients pass
-    through the bar involution (s -> s^-1).
-    """
-    if u.n != v.n:
-        raise ValueError("mode count mismatch")
-    out = QFrac.zero()
-    for m, cu in u._terms.items():
-        cv = v._terms.get(m)
-        if cv is None:
-            continue
-        w = cu.conjugate() * cv
-        for mi in m:
-            w = w * fock_norm_factor(mi)
-        out = out + w
-    return out
+    if kind == KA:
+        return QFrac.s_pow(2 * e * m[j]), m
+    prefix = sum(m[:j])
+    if kind == AP:
+        return QFrac.s_pow(-2 * prefix), _tweak(m, j, 1)
+    if m[j] == 0:
+        return None
+    return (C_WEYL * q_int(m[j])).mul_s_pow(2 * prefix), _tweak(m, j, -1)

@@ -75,6 +75,10 @@ def test_normal_order_mode_bound(capsys):
         assert "modes; normal-order takes at most 18" in err
     assert run_main(capsys, "normal-order", "a18+") == (0, "a18+\n", "")
     assert run_main(capsys, "normal-order", "a1+", "--n", "18") == (0, "a1+\n", "")
+    # and at least one mode, refused like `rep --n 0`, with no traceback
+    for n in ("-3", "0"):
+        assert run_main(capsys, "normal-order", "", "--n", n) == (
+            2, "", "error: --n must be at least 1\n"), n
 
 
 def test_render_scalar_marker():

@@ -1,4 +1,4 @@
-"""Tests for W_q(n): rewriting engine, append calculus, Fock module."""
+"""Tests for W_q(n): rewriting engine, append calculus, Fock action."""
 from __future__ import annotations
 
 import random
@@ -12,16 +12,14 @@ from ospq.walgebra import (
     AP,
     KA,
     DEFAULT_RULES,
-    FockVector,
     Rules,
     WeylElement,
     WeylMonomial,
     WordParseError,
     a_minus,
     a_plus,
-    apply_fock,
     commutator,
-    inner,
+    fock_letter,
     kappa_el,
     mul,
     normal_order,
@@ -339,14 +337,47 @@ def test_corrupted_rules_change_the_algebra():
 
 # -------------------------------------------------------------- Fock space
 
+# a Fock vector is {occupation tuple: QFrac}, zeros dropped
+
+def _act(x: WeylElement, v: dict) -> dict:
+    """x on v, each monomial's word applied letter by letter, right to left."""
+    out: dict = {}
+    for mono, c in x.terms():
+        for m, cv in v.items():
+            coeff, state = c * cv, m
+            for letter in reversed(mono.word()):
+                hit = fock_letter(letter, state)
+                if hit is None:
+                    break
+                coeff, state = coeff * hit[0], hit[1]
+            else:
+                out[state] = out.get(state, QFrac.zero()) + coeff
+    return {m: c for m, c in out.items() if not c.is_zero()}
+
+
+def _pair(u: dict, v: dict) -> QFrac:
+    """<u|v> with <m|m> = prod_i fock_norm_factor(m_i), antilinear on the left."""
+    out = QFrac.zero()
+    for m, cu in u.items():
+        if m in v:
+            w = cu.conjugate() * v[m]
+            for mi in m:
+                w = w * fock_norm_factor(mi)
+            out = out + w
+    return out
+
+
 def test_fock_ladder_oracle():
-    v = FockVector.vacuum(1)
-    two = apply_fock("a1+ a1+", v)
-    assert two == FockVector.basis(1, [2])
-    down = apply_fock("a1-", two)
-    assert down.amplitude([1]) == C_WEYL * QFrac(q_int(2))
+    vac = {(0,): QFrac.one()}
+    two = _act(normal_order("a1+ a1+", contract=True), vac)
+    assert two == {(2,): QFrac.one()}
+    assert fock_letter((AM, 0, 0), (2,)) == (C_WEYL * QFrac(q_int(2)), (1,))
     # <0| a1- a1+ |0> = c
-    assert inner(v, apply_fock("a1- a1+", v)) == C_WEYL
+    assert _pair(vac, _act(normal_order("a1- a1+", contract=True), vac)) == C_WEYL
+    # a2+ and a2- see the mode-1 prefix as q^-1 and q^+1
+    assert fock_letter((AP, 1, 0), (1, 0)) == (_sq(-2), (1, 1))
+    assert fock_letter((AM, 1, 0), (1, 1)) == (_sq(2) * C_WEYL, (1, 0))
+    assert fock_letter((KA, 0, -1), (3,)) == (_sq(-6), (3,))
 
 
 def test_fock_action_respects_products():
@@ -356,41 +387,38 @@ def test_fock_action_respects_products():
         x = _rand_element(rng, n, 4)
         y = _rand_element(rng, n, 4)
         m = tuple(rng.randint(0, 2) for _ in range(n))
-        v = FockVector.basis(n, m)
-        assert apply_fock(mul(x, y), v) == apply_fock(x, apply_fock(y, v))
+        v = {m: QFrac.one()}
+        assert _act(mul(x, y), v) == _act(x, _act(y, v))
 
 
 def test_fock_adjointness():
     rng = random.Random(29)
     for _ in range(30):
         n = rng.randint(1, 2)
-        u = FockVector(n)
-        v = FockVector(n)
+        u: dict = {}
+        v: dict = {}
         for _ in range(3):
             mu = tuple(rng.randint(0, 3) for _ in range(n))
             mv = tuple(rng.randint(0, 3) for _ in range(n))
             cu = QFrac.s_pow(rng.randint(-2, 2), rng.randint(1, 3))
             cv = QFrac.s_pow(rng.randint(-2, 2), rng.randint(1, 3))
-            u = u + FockVector.basis(n, mu).scale(cu)
-            v = v + FockVector.basis(n, mv).scale(cv)
+            u[mu] = u.get(mu, QFrac.zero()) + cu
+            v[mv] = v.get(mv, QFrac.zero()) + cv
         x = _rand_element(rng, n, 3)
-        assert inner(apply_fock(x, u), v) == inner(u, apply_fock(x.dagger(), v))
-
-
-def test_fock_norms_build_up():
-    for m in range(5):
-        v = apply_fock([(AP, 0, 0)] * m, FockVector.vacuum(1))
-        assert inner(v, v) == fock_norm_factor(m)
+        assert _pair(_act(x, u), v) == _pair(u, _act(x.dagger(), v))
 
 
 def test_fock_truncation_at_root_level():
-    k = 4
-    top = FockVector.basis(1, [k - 1])
-    assert apply_fock("a1+", top, k=k).is_zero()
-    # away from the top level the truncated and plain actions agree
-    mid = FockVector.basis(1, [1])
-    assert apply_fock("a1+", mid, k=k) == apply_fock("a1+", mid)
-    assert apply_fock("a1-", FockVector.basis(1, [0]), k=k).is_zero()
+    # the action is not truncated; at q = exp(i pi/k) level k is null instead:
+    # a1- brings |k> back with c [k], which vanishes there, as does its norm
+    for k in (2, 3, 4, 7):
+        coeff, state = fock_letter((AM, 0, 0), (k,))
+        assert state == (k - 1,)
+        assert abs(coeff.eval_root(k)) < 1e-12
+        assert abs(fock_norm_factor(k).eval_root(k)) < 1e-12
+        assert abs(coeff.eval_root(k + 1)) > 0.1
+    assert fock_letter((AM, 0, 0), (0,)) is None
+    assert fock_letter((AM, 1, 0), (2, 0)) is None
 
 
 # ----------------------------------------------------------------- parser
