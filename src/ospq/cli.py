@@ -21,6 +21,7 @@ from __future__ import annotations
 import argparse
 import datetime
 import json
+import os
 import sys
 
 from . import __version__
@@ -112,6 +113,15 @@ def _fail(message: str) -> int:
     return 2
 
 
+def _missing_out_dir(out_path: str | None) -> str | None:
+    """An error if out_path names a file in a directory that does not exist;
+    checked before any check runs, so a bad path costs nothing."""
+    folder = os.path.dirname(out_path or "")
+    if folder and not os.path.isdir(folder):
+        return f"--out directory {folder!r} does not exist"
+    return None
+
+
 # ---------------------------------------------------------------------------
 # subcommands
 # ---------------------------------------------------------------------------
@@ -133,6 +143,9 @@ def _parse_choice(text: str, order: tuple[str, ...], what: str) -> list[str]:
 def cmd_verify(args) -> int:
     if not 1 <= args.n <= 5:
         return _fail("--n must be between 1 and 5")
+    missing = _missing_out_dir(args.out)
+    if missing:
+        return _fail(missing)
     try:
         families = _parse_choice(args.families, FAMILY_ORDER, "family")
     except ValueError as exc:
@@ -183,7 +196,7 @@ def _export_labels(n: int) -> list[str]:
 
 def cmd_rep(args) -> int:
     from . import fockrep  # numpy loads only for the matrix commands
-    guard = _guard_rep(args.n, args.k)
+    guard = _guard_rep(args.n, args.k) or _missing_out_dir(args.out)
     if guard:
         return _fail(guard)
     try:
@@ -226,7 +239,7 @@ def cmd_rep(args) -> int:
 
 def cmd_decompose(args) -> int:
     from . import fockrep
-    guard = _guard_rep(args.n, args.k)
+    guard = _guard_rep(args.n, args.k) or _missing_out_dir(args.out)
     if guard:
         return _fail(guard)
     dec = fockrep.decompose_gl(args.n, args.k)

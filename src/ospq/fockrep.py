@@ -59,11 +59,11 @@ from .uqosp import (
     Product,
     QBracket,
     Sum,
+    Terms,
     build_chevalley_from_pre,
     build_gl_generator,
-    catalog,
     leaf_word,
-    realize,
+    realized_catalog,
 )
 from .walgebra import AM, AP, KA, Letter, WeylElement, WeylMonomial, fock_letter
 
@@ -291,13 +291,13 @@ MEMO_BYTES = 64 * 2**20
 
 
 class _Memo(dict):
-    """Operators already built within one call, keyed by a leaf Gen or by a
-    WeylMonomial, for one (n, k).  It stores until it holds MEMO_BYTES of
-    weights, then only looks up.  A stored operator is exactly what the same
-    deterministic operations would build again, so no result changes; its
-    weights are shared, so read-only."""
+    """Operators already built within one call that shares them, keyed by a
+    leaf Gen or by a WeylMonomial, for one (n, k).  It stores until it holds
+    MEMO_BYTES of weights, then only looks up.  A stored operator is exactly
+    what the same deterministic operations would build again, so no result
+    changes; its weights are shared, so read-only."""
 
-    nbytes = 0  # of weights stored; a class default, as most memos hold a leaf or two
+    nbytes = 0  # of weights stored
 
     def keep(self, key: Gen | WeylMonomial, op: Op) -> Op:
         size = 0
@@ -311,13 +311,26 @@ class _Memo(dict):
         return op
 
 
-def _matrix_of_expr(x: GenExpr, n: int, k: int, memo: _Memo | None = None) -> Op:
+class _NoMemo:
+    """The memo of a call that shares no operator: it finds and keeps nothing."""
+
+    def get(self, key: Gen | WeylMonomial) -> None:
+        return None
+
+    def keep(self, key: Gen | WeylMonomial, op: Op) -> Op:
+        return op
+
+
+_NO_MEMO = _NoMemo()
+
+
+def _matrix_of_expr(
+    x: GenExpr, n: int, k: int, memo: _Memo | _NoMemo = _NO_MEMO
+) -> Op:
     """Evaluate an expression tree by operator products only (no symbolic
     normal ordering): the first of the two verification routes.  A leaf
-    other than e/f is phi's letter word (uqosp.leaf_word) times s^a; each
-    leaf is built once per memo."""
-    if memo is None:
-        memo = _Memo()
+    other than e/f is phi's letter word (uqosp.leaf_word) times s^a; with a
+    memo, each leaf is built once per memo."""
     if isinstance(x, Gen):
         op = memo.get(x)
         if op is not None:
@@ -350,24 +363,25 @@ def matrix_of_expr(x: GenExpr, n: int, k: int) -> SparseMatrix:
     return _entries(_matrix_of_expr(x, n, k), k**n)
 
 
-def _matrix_of_weyl(x: WeylElement, k: int, memo: _Memo | None = None) -> Op:
-    """Root-evaluated coefficients times letter products, each monomial's
-    product built once per memo."""
-    if memo is None:
-        memo = _Memo()
+def _matrix_of_weyl(
+    terms: Terms, n: int, k: int, memo: _Memo | _NoMemo = _NO_MEMO
+) -> Op:
+    """Root-evaluated coefficients times letter products, over a normal form's
+    sorted (monomial, coefficient) pairs; with a memo, each monomial's product
+    is built once per memo."""
 
     def monomial(mono: WeylMonomial) -> Op:
         op = memo.get(mono)
-        return op if op is not None else memo.keep(mono, _word_op(mono.word(), x.n, k))
+        return op if op is not None else memo.keep(mono, _word_op(mono.word(), n, k))
 
-    return _sum((complex(coeff.eval_root(k)), monomial(mono)) for mono, coeff in x.terms())
+    return _sum((complex(coeff.eval_root(k)), monomial(mono)) for mono, coeff in terms)
 
 
 def matrix_of_weyl(x: WeylElement, k: int) -> SparseMatrix:
     """Matrix of a normal-ordered element.  Together with matrix_of_expr
     this gives two independent routes from a relation to a matrix."""
     _check_shape(x.n, k)
-    return _entries(_matrix_of_weyl(x, k), k**x.n)
+    return _entries(_matrix_of_weyl(x.terms(), x.n, k), k**x.n)
 
 
 # ---------------------------------------------------------------------------
@@ -481,16 +495,17 @@ def check_weights(n: int, k: int) -> list[CheckResult]:
 def check_matrix_relations(n: int, k: int) -> list[CheckResult]:
     """Every catalog instance as a k^n x k^n matrix identity, with the
     symbolic normal form re-evaluated at the root as a cross-check of the
-    same matrices.  Leaves and monomials are built once for the whole
-    catalog, by one memo dropped on return."""
+    same matrices.  The normal forms are realized once per n
+    (uqosp.realized_catalog); leaves and monomials are built once for the
+    whole catalog, by one memo dropped on return."""
     _check_shape(n, k)
     out: list[CheckResult] = []
     memo = _Memo()
-    for inst in catalog(n):
+    for inst, lhs_terms, rhs_terms in realized_catalog(n):
         lhs = _matrix_of_expr(inst.lhs, n, k, memo)
         rhs = _matrix_of_expr(inst.rhs, n, k, memo)
-        sym_lhs = _matrix_of_weyl(realize(inst.lhs, n), k, memo)
-        sym_rhs = _matrix_of_weyl(realize(inst.rhs, n), k, memo)
+        sym_lhs = _matrix_of_weyl(lhs_terms, n, k, memo)
+        sym_rhs = _matrix_of_weyl(rhs_terms, n, k, memo)
         res = max(_residual(lhs, rhs), _residual(sym_lhs, lhs), _residual(sym_rhs, rhs))
         out.append(
             CheckResult(f"MAT.{inst.id}[k={k}]", res < RESIDUAL_TOL, res, "matrix residual")

@@ -324,6 +324,12 @@ class QFrac:
     def __hash__(self) -> int:
         return hash((frozenset(self._t.items()), self.dp, self.dm))
 
+    def exact_key(self) -> tuple:
+        """The numerator terms in their stored order, then dp and dm.  Equal
+        keys evaluate to bit-identical floats; equal fractions need not, as
+        eval_root sums the terms in that order."""
+        return tuple(self._t.items()), self.dp, self.dm
+
     # -- arithmetic ---------------------------------------------------------
 
     def __add__(self, other: object) -> "QFrac":

@@ -60,6 +60,7 @@ from .walgebra import (
     Letter,
     Rules,
     WeylElement,
+    WeylMonomial,
     _check_mode,
     commutator,
     mul,
@@ -321,11 +322,13 @@ def realize(x: GenExpr, n: int, rules: Rules = DEFAULT_RULES) -> WeylElement:
     return _realize_node(x, n, rules)
 
 
-# Catalog instances share subexpressions (e_ij, bracket chains): a catalog
-# visits each distinct non-leaf node two to three times.  The bound keeps
-# the memo small: 256 entries measured as fast as unbounded, which grows to
-# megabytes over the catalogs for n = 1..5.  Cached elements are shared
-# between callers and never mutated.
+# Catalog instances share subexpressions (e_ij, bracket chains): one pass
+# over a catalog visits each distinct non-leaf node two to three times, and
+# this memo serves that pass; it cannot hold a catalog (n = 5 has 2,358
+# distinct non-leaf nodes), so realized_catalog keeps the realized sides for
+# later passes.  The bound keeps the memo small: 256 entries measured as fast
+# as unbounded, which grows to megabytes over the catalogs for n = 1..5.
+# Cached elements are shared between callers and never mutated.
 @lru_cache(maxsize=256)
 def _realize_node(x: GenExpr, n: int, rules: Rules) -> WeylElement:
     if isinstance(x, Product):
@@ -882,6 +885,33 @@ def catalog(
             instances = rng.sample(instances, CATALOG_SAMPLE)
         out.extend(instances)
     return out
+
+
+# one side of a relation: its normal form's sorted (monomial, coefficient) pairs
+Terms = tuple[tuple[WeylMonomial, QFrac], ...]
+
+
+@lru_cache(maxsize=2)
+def realized_catalog(
+    n: int, rules: Rules = DEFAULT_RULES
+) -> tuple[tuple[RelationInstance, Terms, Terms], ...]:
+    """(instance, lhs terms, rhs terms) for every instance of catalog(n), each
+    side as realize(side, n, rules).terms().  The normal forms do not depend
+    on the root order k, so a matrix check at several k realizes the catalog
+    once; two entries keep two mode counts, as a sweep over the acceptance
+    grid alternates n = 2 and n = 3.  Equal monomials and coefficients with
+    equal exact_key are held once, which keeps the n = 4 catalog's 800 terms
+    to 222 monomials and 74 coefficients.  Shared, so never mutated."""
+    monomials: dict[WeylMonomial, WeylMonomial] = {}
+    coeffs: dict[tuple, QFrac] = {}
+
+    def terms(side: GenExpr) -> Terms:
+        return tuple(
+            (monomials.setdefault(mono, mono), coeffs.setdefault(coeff.exact_key(), coeff))
+            for mono, coeff in realize(side, n, rules).terms()
+        )
+
+    return tuple((inst, terms(inst.lhs), terms(inst.rhs)) for inst in catalog(n))
 
 
 def verify_instance(

@@ -186,6 +186,28 @@ def test_verify_out_file(tmp_path, capsys):
     assert "PASS" in out  # text report still on stdout
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("verify", "--n", "5", "--out", "report.json"),
+        # at the size guard: refused before any check runs, which would take
+        # about 20 s
+        ("rep", "--n", "5", "--k", "10", "--out", "m"),
+        ("decompose", "--n", "5", "--k", "10", "--out", "dec.json"),
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_out_in_missing_directory_is_refused(tmp_path, capsys, argv):
+    missing = tmp_path / "no-such-dir"
+    *head, name = argv
+    start = time.perf_counter()
+    code, out, err = run_main(capsys, *head, str(missing / name))
+    assert time.perf_counter() - start < 1.0
+    assert code == 2 and out == ""
+    assert err == f"error: --out directory {str(missing)!r} does not exist\n"
+    assert not missing.exists()
+
+
 def test_json_reports_deterministic(capsys):
     argv = ("verify", "--n", "1", "--format", "json")
     _, out1, _ = run_main(capsys, *argv)

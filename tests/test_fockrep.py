@@ -12,7 +12,7 @@ import time
 import numpy as np
 import pytest
 
-from ospq import fockrep
+from ospq import fockrep, uqosp
 from ospq.fockrep import (
     block_dims_multinomial,
     block_dims_polynomial,
@@ -35,7 +35,7 @@ from ospq.fockrep import (
 from ospq.qcoeff import QFrac, fock_norm_factor, q_int
 from ospq.report import STRUCTURAL_TOL
 from ospq.uqosp import ZERO_EXPR, Gen, Product, Sum, build_gl_generator, catalog, realize
-from ospq.walgebra import AM, AP, KA, WeylElement, letter_str
+from ospq.walgebra import AM, AP, DEFAULT_RULES, KA, WeylElement, letter_str
 
 
 def dense(label: str, n: int, k: int) -> np.ndarray:
@@ -279,6 +279,45 @@ def test_matrix_residuals_golden_digest():
     assert digest.hexdigest() == (
         "645604545694e94e7737233fe20cd805d351551e7060e04b05582d02397c50f4"
     )
+
+
+def test_matrix_relations_realize_each_catalog_once(monkeypatch):
+    calls = []
+    real = uqosp.realize
+
+    def counting(x, n, rules=DEFAULT_RULES):
+        calls.append(x)
+        return real(x, n, rules)
+
+    monkeypatch.setattr(uqosp, "realize", counting)
+    uqosp.realized_catalog.cache_clear()
+    check_matrix_relations(3, 2)
+    realized = len(calls)
+    assert realized > 0 and uqosp.realized_catalog.cache_info().misses == 1
+    # the normal forms do not depend on k: a second root order reads them
+    check_matrix_relations(3, 4)
+    assert len(calls) == realized
+    assert uqosp.realized_catalog.cache_info().misses == 1
+
+
+def test_only_calls_that_share_a_memo_build_one(monkeypatch):
+    memos = []
+
+    class Spy(fockrep._Memo):
+        def __init__(self):
+            super().__init__()
+            memos.append(self)
+
+    monkeypatch.setattr(fockrep, "_Memo", Spy)
+    n, k = 2, 3
+    check_unitarity(n, k)
+    check_decomposition(n, k)
+    build_generator_matrix("L1", n, k)
+    matrix_of_expr(Gen("e", 1), n, k)
+    matrix_of_weyl(realize(Gen("f", 1), n), k)
+    assert memos == []
+    check_matrix_relations(n, k)
+    assert len(memos) == 1
 
 
 def test_memo_bound_keeps_rows_and_is_never_exceeded(monkeypatch):
@@ -574,7 +613,8 @@ def test_entries_match_scipy_csr_in_order():
     assert matrix_of_expr(ZERO_EXPR, n, k).nnz == 0
     for inst in catalog(n):
         x = realize(inst.lhs, n)
-        _assert_entries_match_csr(matrix_of_weyl(x, k), fockrep._matrix_of_weyl(x, k))
+        op = fockrep._matrix_of_weyl(x.terms(), n, k)
+        _assert_entries_match_csr(matrix_of_weyl(x, k), op)
 
 
 def test_positivity_diagnostic():

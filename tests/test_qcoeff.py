@@ -347,6 +347,18 @@ def test_norm_factor_real_q_all_positive():
         assert complex(v).real > 0
 
 
+def test_exact_key_tells_term_orders_apart():
+    # q^-3 + q^-2 - q^-1 - 1 with its terms stored in two orders: equal
+    # fractions, whose values at the root differ in the last bit
+    terms = {-6: Q2(1), -4: Q2(1), -2: Q2(-1), 0: Q2(-1)}
+    a = QFrac(terms)
+    b = QFrac({e: terms[e] for e in (-2, -6, 0, -4)})
+    assert a == b and hash(a) == hash(b)
+    assert a.exact_key() != b.exact_key()
+    assert a.eval_root(2) != b.eval_root(2)
+    assert QFrac(dict(terms)).exact_key() == a.exact_key()
+
+
 # ------------------------------------------------------------ golden digest
 
 # sha256 of one line per coefficient of the realized catalog (n = 1..3) and of

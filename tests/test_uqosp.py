@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import importlib
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -31,6 +33,7 @@ from ospq.uqosp import (
     gen_k,
     gen_L,
     realize,
+    realized_catalog,
     round_trip_checks,
     tau,
     theta,
@@ -411,3 +414,47 @@ def test_round_trip_rows_show_their_residual():
     rows = {r.id: r for r in round_trip_checks(2, DEFAULT_RULES.corrupted())}
     assert rows["RT.A[n=2,i=1,sign=+]"].detail == (
         "1 residual terms: ((1/2)s + (1/2)s^-1) a1+ k2^-2")
+
+
+# ---------------------------------------------------------------------------
+# the held catalog
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("rules", [DEFAULT_RULES, DEFAULT_RULES.corrupted()],
+                         ids=["default", "corrupted"])
+def test_realized_catalog_holds_each_sides_terms(rules):
+    def exact(terms):
+        # the coefficients' stored term order too, which fixes their floats
+        return [(mono, coeff.exact_key()) for mono, coeff in terms]
+
+    for n in (1, 2, 3):
+        held = realized_catalog(n, rules)
+        assert [inst.id for inst, _, _ in held] == [inst.id for inst in catalog(n)]
+        for inst, lhs, rhs in held:
+            assert exact(lhs) == exact(realize(inst.lhs, n, rules).terms()), inst.id
+            assert exact(rhs) == exact(realize(inst.rhs, n, rules).terms()), inst.id
+
+
+def test_realized_catalog_shares_monomials_and_coefficients():
+    terms = [t for _, lhs, rhs in realized_catalog(3) for t in lhs + rhs]
+    monomials = {}
+    coeffs = {}
+    for mono, coeff in terms:
+        assert monomials.setdefault(mono, mono) is mono
+        assert coeffs.setdefault(coeff.exact_key(), coeff) is coeff
+    # interned by exact key, not by value: equal fractions whose terms are
+    # stored in another order stay apart, as they evaluate differently
+    assert len(monomials) < len(terms) and len(coeffs) < len(terms)
+    assert len(set(coeffs.values())) < len(coeffs)
+
+
+def test_realized_catalog_is_emptied_with_every_program_cache(monkeypatch):
+    # the benchmark starts each sweep cold by calling cache_clear on every
+    # module-level callable of the ospq submodules
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
+    workloads = importlib.import_module("workloads")
+    realized_catalog(1)
+    assert realized_catalog.cache_info().currsize > 0
+    workloads.clear_caches()
+    assert realized_catalog.cache_info().currsize == 0
