@@ -29,7 +29,6 @@ from .report import RESIDUAL_TOL, STRUCTURAL_TOL, CheckResult, summarize
 from .walgebra import DEFAULT_RULES, Rules, WeylElement, normal_order, parse_word
 from .ospclassic import verify_classical
 from .uqosp import (
-    CATALOG_SAMPLE,
     FAMILY_BUILDERS,
     classical_limit_checks,
     round_trip_checks,
@@ -113,12 +112,15 @@ def _fail(message: str) -> int:
     return 2
 
 
-def _missing_out_dir(out_path: str | None) -> str | None:
-    """An error if out_path names a file in a directory that does not exist;
-    checked before any check runs, so a bad path costs nothing."""
+def _bad_out(out_path: str | None, prefix: bool = False) -> str | None:
+    """An error if out_path names a file in a directory that does not exist,
+    or, unless it is only a file-name prefix, names a directory; checked
+    before any check runs, so a bad path costs nothing."""
     folder = os.path.dirname(out_path or "")
     if folder and not os.path.isdir(folder):
         return f"--out directory {folder!r} does not exist"
+    if out_path and not prefix and os.path.isdir(out_path):
+        return f"--out {out_path!r} is a directory"
     return None
 
 
@@ -143,9 +145,9 @@ def _parse_choice(text: str, order: tuple[str, ...], what: str) -> list[str]:
 def cmd_verify(args) -> int:
     if not 1 <= args.n <= 5:
         return _fail("--n must be between 1 and 5")
-    missing = _missing_out_dir(args.out)
-    if missing:
-        return _fail(missing)
+    bad_out = _bad_out(args.out)
+    if bad_out:
+        return _fail(bad_out)
     try:
         families = _parse_choice(args.families, FAMILY_ORDER, "family")
     except ValueError as exc:
@@ -155,7 +157,7 @@ def cmd_verify(args) -> int:
     if "classical" in families:
         results += verify_classical(args.n)
     quantum = [name for name in families if name in FAMILY_BUILDERS]
-    results += verify_relations(args.n, rules, families=quantum, seed=args.seed)
+    results += verify_relations(args.n, rules, families=quantum)
     if set(families) == set(FAMILY_ORDER):
         results += round_trip_checks(args.n, rules)
         results += classical_limit_checks(args.n, rules)
@@ -164,7 +166,6 @@ def cmd_verify(args) -> int:
     parameters = {
         "n": args.n,
         "families": ",".join(families),
-        "seed": args.seed,
         "corrupt_rules": bool(args.corrupt_rules),
     }
     report = build_report("verify", parameters, results)
@@ -196,7 +197,7 @@ def _export_labels(n: int) -> list[str]:
 
 def cmd_rep(args) -> int:
     from . import fockrep  # numpy loads only for the matrix commands
-    guard = _guard_rep(args.n, args.k) or _missing_out_dir(args.out)
+    guard = _guard_rep(args.n, args.k) or _bad_out(args.out, prefix=True)
     if guard:
         return _fail(guard)
     try:
@@ -239,7 +240,7 @@ def cmd_rep(args) -> int:
 
 def cmd_decompose(args) -> int:
     from . import fockrep
-    guard = _guard_rep(args.n, args.k) or _missing_out_dir(args.out)
+    guard = _guard_rep(args.n, args.k) or _bad_out(args.out)
     if guard:
         return _fail(guard)
     dec = fockrep.decompose_gl(args.n, args.k)
@@ -305,13 +306,6 @@ def make_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--format", choices=("text", "json"), default="text")
     p.add_argument("--out", help="also write the JSON report to this path")
-    p.add_argument(
-        "--seed",
-        type=int,
-        default=20250,
-        help=f"seed for sampling {CATALOG_SAMPLE} instances of a family that has more "
-        "(from n >= 4; today only T at n = 5)",
-    )
     p.add_argument(
         "--corrupt-rules",
         action="store_true",

@@ -174,7 +174,13 @@ def _letter(kind: int, i: int, exp: int, n: int, k: int) -> Op:
 
 def _cmul(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """x * y entrywise by the textbook formula: numpy's SIMD complex loops may
-    fuse multiply-adds, which moves last bits and depends on the machine."""
+    fuse multiply-adds, which moves last bits and depends on the machine.
+    numpy's complex x * y and x * c equal this only with its AVX2/AVX-512
+    loops off (NPY_DISABLE_CPU_FEATURES="X86_V3 X86_V4 AVX512_ICL
+    AVX512_SPR").  _sum still scales by numpy's `*` and _residual takes
+    np.abs, so the MAT and DEC.root_form residual bits still follow numpy's
+    CPU dispatch; routing both through _cmul and _modulus would remove that,
+    at a cost per check_matrix_relations call."""
     out = np.empty_like(x)
     re = np.multiply(x.real, y.real, out=out.real)
     re -= x.imag * y.imag

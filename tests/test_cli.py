@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import re
 import shlex
 import subprocess
 import sys
@@ -206,6 +207,15 @@ def test_out_in_missing_directory_is_refused(tmp_path, capsys, argv):
     assert code == 2 and out == ""
     assert err == f"error: --out directory {str(missing)!r} does not exist\n"
     assert not missing.exists()
+    if head[0] == "rep":
+        return  # rep --out is a file-name prefix, so a directory is no error
+    # an existing directory as the report path is refused just as early
+    start = time.perf_counter()
+    code, out, err = run_main(capsys, *head, str(tmp_path))
+    assert time.perf_counter() - start < 1.0
+    assert code == 2 and out == ""
+    assert err == f"error: --out {str(tmp_path)!r} is a directory\n"
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_json_reports_deterministic(capsys):
@@ -431,11 +441,19 @@ def test_readme_command_examples(tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
     commands = _readme_commands()
     assert len(commands) >= 9
+    stated_counts = 0
     for argv, comment in commands:
         code, out, err = run_main(capsys, *argv)
         assert code == (1 if "--corrupt-rules" in argv else 0), (argv, err)
         if argv == ["normal-order", "a1- a1+"]:
             assert out == comment + "\n"
+        # a verify example that states its number of checks must run that many
+        stated = re.search(r"\b(\d+) checks\b", comment)
+        if argv[0] == "verify" and stated:
+            stated_counts += 1
+            total = re.search(r"^(?:PASS|FAIL): \d+/(\d+) checks passed$", out, re.M)
+            assert total and total[1] == stated[1], (argv, comment)
+    assert stated_counts >= 1
 
 
 def test_readme_library_quick_start():

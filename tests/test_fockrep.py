@@ -6,8 +6,14 @@ import cmath
 import hashlib
 import json
 import math
+import os
+import platform
 import random
+import re
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -188,6 +194,23 @@ def test_weight_rows_golden_digest():
     )
 
 
+@pytest.mark.skipif(platform.machine() not in ("x86_64", "AMD64"),
+                    reason="names numpy's x86 dispatch targets")
+def test_weight_and_coefficient_digests_hold_without_simd_dispatch():
+    # unlike the matrix residuals, these two digests do not depend on which
+    # SIMD loops numpy dispatches to: rerun them with AVX2 and AVX-512 off
+    root = Path(__file__).resolve().parents[1]
+    env = dict(os.environ, NPY_DISABLE_CPU_FEATURES="X86_V3 X86_V4 AVX512_ICL AVX512_SPR")
+    proc = subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
+         "tests/test_fockrep.py::test_weight_rows_golden_digest",
+         "tests/test_qcoeff.py::test_coefficient_layer_golden_digest"],
+        cwd=root, env=env, capture_output=True, text=True,
+    )
+    assert proc.returncode == 0, proc.stdout[-2000:] + proc.stderr[-2000:]
+    assert re.search(r"^2 passed\b", proc.stdout, re.M), proc.stdout[-2000:]
+
+
 def _failing_families(rows):
     return {r.id.split("[")[0] for r in rows if not r.ok}
 
@@ -267,7 +290,11 @@ def test_matrix_relations_three_modes():
 
 def test_matrix_residuals_golden_digest():
     # the repr of every residual, over the acceptance ROOT_GRID plus larger
-    # shapes: a change that moves any last bit of any route shows here
+    # shapes: a change that moves any last bit of any route shows here.
+    # These bits follow numpy's CPU dispatch (see fockrep._cmul): pinned on
+    # an x86 machine with numpy's AVX-512 loops in use, the digest reads
+    # 59ce354b... under NPY_DISABLE_CPU_FEATURES="X86_V3 X86_V4 AVX512_ICL
+    # AVX512_SPR"
     grid = ((1, 2), (1, 3), (1, 5), (2, 2), (2, 3), (3, 2), (2, 5))
     digest = hashlib.sha256()
     count = 0

@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 
 from ospq import uqosp
+from ospq.cli import main
 from ospq.qcoeff import INV_QMQI, QFrac
 from ospq.report import RESIDUAL_TEXT_LIMIT, TRUNCATED_MARK
 from ospq.scalars import Q2
@@ -232,8 +233,6 @@ def test_catalog_ids_unique_and_deterministic():
     ids = [inst.id for inst in catalog(3)]
     assert len(ids) == len(set(ids))
     assert ids == [inst.id for inst in catalog(3)]
-    sampled = catalog(4)
-    assert [i.id for i in sampled] == [i.id for i in catalog(4)]
 
 
 def test_t2_instance_shape():
@@ -285,15 +284,25 @@ def test_t_and_g_hold_exhaustively_at_four_and_five_modes():
         assert not failing, failing[:5]
 
 
-def test_verification_follows_catalog_seed():
-    # n = 5 is the smallest mode count whose T family (750 instances) is
-    # sampled, so the seed decides which instances are checked
-    ids = {}
-    for seed in (7, 20250):
-        rows = verify_relations(5, families=["T"], seed=seed)
-        ids[seed] = [r.id for r in rows]
-        assert ids[seed] == [i.id for i in catalog(5, families=["T"], seed=seed)]
-    assert ids[7] != ids[20250]
+def test_catalog_is_every_instance_unless_seeded(capsys):
+    # every mode count the CLI accepts gets the whole catalog, in builder order
+    for n in range(1, 6):
+        built = [i.id for f in FAMILY_BUILDERS for i in FAMILY_BUILDERS[f](n)]
+        assert [i.id for i in catalog(n)] == built
+    t5 = [i.id for i in FAMILY_BUILDERS["T"](5)]
+    assert len(t5) == 750
+    assert [i.id for i in catalog(5, families=["T"])] == t5
+    assert len(verify_relations(5, families=["T"])) == 750
+    # only an explicit seed samples: the largest family, T at n = 5, drops to
+    # CATALOG_SAMPLE, and two seeds draw different samples
+    samples = [[i.id for i in catalog(5, families=["T"], seed=seed)] for seed in (7, 20250)]
+    assert all(len(ids) == uqosp.CATALOG_SAMPLE == 500 for ids in samples)
+    assert samples[0] != samples[1] and set(samples[0]) <= set(t5)
+    # and the command line offers no seed
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--n", "1", "--seed", "3"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --seed 3" in capsys.readouterr().err
 
 
 def test_round_trips():
