@@ -26,7 +26,14 @@ import sys
 
 from . import __version__
 from .report import RESIDUAL_TOL, STRUCTURAL_TOL, CheckResult, summarize
-from .walgebra import DEFAULT_RULES, Rules, WeylElement, normal_order, parse_word
+from .walgebra import (
+    DEFAULT_RULES,
+    Rules,
+    WeylElement,
+    WordBudgetError,
+    normal_order,
+    parse_word,
+)
 from .ospclassic import verify_classical
 from .uqosp import (
     FAMILY_BUILDERS,
@@ -264,12 +271,12 @@ def cmd_normal_order(args) -> int:
     if args.n is not None and args.n < 1:
         return _fail("--n must be at least 1")
     try:
-        letters, n = parse_word(args.word, args.n)
+        letters, n = parse_word(args.word, args.n, budget=WORD_BUDGET)
+    except WordBudgetError as exc:
+        return _fail(f"word has {exc.letters} letters; normal-order takes at most "
+                     f"{WORD_BUDGET}")
     except ValueError as exc:
         return _fail(f"cannot parse word: {exc}")
-    if len(letters) > WORD_BUDGET:
-        return _fail(f"word has {len(letters)} letters; normal-order takes at most "
-                     f"{WORD_BUDGET}")
     # every monomial is an n-tuple, so the mode count is bounded too; a word
     # within the letter budget names at most WORD_BUDGET modes
     if n > WORD_BUDGET:

@@ -322,12 +322,15 @@ def realize(x: GenExpr, n: int, rules: Rules = DEFAULT_RULES) -> WeylElement:
     return _realize_node(x, n, rules)
 
 
-# Catalog instances share subexpressions (e_ij, bracket chains): one pass
-# over a catalog visits each distinct non-leaf node two to three times, and
-# this memo serves that pass; it cannot hold a catalog (n = 5 has 2,358
-# distinct non-leaf nodes), so realized_catalog keeps the realized sides for
-# later passes.  The bound keeps the memo small: 256 entries measured as fast
-# as unbounded, which grows to megabytes over the catalogs for n = 1..5.
+# Catalog instances share subexpressions (anticommutators, e_ij, bracket
+# chains); the builders hold each anticommutator and e_ij as one object, but
+# the memo keys by value, so it also serves equal nodes built apart.  One
+# pass over a catalog visits each distinct non-leaf node two to three times
+# (n = 5: 7,118 visits, 2,691 distinct nodes), and this memo serves that
+# pass; it cannot hold a catalog, so realized_catalog keeps the realized
+# sides for later passes.  The bound keeps the memo small: 256 entries
+# measured as fast as unbounded, which grows to megabytes over the catalogs
+# for n = 1..5.
 # Cached elements are shared between callers and never mutated.
 @lru_cache(maxsize=256)
 def _realize_node(x: GenExpr, n: int, rules: Rules) -> WeylElement:
@@ -477,8 +480,19 @@ def _serre_instances(n: int) -> list[RelationInstance]:
     return out
 
 
+def _ladder_tables(n: int) -> tuple[dict, dict]:
+    """(A, anti): A[(i, xi)] is the leaf A_i^xi and anti[(a, b)] is
+    {A[a], A[b]} for every ordered pair of keys.  The PRE and T builders read
+    each ladder leaf and anticommutator here, as the classical sweeps read
+    ospclassic.anticommutator_table, so a catalog holds one object for each
+    of the (2n)^2 anticommutators rather than one per use."""
+    A = {(i, s): gen_A(i, s) for i in range(1, n + 1) for s in (+1, -1)}
+    return A, {(a, b): AntiComm(A[a], A[b]) for a in A for b in A}
+
+
 def _pre_instances(n: int) -> list[RelationInstance]:
     out: list[RelationInstance] = []
+    A, anti = _ladder_tables(n)
     for i in range(1, n + 1):
         out.append(
             RelationInstance(
@@ -501,10 +515,10 @@ def _pre_instances(n: int) -> list[RelationInstance]:
                     RelationInstance(
                         f"PRE2[n={n},i={i},j={j},sign={_SIGN_STR[s]}]",
                         "PRE2", (i, j), (s,),
-                        prod(gen_L(i), gen_A(j, s)),
+                        prod(gen_L(i), A[j, s]),
                         scaled(
                             _spow(-2 * s * (1 if i == j else 0)),
-                            prod(gen_A(j, s), gen_L(i)),
+                            prod(A[j, s], gen_L(i)),
                         ),
                     )
                 )
@@ -512,7 +526,7 @@ def _pre_instances(n: int) -> list[RelationInstance]:
         out.append(
             RelationInstance(
                 f"PRE3[n={n},i={i}]", "PRE3", (i,), (),
-                AntiComm(gen_A(i, -1), gen_A(i, +1)),
+                anti[(i, -1), (i, +1)],
                 Sum(
                     (
                         (-2 * INV_QMQI, Gen("L", i, 1)),
@@ -528,14 +542,13 @@ def _pre_instances(n: int) -> list[RelationInstance]:
             for xi in (+1, -1):
                 for j in range(1, n + 1):
                     lhs = QBracket(
-                        AntiComm(gen_A(i, -xi), gen_A(i + sigma, xi)),
-                        gen_A(j, -xi),
+                        anti[(i, -xi), (i + sigma, xi)],
+                        A[j, -xi],
                         2 * sigma * (1 if i == j else 0),
                     )
                     if j == i + sigma:
                         rhs: GenExpr = scaled(
-                            -2 * xi,
-                            prod(gen_L(j, sigma * xi), gen_A(i, -xi)),
+                            -2 * xi, prod(gen_L(j, sigma * xi), A[i, -xi])
                         )
                     else:
                         rhs = ZERO_EXPR
@@ -551,9 +564,7 @@ def _pre_instances(n: int) -> list[RelationInstance]:
             out.append(
                 RelationInstance(
                     f"PRE5[n={n},xi={_SIGN_STR[xi]}]", "PRE5", (n - 1, n), (xi,),
-                    QBracket(
-                        AntiComm(gen_A(n - 1, xi), gen_A(n, xi)), gen_A(n, xi), 2
-                    ),
+                    QBracket(anti[(n - 1, xi), (n, xi)], A[n, xi], 2),
                     ZERO_EXPR,
                 )
             )
@@ -562,6 +573,7 @@ def _pre_instances(n: int) -> list[RelationInstance]:
 
 def _t_instances(n: int) -> list[RelationInstance]:
     out: list[RelationInstance] = []
+    A, anti = _ladder_tables(n)
     modes = range(1, n + 1)
     for xi in (+1, -1):
         # T1: [{A_i^-xi, A_j^xi}, A_k^xi]_{q^{tau_ji delta_jk}}, i != j
@@ -571,8 +583,8 @@ def _t_instances(n: int) -> list[RelationInstance]:
                     continue
                 for k in modes:
                     lhs = QBracket(
-                        AntiComm(gen_A(i, -xi), gen_A(j, xi)),
-                        gen_A(k, xi),
+                        anti[(i, -xi), (j, xi)],
+                        A[k, xi],
                         2 * tau(j, i) * (1 if j == k else 0),
                     )
                     terms: list[tuple[QFrac, GenExpr]] = []
@@ -580,19 +592,13 @@ def _t_instances(n: int) -> list[RelationInstance]:
                         terms.append(
                             (
                                 _as_weight(2 * xi),
-                                prod(gen_A(j, xi), gen_L(k, xi * tau(i, j))),
+                                prod(A[j, xi], gen_L(k, xi * tau(i, j))),
                             )
                         )
                     t = tau(i, k, j)
                     if t:
                         terms.append(
-                            (
-                                -t * Q_MINUS_QINV,
-                                prod(
-                                    AntiComm(gen_A(i, -xi), gen_A(k, xi)),
-                                    gen_A(j, xi),
-                                ),
-                            )
+                            (-t * Q_MINUS_QINV, prod(anti[(i, -xi), (k, xi)], A[j, xi]))
                         )
                     out.append(
                         RelationInstance(
@@ -606,44 +612,30 @@ def _t_instances(n: int) -> list[RelationInstance]:
                 if i == j:
                     continue
                 for k in modes:
-                    lhs = QBracket(
-                        AntiComm(gen_A(i, xi), gen_A(j, xi)), gen_A(k, -xi), 0
-                    )
+                    lhs = QBracket(anti[(i, xi), (j, xi)], A[k, -xi], 0)
                     terms = []
                     t = tau(k, i, j)
                     if t:
                         terms.append(
-                            (
-                                t * Q_MINUS_QINV,
-                                prod(
-                                    AntiComm(gen_A(i, xi), gen_A(k, -xi)),
-                                    gen_A(j, xi),
-                                ),
-                            )
+                            (t * Q_MINUS_QINV, prod(anti[(i, xi), (k, -xi)], A[j, xi]))
                         )
                     t = tau(k, j, i)
                     if t:
                         terms.append(
-                            (
-                                t * Q_MINUS_QINV,
-                                prod(
-                                    AntiComm(gen_A(j, xi), gen_A(k, -xi)),
-                                    gen_A(i, xi),
-                                ),
-                            )
+                            (t * Q_MINUS_QINV, prod(anti[(j, xi), (k, -xi)], A[i, xi]))
                         )
                     if i == k:
                         terms.append(
                             (
                                 _as_weight(-2 * xi),
-                                prod(gen_A(j, xi), gen_L(i, xi * tau(i, j))),
+                                prod(A[j, xi], gen_L(i, xi * tau(i, j))),
                             )
                         )
                     if j == k:
                         terms.append(
                             (
                                 _as_weight(-2 * xi),
-                                prod(gen_A(i, xi), gen_L(j, xi * tau(j, i))),
+                                prod(A[i, xi], gen_L(j, xi * tau(j, i))),
                             )
                         )
                     out.append(
@@ -657,23 +649,13 @@ def _t_instances(n: int) -> list[RelationInstance]:
         for k in modes:
             for xi in (+1, -1):
                 for eta in (+1, -1):
-                    lhs = QBracket(
-                        AntiComm(gen_A(i, xi), gen_A(i, eta)), gen_A(k, -eta), 0
-                    )
+                    lhs = QBracket(anti[(i, xi), (i, eta)], A[k, -eta], 0)
                     terms = []
                     if xi == eta and tau(k, i):
                         coeff = QFrac(
                             {2 * tau(k, i): Q2(2), 0: Q2(-2)}
                         )  # 2 (q^{tau_ki} - 1)
-                        terms.append(
-                            (
-                                coeff,
-                                prod(
-                                    AntiComm(gen_A(i, xi), gen_A(k, -xi)),
-                                    gen_A(i, xi),
-                                ),
-                            )
-                        )
+                        terms.append((coeff, prod(anti[(i, xi), (k, -xi)], A[i, xi])))
                     if i == k:
                         base = -2 * xi * eta * (2 if xi == eta else 1)
                         w_minus = (
@@ -686,10 +668,8 @@ def _t_instances(n: int) -> list[RelationInstance]:
                             * INV_QMQI
                             * QFrac({0: Q2(1), -2 * xi: Q2(-1)})
                         )  # (1 - q^-xi)
-                        terms.append(
-                            (w_minus, prod(gen_A(i, xi), gen_L(i, -1)))
-                        )
-                        terms.append((w_plus, prod(gen_A(i, xi), gen_L(i, 1))))
+                        terms.append((w_minus, prod(A[i, xi], gen_L(i, -1))))
+                        terms.append((w_plus, prod(A[i, xi], gen_L(i, 1))))
                     out.append(
                         RelationInstance(
                             f"T3[n={n},i={i},k={k},xi={_SIGN_STR[xi]},"
@@ -703,9 +683,7 @@ def _t_instances(n: int) -> list[RelationInstance]:
             for k in modes:
                 for xi in (+1, -1):
                     lhs = QBracket(
-                        AntiComm(gen_A(i, xi), gen_A(j, xi)),
-                        gen_A(k, xi),
-                        2 * (tau(i, k) + tau(j, k)),
+                        anti[(i, xi), (j, xi)], A[k, xi], 2 * (tau(i, k) + tau(j, k))
                     )
                     out.append(
                         RelationInstance(
@@ -731,68 +709,43 @@ def _g_instances(n: int) -> list[RelationInstance]:
                             prod(gen_L(j, eta), gen_L(i, xi)),
                         )
                     )
-    pairs = [(j, k) for j in range(1, n + 1) for k in range(1, n + 1) if j != k]
+    # every root vector e_ij, built once; the keys run over i, then j
+    e = {
+        (i, j): build_gl_generator(n, i, j)
+        for i in range(1, n + 1)
+        for j in range(1, n + 1)
+        if i != j
+    }
     for i in range(1, n + 1):
-        for j, k in pairs:
-            e_jk = build_gl_generator(n, j, k)
+        for j, k in e:
             out.append(
                 RelationInstance(
                     f"G1.Le[n={n},i={i},j={j},k={k}]", "G1", (i, j, k), (),
-                    prod(gen_L(i), e_jk),
-                    scaled(
-                        _spow(2 * ((i == j) - (i == k))), prod(e_jk, gen_L(i))
-                    ),
+                    prod(gen_L(i), e[j, k]),
+                    scaled(_spow(2 * ((i == j) - (i == k))), prod(e[j, k], gen_L(i))),
                 )
             )
-    pos = [(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)]
-    neg = [(i, j) for i in range(1, n + 1) for j in range(1, i)]
+    pos = [(i, j) for i, j in e if i < j]
+    neg = [(i, j) for i, j in e if i > j]
     for i, j in pos:
         for k, l in neg:
-            e_ij = build_gl_generator(n, i, j)
-            e_kl = build_gl_generator(n, k, l)
             terms: list[tuple[QFrac, GenExpr]] = []
             # first group, right-multiplied by L_k L_i^{-1}
             tail1 = (gen_L(k), gen_L(i, -1))
             if theta(j, k, i, l):
-                terms.append(
-                    (
-                        Q_MINUS_QINV,
-                        prod(
-                            build_gl_generator(n, k, j),
-                            build_gl_generator(n, i, l),
-                            *tail1,
-                        ),
-                    )
-                )
+                terms.append((Q_MINUS_QINV, prod(e[k, j], e[i, l], *tail1)))
             if i == l and theta(j, k):
-                terms.append(
-                    (_as_weight(-1), prod(build_gl_generator(n, k, j), *tail1))
-                )
+                terms.append((_as_weight(-1), prod(e[k, j], *tail1)))
             if j == k and theta(i, l):
-                terms.append(
-                    (_as_weight(1), prod(build_gl_generator(n, i, l), *tail1))
-                )
+                terms.append((_as_weight(1), prod(e[i, l], *tail1)))
             # second group, left-multiplied by L_l L_j^{-1}
             head2 = (gen_L(l), gen_L(j, -1))
             if theta(k, j, l, i):
-                terms.append(
-                    (
-                        -Q_MINUS_QINV,
-                        prod(
-                            *head2,
-                            build_gl_generator(n, i, l),
-                            build_gl_generator(n, k, j),
-                        ),
-                    )
-                )
+                terms.append((-Q_MINUS_QINV, prod(*head2, e[i, l], e[k, j])))
             if i == l and theta(k, j):
-                terms.append(
-                    (_as_weight(-1), prod(*head2, build_gl_generator(n, k, j)))
-                )
+                terms.append((_as_weight(-1), prod(*head2, e[k, j])))
             if j == k and theta(l, i):
-                terms.append(
-                    (_as_weight(1), prod(*head2, build_gl_generator(n, i, l)))
-                )
+                terms.append((_as_weight(1), prod(*head2, e[i, l])))
             if i == l and j == k:
                 terms.append((INV_QMQI, prod(gen_L(i), gen_L(j, -1))))
                 terms.append((-INV_QMQI, prod(gen_L(i, -1), gen_L(j))))
@@ -800,7 +753,7 @@ def _g_instances(n: int) -> list[RelationInstance]:
                 RelationInstance(
                     f"G2[n={n},i={i},j={j},k={k},l={l}]", "G2",
                     (i, j, k, l), (),
-                    QBracket(e_ij, e_kl, 0), Sum(tuple(terms)),
+                    QBracket(e[i, j], e[k, l], 0), Sum(tuple(terms)),
                 )
             )
     # G3: same-sign root vectors, ordered pairs
@@ -812,31 +765,21 @@ def _g_instances(n: int) -> list[RelationInstance]:
                     continue
                 if xi == -1 and not (i > k or (i == k and j > l)):
                     continue
-                e_ij = build_gl_generator(n, i, j)
-                e_kl = build_gl_generator(n, k, l)
                 exponent = xi * (
                     (i == k) - (i == l) - (j == k) + (j == l)
                 )
                 lhs = Sum(
                     (
-                        (_as_weight(1), prod(e_ij, e_kl)),
-                        (-_spow(2 * exponent), prod(e_kl, e_ij)),
+                        (_as_weight(1), prod(e[i, j], e[k, l])),
+                        (-_spow(2 * exponent), prod(e[k, l], e[i, j])),
                     )
                 )
                 terms = []
                 if j == k:
-                    terms.append((_as_weight(1), build_gl_generator(n, i, l)))
+                    terms.append((_as_weight(1), e[i, l]))
                 t = tau(i, k, j, l)
                 if t:
-                    terms.append(
-                        (
-                            t * Q_MINUS_QINV,
-                            prod(
-                                build_gl_generator(n, k, j),
-                                build_gl_generator(n, i, l),
-                            ),
-                        )
-                    )
+                    terms.append((t * Q_MINUS_QINV, prod(e[k, j], e[i, l])))
                 out.append(
                     RelationInstance(
                         f"G3[n={n},i={i},j={j},k={k},l={l},xi={_SIGN_STR[xi]}]",

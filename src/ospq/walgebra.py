@@ -694,18 +694,28 @@ class WordParseError(ValueError):
         self.position = position
 
 
+class WordBudgetError(ValueError):
+    """Raised for a word of more letters than the parser's budget allows."""
+
+    def __init__(self, letters: int, budget: int) -> None:
+        super().__init__(f"word has {letters} letters; at most {budget} allowed")
+        self.letters = letters
+
+
 _TOKEN_RE = re.compile(r"a(\d+)([+-])|k(\d+)(?:\^([+-]?\d+))?")
 
 
-def parse_word(text: str, n: int | None = None) -> tuple[list[Letter], int]:
+def parse_word(text: str, n: int | None = None,
+               budget: int | None = None) -> tuple[list[Letter], int]:
     """Parse a generator word like "a1+ a2- k1^-1 k2" into letters.
 
-    Tokens are separated by whitespace or '*'.  Returns (letters, n) with n
-    the given mode count or the largest mode mentioned.  Raises
-    WordParseError (with character position) on malformed tokens or
-    out-of-range modes.
+    Tokens are separated by whitespace or '*'; k_i^e stands for |e| letters.
+    Returns (letters, n) with n the given mode count or the largest mode
+    mentioned.  Raises WordParseError (with character position) on malformed
+    tokens or out-of-range modes, and WordBudgetError when the word has more
+    than `budget` letters, before any power is expanded.
     """
-    letters: list[Letter] = []
+    runs: list[tuple[Letter, int]] = []  # (letter, repeat count)
     max_mode = 0
     pos = 0
     for raw in re.split(r"([\s*]+)", text):
@@ -732,10 +742,14 @@ def parse_word(text: str, n: int | None = None) -> tuple[list[Letter], int]:
         max_mode = max(max_mode, mode)
         if kind == KA:
             sgn = 1 if exp > 0 else -1
-            letters.extend([(KA, mode - 1, sgn)] * abs(exp))
+            runs.append(((KA, mode - 1, sgn), abs(exp)))
         else:
-            letters.append((kind, mode - 1, 0))
+            runs.append(((kind, mode - 1, 0), 1))
         pos += len(raw)
+    size = sum(count for _, count in runs)
+    if budget is not None and size > budget:
+        raise WordBudgetError(size, budget)
+    letters = [letter for letter, count in runs for _ in range(count)]
     return letters, (n if n is not None else max(max_mode, 1))
 
 

@@ -64,6 +64,15 @@ def test_normal_order_letter_budget(capsys):
     assert code == 2
     assert out == ""
     assert err == "error: word has 19 letters; normal-order takes at most 18\n"
+    # a power is counted before it is expanded, so a huge exponent is refused
+    # at once rather than running out of memory or overflowing
+    for word in ("k1^-1000000000000000", "k1^99999999999999999999999", "a1+ k1^100000000"):
+        start = time.perf_counter()
+        code, out, err = run_main(capsys, "normal-order", word)
+        assert time.perf_counter() - start < 1.0, word
+        assert code == 2 and out == "", word
+        assert "letters; normal-order takes at most 18\n" in err, word
+    assert run_main(capsys, "normal-order", "k1^18") == (0, "k1^18\n", "")
 
 
 def test_normal_order_mode_bound(capsys):

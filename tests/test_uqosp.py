@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import importlib
 from fractions import Fraction
 from pathlib import Path
@@ -233,6 +234,62 @@ def test_catalog_ids_unique_and_deterministic():
     ids = [inst.id for inst in catalog(3)]
     assert len(ids) == len(set(ids))
     assert ids == [inst.id for inst in catalog(3)]
+
+
+# sha256 over f"{id}|{family}|{indices}|{signs}|{lhs!r}|{rhs!r}\n" for every
+# instance of catalog(n): pins each relation's expression, not only its ids
+_CATALOG_DIGESTS = {
+    1: "5a0baea18fe6b9121afc667f85fd5811354838282c9e217d48891982d73fb4d2",
+    2: "db8ce12c3fd22f29d43274ef998693da61ed4276ef0cb2f1f9346a17b2783c0d",
+    3: "ee01a559fa21988c302e77c955a561548a7f4c0288238784733ac9c5dca36fb9",
+    4: "12e23fa8621e9a054ac92cd1fd85f5c7c71ef6d5ccc53d3276ddb38766b740a6",
+    5: "f46ec0852ece7168e2bbb130fe6300662bbe5a5240121d487dab418a54b96b2a",
+}
+
+
+def test_catalog_golden_digest():
+    for n, expected in _CATALOG_DIGESTS.items():
+        lines = "".join(
+            f"{i.id}|{i.family}|{i.indices}|{i.signs}|{i.lhs!r}|{i.rhs!r}\n"
+            for i in catalog(n)
+        )
+        assert hashlib.sha256(lines.encode()).hexdigest() == expected, n
+
+
+def _subtrees(x, seen):
+    """Every node of x by identity, a shared subtree once."""
+    if id(x) in seen:
+        return
+    seen[id(x)] = x
+    if isinstance(x, Product):
+        children = x.factors
+    elif isinstance(x, Sum):
+        children = [term for _, term in x.terms]
+    elif isinstance(x, (QBracket, AntiComm)):
+        children = (x.left, x.right)
+    else:
+        children = ()
+    for child in children:
+        _subtrees(child, seen)
+
+
+def test_builders_share_ladder_anticommutator_and_root_vector_subtrees():
+    n = 4
+    for family in ("PRE", "T"):
+        seen: dict = {}
+        for inst in FAMILY_BUILDERS[family](n):
+            _subtrees(inst.lhs, seen)
+            _subtrees(inst.rhs, seen)
+        nodes = seen.values()
+        assert sum(isinstance(x, AntiComm) for x in nodes) <= (2 * n) ** 2, family
+        assert sum(isinstance(x, Gen) and x.kind == "A" for x in nodes) <= 2 * n, family
+    roots = {build_gl_generator(n, i, j)
+             for i in range(1, n + 1) for j in range(1, n + 1) if i != j}
+    seen = {}
+    for inst in FAMILY_BUILDERS["G"](n):
+        _subtrees(inst.lhs, seen)
+        _subtrees(inst.rhs, seen)
+    assert sum(x in roots for x in seen.values()) <= n * (n - 1)
 
 
 def test_t2_instance_shape():

@@ -15,6 +15,7 @@ from ospq.walgebra import (
     Rules,
     WeylElement,
     WeylMonomial,
+    WordBudgetError,
     WordParseError,
     a_minus,
     a_plus,
@@ -432,6 +433,10 @@ def test_parse_round_trip():
     assert parse_word("k2^3", n=2)[0] == [(KA, 1, 1)] * 3
     assert parse_word("k1^-2")[0] == [(KA, 0, -1)] * 2
     assert parse_word("", n=1) == ([], 1)
+    assert parse_word("k1^18", budget=18)[0] == [(KA, 0, 1)] * 18
+    with pytest.raises(WordBudgetError) as ei:
+        parse_word("a1+ k1^-1000000000000000", budget=18)
+    assert ei.value.letters == 10**15 + 1
 
 
 def test_parse_errors_carry_positions():
