@@ -119,14 +119,14 @@ def _fail(message: str) -> int:
     return 2
 
 
-def _bad_out(out_path: str | None, prefix: bool = False) -> str | None:
-    """An error if out_path names a file in a directory that does not exist,
-    or, unless it is only a file-name prefix, names a directory; checked
+def _bad_out(out_path: str | None) -> str | None:
+    """An error if out_path, a report path or a CSV file-name prefix, names a
+    file in a directory that does not exist, or names a directory; checked
     before any check runs, so a bad path costs nothing."""
     folder = os.path.dirname(out_path or "")
     if folder and not os.path.isdir(folder):
         return f"--out directory {folder!r} does not exist"
-    if out_path and not prefix and os.path.isdir(out_path):
+    if out_path and os.path.isdir(out_path):
         return f"--out {out_path!r} is a directory"
     return None
 
@@ -204,7 +204,7 @@ def _export_labels(n: int) -> list[str]:
 
 def cmd_rep(args) -> int:
     from . import fockrep  # numpy loads only for the matrix commands
-    guard = _guard_rep(args.n, args.k) or _bad_out(args.out, prefix=True)
+    guard = _guard_rep(args.n, args.k) or _bad_out(args.out)
     if guard:
         return _fail(guard)
     try:

@@ -132,24 +132,26 @@ def _digits(n: int, k: int) -> np.ndarray:
     return digits
 
 
-# letters of the most recently used (n, k) only, keyed (kind, i, exp, n, k)
-_MATRIX_CACHE: dict[tuple, Op] = {}
+# letters of the most recently used (n, k) only, keyed (letter, n, k)
+_MATRIX_CACHE: dict[tuple[Letter, int, int], Op] = {}
 
 
-def _letter(kind: int, i: int, exp: int, n: int, k: int) -> Op:
-    """One shift: a_i^{+-} (kind AP/AM) moves |m> by +-k^(n-i), with amplitude
-    and phase looked up by m_i and by the prefix sum m_1 + ... + m_{i-1};
-    kappa_i^exp (kind KA) keeps it, with weight exp(i pi exp m_i / k)."""
-    if not 1 <= i <= n:
-        raise ValueError(f"mode index {i} outside 1..{n}")
-    key = (kind, i, exp, n, k)
+def _letter(letter: Letter, n: int, k: int) -> Op:
+    """One shift for a Letter (kind, 0-based mode, exp): a^{+-} (kind AP/AM)
+    on mode i = mode + 1 moves |m> by +-k^(n-i), with amplitude and phase
+    looked up by m_i and by the prefix sum m_1 + ... + m_{i-1}; kappa_i^exp
+    (kind KA) keeps it, with weight exp(i pi exp m_i / k)."""
+    key = (letter, n, k)
     cached = _MATRIX_CACHE.get(key)
     if cached is not None:
         return cached
-    if _MATRIX_CACHE and next(iter(_MATRIX_CACHE))[3:] != (n, k):
+    kind, mode, exp = letter
+    if not 0 <= mode < n:
+        raise ValueError(f"mode index {mode + 1} outside 1..{n}")
+    if _MATRIX_CACHE and next(iter(_MATRIX_CACHE))[1:] != (n, k):
         _MATRIX_CACHE.clear()
     digits = _digits(n, k)
-    m_i = digits[:, i - 1]
+    m_i = digits[:, mode]
     if kind == KA:
         weight = np.array([cmath.exp(1j * math.pi * exp * m / k) for m in range(k)])
         op = {0: weight[m_i]}
@@ -158,7 +160,7 @@ def _letter(kind: int, i: int, exp: int, n: int, k: int) -> Op:
         cols = np.flatnonzero(m_i != (k - 1 if sign == +1 else 0))
         # the lower of the two occupations joined by the ladder step
         low = m_i[cols] if sign == +1 else m_i[cols] - 1
-        prefix = digits[cols, : i - 1].sum(axis=1)
+        prefix = digits[cols, :mode].sum(axis=1)
         amp = np.array([_amp_plus(m, k) for m in range(k - 1)])
         # exp of the whole prefix sum: a product of per-mode exponentials (a
         # kron of one-mode phases) would differ from it in the last bit
@@ -167,7 +169,7 @@ def _letter(kind: int, i: int, exp: int, n: int, k: int) -> Op:
         )
         w = np.zeros(k**n, dtype=np.complex128)
         w[cols] = amp[low] * phase[prefix]
-        op = {sign * k ** (n - i): w}
+        op = {sign * k ** (n - 1 - mode): w}
     _MATRIX_CACHE[key] = op
     return op
 
@@ -211,7 +213,7 @@ def _product(ops: Sequence[Op], dim: int) -> Op:
 
 def _word_op(word: Iterable[Letter], n: int, k: int) -> Op:
     """Product of letters (kind, 0-based mode, exp), the leftmost acting last."""
-    ops = [_letter(kind, mode + 1, exp, n, k) for kind, mode, exp in word]
+    ops = [_letter(letter, n, k) for letter in word]
     return _product(ops, k**n)
 
 
@@ -292,24 +294,29 @@ def _parse_label(label: str, n: int) -> GenExpr:
 # ---------------------------------------------------------------------------
 
 
-# bytes of weights one _Memo stores; at k^n = 10^5 one shift is 1.6 MB
+# bytes of weights the memo of check_matrix_relations stores; at k^n = 10^5
+# one shift is 1.6 MB
 MEMO_BYTES = 64 * 2**20
 
 
 class _Memo(dict):
-    """Operators already built within one call that shares them, keyed by a
-    leaf Gen or by a WeylMonomial, for one (n, k).  It stores until it holds
-    MEMO_BYTES of weights, then only looks up.  A stored operator is exactly
-    what the same deterministic operations would build again, so no result
-    changes; its weights are shared, so read-only."""
+    """Operators already built within one call, keyed by a leaf Gen or by a
+    WeylMonomial, for one (n, k).  It stores until it holds `budget` bytes of
+    weights, then only looks up; a leaf's or a monomial's operator always
+    has weights, so a zero budget stores nothing.  A stored operator is exactly what the same
+    deterministic operations would build again, so no result changes; its
+    weights are shared, so read-only."""
 
-    nbytes = 0  # of weights stored
+    def __init__(self, budget: int) -> None:
+        super().__init__()
+        self.budget = budget
+        self.nbytes = 0  # of weights stored
 
     def keep(self, key: Gen | WeylMonomial, op: Op) -> Op:
         size = 0
         for w in op.values():
             size += w.nbytes
-        if self.nbytes + size <= MEMO_BYTES:
+        if self.nbytes + size <= self.budget:
             for w in op.values():
                 w.setflags(write=False)
             self[key] = op
@@ -317,26 +324,15 @@ class _Memo(dict):
         return op
 
 
-class _NoMemo:
-    """The memo of a call that shares no operator: it finds and keeps nothing."""
-
-    def get(self, key: Gen | WeylMonomial) -> None:
-        return None
-
-    def keep(self, key: Gen | WeylMonomial, op: Op) -> Op:
-        return op
+# the memo of every call that shares no operator: it stays empty
+_UNSHARED = _Memo(0)
 
 
-_NO_MEMO = _NoMemo()
-
-
-def _matrix_of_expr(
-    x: GenExpr, n: int, k: int, memo: _Memo | _NoMemo = _NO_MEMO
-) -> Op:
+def _matrix_of_expr(x: GenExpr, n: int, k: int, memo: _Memo = _UNSHARED) -> Op:
     """Evaluate an expression tree by operator products only (no symbolic
     normal ordering): the first of the two verification routes.  A leaf
-    other than e/f is phi's letter word (uqosp.leaf_word) times s^a; with a
-    memo, each leaf is built once per memo."""
+    other than e/f is phi's letter word (uqosp.leaf_word) times s^a; a memo
+    with a budget keeps each leaf it has room for, built once."""
     if isinstance(x, Gen):
         op = memo.get(x)
         if op is not None:
@@ -369,12 +365,10 @@ def matrix_of_expr(x: GenExpr, n: int, k: int) -> SparseMatrix:
     return _entries(_matrix_of_expr(x, n, k), k**n)
 
 
-def _matrix_of_weyl(
-    terms: Terms, n: int, k: int, memo: _Memo | _NoMemo = _NO_MEMO
-) -> Op:
+def _matrix_of_weyl(terms: Terms, n: int, k: int, memo: _Memo = _UNSHARED) -> Op:
     """Root-evaluated coefficients times letter products, over a normal form's
-    sorted (monomial, coefficient) pairs; with a memo, each monomial's product
-    is built once per memo."""
+    sorted (monomial, coefficient) pairs; a memo with a budget keeps each
+    monomial's product it has room for, built once."""
 
     def monomial(mono: WeylMonomial) -> Op:
         op = memo.get(mono)
@@ -401,11 +395,11 @@ def check_unitarity(n: int, k: int) -> list[CheckResult]:
     out: list[CheckResult] = []
     for i in range(1, n + 1):
         # (a+)^dagger: the entry of column col moves to col + shift, shift -shift
-        ((shift, up),) = _letter(AP, i, 0, n, k).items()
+        ((shift, up),) = _letter((AP, i - 1, 0), n, k).items()
         cols = np.flatnonzero(up)
         dagger = np.zeros_like(up)
         dagger[cols + shift] = up[cols].conj()
-        diff = _sum(((1, _letter(AM, i, 0, n, k)), (-1, {-shift: dagger})))
+        diff = _sum(((1, _letter((AM, i - 1, 0), n, k)), (-1, {-shift: dagger})))
         dev = max(float(np.abs(w).max()) for w in diff.values())
         out.append(
             CheckResult(
@@ -416,7 +410,7 @@ def check_unitarity(n: int, k: int) -> list[CheckResult]:
             )
         )
         for label, op in (
-            (f"kappa{i}", _letter(KA, i, 1, n, k)),
+            (f"kappa{i}", _letter((KA, i - 1, 1), n, k)),
             (f"L{i}", _matrix_of_expr(Gen("L", i), n, k)),
         ):
             # entrywise distance of |op| from the identity
@@ -461,7 +455,7 @@ def check_weights(n: int, k: int) -> list[CheckResult]:
     worst_amp = 0.0
     worst_phase = 0.0
     for i in range(1, n + 1):
-        diag = _letter(KA, i, 1, n, k)[0]
+        diag = _letter((KA, i - 1, 1), n, k)[0]
         dev = float(_modulus(diag - weight[digits[:, i - 1]]).max())
         out.append(
             CheckResult(
@@ -470,7 +464,7 @@ def check_weights(n: int, k: int) -> list[CheckResult]:
             )
         )
         cols = np.flatnonzero(digits[:, i - 1] < k - 1)
-        amp = _letter(AP, i, 0, n, k)[k ** (n - i)][cols]
+        amp = _letter((AP, i - 1, 0), n, k)[k ** (n - i)][cols]
         modulus = _modulus(amp)
         sq_dev = np.abs(modulus**2 - ratios[digits[cols, i - 1]])
         worst_amp = max(worst_amp, float(sq_dev.max()))
@@ -506,7 +500,7 @@ def check_matrix_relations(n: int, k: int) -> list[CheckResult]:
     whole catalog, by one memo dropped on return."""
     _check_shape(n, k)
     out: list[CheckResult] = []
-    memo = _Memo()
+    memo = _Memo(MEMO_BYTES)
     for inst, lhs_terms, rhs_terms in realized_catalog(n):
         lhs = _matrix_of_expr(inst.lhs, n, k, memo)
         rhs = _matrix_of_expr(inst.rhs, n, k, memo)
@@ -720,11 +714,7 @@ def check_decomposition(n: int, k: int) -> list[CheckResult]:
                 "strong connectivity under gl root vectors",
             )
         )
-    ladder = [
-        _letter(kind, i, 0, n, k)
-        for i in range(1, n + 1)
-        for kind in (AP, AM)
-    ]
+    ladder = [_letter((kind, mode, 0), n, k) for mode in range(n) for kind in (AP, AM)]
     out.append(
         CheckResult(
             f"OSP.connected[n={n},k={k}]",

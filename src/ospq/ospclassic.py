@@ -222,16 +222,11 @@ class GradedMatrix:
 
 
 def supercommutator(a: GradedMatrix, b: GradedMatrix) -> GradedMatrix:
-    """[[a, b]] = ab - (-1)^{grade(a) grade(b)} ba for homogeneous a, b."""
-    if a.n != b.n:
-        raise ValueError(
-            f"dimension mismatch: {a.dim}x{a.dim} vs {b.dim}x{b.dim}"
-        )
-    ab = a @ b
-    ba = b @ a
+    """[[a, b]] = ab - (-1)^{grade(a) grade(b)} ba for homogeneous a, b: the
+    anticommutator of two odd matrices, else the commutator."""
     if a.grade == 1 and b.grade == 1:
-        return ab + ba
-    return ab - ba
+        return anticommutator(a, b)
+    return commutator(a, b)
 
 
 def anticommutator(a: GradedMatrix, b: GradedMatrix) -> GradedMatrix:
@@ -690,23 +685,19 @@ def chain_checks(
     return out
 
 
-def verify_classical(
-    n: int, parabose: dict[tuple[int, int], GradedMatrix] | None = None
-) -> list[CheckResult]:
+def verify_classical(n: int) -> list[CheckResult]:
     """Run the full battery of exact classical checks for osp(1|2n).
 
     Covers block membership, the trilinear and quadrilinear generator
     relations, Cartan-Kac and Serre relations for the induced Chevalley
     generators, the commutator-chain reconstruction of the odd generators,
-    and the span dimensions.  A custom (possibly corrupted) generator set
-    may be supplied; it propagates into every derived object.
+    and the span dimensions.  Every derived object is built from the
+    generators parabose_set(n), so a fault in one of them reaches every
+    check that uses it.
     """
     if not 1 <= n <= 5:
         raise ValueError(f"mode count n={n} out of supported range 1..5")
-    A = parabose if parabose is not None else parabose_set(n)
-    expected = {(i, s) for i in range(1, n + 1) for s in (+1, -1)}
-    if set(A) != expected:
-        raise ValueError("generator set must contain exactly (i, sign) for i=1..n")
+    A = parabose_set(n)
     anti = anticommutator_table(A)
     e, f, h = chevalley_from_table(A, anti)
     results: list[CheckResult] = []

@@ -42,14 +42,6 @@ ScalarLike = Union[int, Fraction, Q2]
 _Poly = dict[int, Q2]
 
 
-def _as_q2(x: object) -> Q2 | None:
-    if isinstance(x, Q2):
-        return x
-    if isinstance(x, (int, Fraction)):
-        return Q2(x)
-    return None
-
-
 def _spow_text(e: int) -> str:
     """Even powers of s print as powers of q = s^2."""
     if e == 0:
@@ -250,7 +242,7 @@ class QFrac:
         elif isinstance(num, dict):
             t = {e: c for e, c in num.items() if c}
         else:
-            c = _as_q2(num)
+            c = Q2._coerce(num)
             if c is None:
                 raise TypeError(f"cannot build QFrac from {type(num).__name__}")
             t = {0: c} if c else {}
@@ -273,7 +265,7 @@ class QFrac:
     @classmethod
     def s_pow(cls, e: int, coeff: ScalarLike = 1) -> "QFrac":
         """The monomial coeff * s^e."""
-        c = _as_q2(coeff)
+        c = Q2._coerce(coeff)
         if c is None:
             raise TypeError("coefficient must be rational or Q2")
         return _frac({e: c} if c else {})
@@ -282,7 +274,7 @@ class QFrac:
     def _coerce(x: object) -> "QFrac | None":
         if isinstance(x, QFrac):
             return x
-        c = _as_q2(x)
+        c = Q2._coerce(x)
         if c is not None:
             return _frac({0: c} if c else {})
         return None
@@ -536,7 +528,7 @@ def eval_root(x: QFrac | ScalarLike, k: int) -> complex:
     """Evaluate any coefficient-like object at q = exp(i*pi/k)."""
     if isinstance(x, QFrac):
         return x.eval_root(k)
-    c = _as_q2(x)
+    c = Q2._coerce(x)
     if c is None:
         raise TypeError(f"cannot evaluate {type(x).__name__}")
     return complex(c)

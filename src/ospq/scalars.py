@@ -244,6 +244,5 @@ class Q2:
         return f"Q2({self.r!r}, {self.w!r})"
 
 
-ZERO = Q2(0)
 ONE = Q2(1)
 SQRT2 = Q2(0, 1)

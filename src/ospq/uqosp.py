@@ -136,17 +136,9 @@ _INV_SQRT2_Q = QFrac(Q2(0, Fraction(1, 2)))
 _HALF_Q = QFrac(Fraction(1, 2))
 
 
-def _as_weight(c) -> QFrac:
-    return c if isinstance(c, QFrac) else QFrac(c)
-
-
-def _spow(e: int) -> QFrac:
-    return QFrac.s_pow(e)
-
-
-def scaled(c, x: GenExpr) -> GenExpr:
+def scaled(c: QFrac, x: GenExpr) -> GenExpr:
     """c * x as a one-term sum."""
-    return Sum(((_as_weight(c), x),))
+    return Sum(((c, x),))
 
 
 def prod(*factors: GenExpr) -> GenExpr:
@@ -157,26 +149,6 @@ def prod(*factors: GenExpr) -> GenExpr:
         else:
             flat.append(fac)
     return Product(tuple(flat))
-
-
-def gen_e(i: int) -> Gen:
-    return Gen("e", i)
-
-
-def gen_f(i: int) -> Gen:
-    return Gen("f", i)
-
-
-def gen_k(i: int, exp: int = 1) -> Gen:
-    return Gen("k", i, exp)
-
-
-def gen_A(i: int, sign: int) -> Gen:
-    return Gen("A", i, sign)
-
-
-def gen_L(i: int, exp: int = 1) -> Gen:
-    return Gen("L", i, exp)
 
 
 # ---------------------------------------------------------------------------
@@ -216,14 +188,14 @@ def build_preoscillator(n: int, i: int, sign: int) -> GenExpr:
     """
     _check_mode(n, i)
     if sign == -1:
-        expr: GenExpr = gen_e(n)
+        expr: GenExpr = Gen("e", n)
         for j in range(n - 1, i - 1, -1):
-            expr = QBracket(gen_e(j), expr, -2)
+            expr = QBracket(Gen("e", j), expr, -2)
         return scaled(-_SQRT2_Q, expr)
     if sign == +1:
-        expr = gen_f(n)
+        expr = Gen("f", n)
         for j in range(n - 1, i - 1, -1):
-            expr = QBracket(expr, gen_f(j), +2)
+            expr = QBracket(expr, Gen("f", j), +2)
         return scaled(_SQRT2_Q, expr)
     raise ValueError(f"sign must be +1 or -1, got {sign!r}")
 
@@ -232,9 +204,9 @@ def build_cartan_L(n: int, i: int, exp: int = 1) -> GenExpr:
     """L_i = k_i k_{i+1} ... k_n (or the reversed product of inverses)."""
     _check_mode(n, i)
     if exp == 1:
-        return Product(tuple(gen_k(j) for j in range(i, n + 1)))
+        return Product(tuple(Gen("k", j) for j in range(i, n + 1)))
     if exp == -1:
-        return Product(tuple(gen_k(j, -1) for j in range(n, i - 1, -1)))
+        return Product(tuple(Gen("k", j, -1) for j in range(n, i - 1, -1)))
     raise ValueError(f"exponent must be +1 or -1, got {exp!r}")
 
 
@@ -248,16 +220,16 @@ def build_chevalley_from_pre(n: int, i: int) -> tuple[GenExpr, GenExpr]:
     _check_mode(n, i)
     if i == n:
         return (
-            scaled(-_INV_SQRT2_Q, gen_A(n, -1)),
-            scaled(_INV_SQRT2_Q, gen_A(n, +1)),
+            scaled(-_INV_SQRT2_Q, Gen("A", n, -1)),
+            scaled(_INV_SQRT2_Q, Gen("A", n, +1)),
         )
     e_expr = scaled(
         QFrac.s_pow(2, Fraction(-1, 2)),
-        prod(AntiComm(gen_A(i, -1), gen_A(i + 1, +1)), gen_L(i + 1, -1)),
+        prod(AntiComm(Gen("A", i, -1), Gen("A", i + 1, +1)), Gen("L", i + 1, -1)),
     )
     f_expr = scaled(
         QFrac.s_pow(-2, Fraction(-1, 2)),
-        prod(gen_L(i + 1), AntiComm(gen_A(i, +1), gen_A(i + 1, -1))),
+        prod(Gen("L", i + 1), AntiComm(Gen("A", i, +1), Gen("A", i + 1, -1))),
     )
     return e_expr, f_expr
 
@@ -272,10 +244,10 @@ def build_gl_generator(n: int, i: int, j: int) -> GenExpr:
     _check_mode(n, j)
     if i == j:
         raise ValueError("diagonal directions are carried by the L_i")
-    body = AntiComm(gen_A(i, -1), gen_A(j, +1))
+    body = AntiComm(Gen("A", i, -1), Gen("A", j, +1))
     if i < j:
-        return scaled(-_HALF_Q, prod(gen_L(j, -1), body))
-    return scaled(-_HALF_Q, prod(body, gen_L(i)))
+        return scaled(-_HALF_Q, prod(Gen("L", j, -1), body))
+    return scaled(-_HALF_Q, prod(body, Gen("L", i)))
 
 
 # ---------------------------------------------------------------------------
@@ -283,7 +255,6 @@ def build_gl_generator(n: int, i: int, j: int) -> GenExpr:
 # ---------------------------------------------------------------------------
 
 
-@lru_cache(maxsize=4096)
 def leaf_word(
     kind: str, index: int, exp: int, n: int
 ) -> tuple[int, tuple[Letter, ...]]:
@@ -312,7 +283,7 @@ def _leaf_image(kind: str, index: int, exp: int, n: int, rules: Rules) -> WeylEl
         return realize(e_expr if kind == "e" else f_expr, n, rules)
     a, word = leaf_word(kind, index, exp, n)
     image = WeylElement.from_word(n, word, rules)
-    return image.scale(_spow(a)) if a else image
+    return image.scale(QFrac.s_pow(a)) if a else image
 
 
 def realize(x: GenExpr, n: int, rules: Rules = DEFAULT_RULES) -> WeylElement:
@@ -387,7 +358,7 @@ def _ck_instances(n: int) -> list[RelationInstance]:
         out.append(
             RelationInstance(
                 f"CK.kk[n={n},i={i}]", "CK", (i,), (),
-                prod(gen_k(i), gen_k(i, -1)), ONE_EXPR,
+                prod(Gen("k", i), Gen("k", i, -1)), ONE_EXPR,
             )
         )
     for i in range(1, n + 1):
@@ -395,7 +366,7 @@ def _ck_instances(n: int) -> list[RelationInstance]:
             out.append(
                 RelationInstance(
                     f"CK.kcomm[n={n},i={i},j={j}]", "CK", (i, j), (),
-                    prod(gen_k(i), gen_k(j)), prod(gen_k(j), gen_k(i)),
+                    prod(Gen("k", i), Gen("k", j)), prod(Gen("k", j), Gen("k", i)),
                 )
             )
     for i in range(1, n + 1):
@@ -404,21 +375,21 @@ def _ck_instances(n: int) -> list[RelationInstance]:
             out.append(
                 RelationInstance(
                     f"CK.ke[n={n},i={i},j={j}]", "CK", (i, j), (),
-                    prod(gen_k(i), gen_e(j)),
-                    scaled(_spow(2 * a_ij), prod(gen_e(j), gen_k(i))),
+                    prod(Gen("k", i), Gen("e", j)),
+                    scaled(QFrac.s_pow(2 * a_ij), prod(Gen("e", j), Gen("k", i))),
                 )
             )
             out.append(
                 RelationInstance(
                     f"CK.kf[n={n},i={i},j={j}]", "CK", (i, j), (),
-                    prod(gen_k(i), gen_f(j)),
-                    scaled(_spow(-2 * a_ij), prod(gen_f(j), gen_k(i))),
+                    prod(Gen("k", i), Gen("f", j)),
+                    scaled(QFrac.s_pow(-2 * a_ij), prod(Gen("f", j), Gen("k", i))),
                 )
             )
             if i == j == n:
-                lhs: GenExpr = AntiComm(gen_e(n), gen_f(n))
+                lhs: GenExpr = AntiComm(Gen("e", n), Gen("f", n))
             else:
-                lhs = QBracket(gen_e(i), gen_f(j), 0)
+                lhs = QBracket(Gen("e", i), Gen("f", j), 0)
             if i == j:
                 rhs: GenExpr = Sum(
                     ((INV_QMQI, Gen("k", i, 1)), (-INV_QMQI, Gen("k", i, -1)))
@@ -436,24 +407,25 @@ def _ck_instances(n: int) -> list[RelationInstance]:
 def _serre_instances(n: int) -> list[RelationInstance]:
     """Both Serre families: every SERRE_E instance, then every SERRE_F one."""
     out: list[RelationInstance] = []
-    one = _as_weight(1)
+    one = QFrac(1)
     q_plus_qinv = QFrac({2: Q2(1), -2: Q2(1)})
     c4 = QFrac({0: Q2(1), 2: Q2(-1), -2: Q2(-1)})  # 1 - q - q^-1
-    for family, g in (("SERRE_E", gen_e), ("SERRE_F", gen_f)):
+    for family, kind in (("SERRE_E", "e"), ("SERRE_F", "f")):
+        g = {i: Gen(kind, i) for i in range(1, n + 1)}
         for i in range(1, n + 1):
             for j in range(i + 2, n + 1):
                 out.append(
                     RelationInstance(
                         f"{family}.far[n={n},i={i},j={j}]", family, (i, j), (),
-                        QBracket(g(i), g(j), 0), ZERO_EXPR,
+                        QBracket(g[i], g[j], 0), ZERO_EXPR,
                     )
                 )
         for i, j in [(i, i + 1) for i in range(1, n)] + [(i, i - 1) for i in range(2, n)]:
             lhs = Sum(
                 (
-                    (one, prod(g(i), g(i), g(j))),
-                    (-q_plus_qinv, prod(g(i), g(j), g(i))),
-                    (one, prod(g(j), g(i), g(i))),
+                    (one, prod(g[i], g[i], g[j])),
+                    (-q_plus_qinv, prod(g[i], g[j], g[i])),
+                    (one, prod(g[j], g[i], g[i])),
                 )
             )
             out.append(
@@ -463,7 +435,7 @@ def _serre_instances(n: int) -> list[RelationInstance]:
                 )
             )
         if n >= 2:
-            x, y = g(n), g(n - 1)
+            x, y = g[n], g[n - 1]
             lhs = Sum(
                 (
                     (one, prod(x, x, x, y)),
@@ -486,7 +458,7 @@ def _ladder_tables(n: int) -> tuple[dict, dict]:
     each ladder leaf and anticommutator here, as the classical sweeps read
     ospclassic.anticommutator_table, so a catalog holds one object for each
     of the (2n)^2 anticommutators rather than one per use."""
-    A = {(i, s): gen_A(i, s) for i in range(1, n + 1) for s in (+1, -1)}
+    A = {(i, s): Gen("A", i, s) for i in range(1, n + 1) for s in (+1, -1)}
     return A, {(a, b): AntiComm(A[a], A[b]) for a in A for b in A}
 
 
@@ -497,14 +469,14 @@ def _pre_instances(n: int) -> list[RelationInstance]:
         out.append(
             RelationInstance(
                 f"PRE1.inv[n={n},i={i}]", "PRE1", (i,), (),
-                prod(gen_L(i), gen_L(i, -1)), ONE_EXPR,
+                prod(Gen("L", i), Gen("L", i, -1)), ONE_EXPR,
             )
         )
         for j in range(i + 1, n + 1):
             out.append(
                 RelationInstance(
                     f"PRE1.comm[n={n},i={i},j={j}]", "PRE1", (i, j), (),
-                    prod(gen_L(i), gen_L(j)), prod(gen_L(j), gen_L(i)),
+                    prod(Gen("L", i), Gen("L", j)), prod(Gen("L", j), Gen("L", i)),
                 )
             )
     for i in range(1, n + 1):
@@ -515,10 +487,10 @@ def _pre_instances(n: int) -> list[RelationInstance]:
                     RelationInstance(
                         f"PRE2[n={n},i={i},j={j},sign={_SIGN_STR[s]}]",
                         "PRE2", (i, j), (s,),
-                        prod(gen_L(i), A[j, s]),
+                        prod(Gen("L", i), A[j, s]),
                         scaled(
-                            _spow(-2 * s * (1 if i == j else 0)),
-                            prod(A[j, s], gen_L(i)),
+                            QFrac.s_pow(-2 * s * (1 if i == j else 0)),
+                            prod(A[j, s], Gen("L", i)),
                         ),
                     )
                 )
@@ -548,7 +520,7 @@ def _pre_instances(n: int) -> list[RelationInstance]:
                     )
                     if j == i + sigma:
                         rhs: GenExpr = scaled(
-                            -2 * xi, prod(gen_L(j, sigma * xi), A[i, -xi])
+                            QFrac(-2 * xi), prod(Gen("L", j, sigma * xi), A[i, -xi])
                         )
                     else:
                         rhs = ZERO_EXPR
@@ -591,8 +563,8 @@ def _t_instances(n: int) -> list[RelationInstance]:
                     if i == k:
                         terms.append(
                             (
-                                _as_weight(2 * xi),
-                                prod(A[j, xi], gen_L(k, xi * tau(i, j))),
+                                QFrac(2 * xi),
+                                prod(A[j, xi], Gen("L", k, xi * tau(i, j))),
                             )
                         )
                     t = tau(i, k, j)
@@ -627,15 +599,15 @@ def _t_instances(n: int) -> list[RelationInstance]:
                     if i == k:
                         terms.append(
                             (
-                                _as_weight(-2 * xi),
-                                prod(A[j, xi], gen_L(i, xi * tau(i, j))),
+                                QFrac(-2 * xi),
+                                prod(A[j, xi], Gen("L", i, xi * tau(i, j))),
                             )
                         )
                     if j == k:
                         terms.append(
                             (
-                                _as_weight(-2 * xi),
-                                prod(A[i, xi], gen_L(j, xi * tau(j, i))),
+                                QFrac(-2 * xi),
+                                prod(A[i, xi], Gen("L", j, xi * tau(j, i))),
                             )
                         )
                     out.append(
@@ -668,8 +640,8 @@ def _t_instances(n: int) -> list[RelationInstance]:
                             * INV_QMQI
                             * QFrac({0: Q2(1), -2 * xi: Q2(-1)})
                         )  # (1 - q^-xi)
-                        terms.append((w_minus, prod(A[i, xi], gen_L(i, -1))))
-                        terms.append((w_plus, prod(A[i, xi], gen_L(i, 1))))
+                        terms.append((w_minus, prod(A[i, xi], Gen("L", i, -1))))
+                        terms.append((w_plus, prod(A[i, xi], Gen("L", i, 1))))
                     out.append(
                         RelationInstance(
                             f"T3[n={n},i={i},k={k},xi={_SIGN_STR[xi]},"
@@ -705,8 +677,8 @@ def _g_instances(n: int) -> list[RelationInstance]:
                             f"G1.LL[n={n},i={i},j={j},xi={_SIGN_STR[xi]},"
                             f"eta={_SIGN_STR[eta]}]",
                             "G1", (i, j), (xi, eta),
-                            prod(gen_L(i, xi), gen_L(j, eta)),
-                            prod(gen_L(j, eta), gen_L(i, xi)),
+                            prod(Gen("L", i, xi), Gen("L", j, eta)),
+                            prod(Gen("L", j, eta), Gen("L", i, xi)),
                         )
                     )
     # every root vector e_ij, built once; the keys run over i, then j
@@ -721,8 +693,10 @@ def _g_instances(n: int) -> list[RelationInstance]:
             out.append(
                 RelationInstance(
                     f"G1.Le[n={n},i={i},j={j},k={k}]", "G1", (i, j, k), (),
-                    prod(gen_L(i), e[j, k]),
-                    scaled(_spow(2 * ((i == j) - (i == k))), prod(e[j, k], gen_L(i))),
+                    prod(Gen("L", i), e[j, k]),
+                    scaled(
+                        QFrac.s_pow(2 * ((i == j) - (i == k))), prod(e[j, k], Gen("L", i))
+                    ),
                 )
             )
     pos = [(i, j) for i, j in e if i < j]
@@ -731,24 +705,24 @@ def _g_instances(n: int) -> list[RelationInstance]:
         for k, l in neg:
             terms: list[tuple[QFrac, GenExpr]] = []
             # first group, right-multiplied by L_k L_i^{-1}
-            tail1 = (gen_L(k), gen_L(i, -1))
+            tail1 = (Gen("L", k), Gen("L", i, -1))
             if theta(j, k, i, l):
                 terms.append((Q_MINUS_QINV, prod(e[k, j], e[i, l], *tail1)))
             if i == l and theta(j, k):
-                terms.append((_as_weight(-1), prod(e[k, j], *tail1)))
+                terms.append((QFrac(-1), prod(e[k, j], *tail1)))
             if j == k and theta(i, l):
-                terms.append((_as_weight(1), prod(e[i, l], *tail1)))
+                terms.append((QFrac(1), prod(e[i, l], *tail1)))
             # second group, left-multiplied by L_l L_j^{-1}
-            head2 = (gen_L(l), gen_L(j, -1))
+            head2 = (Gen("L", l), Gen("L", j, -1))
             if theta(k, j, l, i):
                 terms.append((-Q_MINUS_QINV, prod(*head2, e[i, l], e[k, j])))
             if i == l and theta(k, j):
-                terms.append((_as_weight(-1), prod(*head2, e[k, j])))
+                terms.append((QFrac(-1), prod(*head2, e[k, j])))
             if j == k and theta(l, i):
-                terms.append((_as_weight(1), prod(*head2, e[i, l])))
+                terms.append((QFrac(1), prod(*head2, e[i, l])))
             if i == l and j == k:
-                terms.append((INV_QMQI, prod(gen_L(i), gen_L(j, -1))))
-                terms.append((-INV_QMQI, prod(gen_L(i, -1), gen_L(j))))
+                terms.append((INV_QMQI, prod(Gen("L", i), Gen("L", j, -1))))
+                terms.append((-INV_QMQI, prod(Gen("L", i, -1), Gen("L", j))))
             out.append(
                 RelationInstance(
                     f"G2[n={n},i={i},j={j},k={k},l={l}]", "G2",
@@ -770,13 +744,13 @@ def _g_instances(n: int) -> list[RelationInstance]:
                 )
                 lhs = Sum(
                     (
-                        (_as_weight(1), prod(e[i, j], e[k, l])),
-                        (-_spow(2 * exponent), prod(e[k, l], e[i, j])),
+                        (QFrac(1), prod(e[i, j], e[k, l])),
+                        (-QFrac.s_pow(2 * exponent), prod(e[k, l], e[i, j])),
                     )
                 )
                 terms = []
                 if j == k:
-                    terms.append((_as_weight(1), e[i, l]))
+                    terms.append((QFrac(1), e[i, l]))
                 t = tau(i, k, j, l)
                 if t:
                     terms.append((t * Q_MINUS_QINV, prod(e[k, j], e[i, l])))
@@ -889,13 +863,13 @@ def round_trip_checks(n: int, rules: Rules = DEFAULT_RULES) -> list[CheckResult]
     out: list[CheckResult] = []
     for i in range(1, n + 1):
         for s in (-1, +1):
-            target = realize(gen_A(i, s), n, rules)
+            target = realize(Gen("A", i, s), n, rules)
             out.append(residual_row(
                 f"RT.A[n={n},i={i},sign={_SIGN_STR[s]}]",
                 realize(build_preoscillator(n, i, s), n, rules) - target,
             ))
     for i in range(1, n + 1):
-        target = realize(gen_L(i), n, rules)
+        target = realize(Gen("L", i), n, rules)
         out.append(residual_row(
             f"RT.L[n={n},i={i}]", realize(build_cartan_L(n, i), n, rules) - target))
     return out

@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
+import os
 import re
 import shlex
 import subprocess
@@ -17,6 +19,17 @@ from ospq import fockrep
 from ospq.cli import main, render_element
 from ospq.scalars import Q2
 from ospq.walgebra import normal_order
+
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+
+def _child_env() -> dict:
+    """The environment of a child interpreter, with the package sources first
+    on its path, as pytest puts them on its own."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (str(SRC), env.get("PYTHONPATH"))))
+    return env
 
 
 def run_main(capsys, *argv):
@@ -216,15 +229,17 @@ def test_out_in_missing_directory_is_refused(tmp_path, capsys, argv):
     assert code == 2 and out == ""
     assert err == f"error: --out directory {str(missing)!r} does not exist\n"
     assert not missing.exists()
-    if head[0] == "rep":
-        return  # rep --out is a file-name prefix, so a directory is no error
-    # an existing directory as the report path is refused just as early
-    start = time.perf_counter()
-    code, out, err = run_main(capsys, *head, str(tmp_path))
-    assert time.perf_counter() - start < 1.0
-    assert code == 2 and out == ""
-    assert err == f"error: --out {str(tmp_path)!r} is a directory\n"
-    assert list(tmp_path.iterdir()) == []
+    # an existing directory as the report path or CSV prefix, with or without
+    # a trailing slash, is refused just as early, and nothing is written in
+    # it or beside it
+    for folder in (str(tmp_path), str(tmp_path) + os.sep):
+        start = time.perf_counter()
+        code, out, err = run_main(capsys, *head, folder)
+        assert time.perf_counter() - start < 1.0
+        assert code == 2 and out == ""
+        assert err == f"error: --out {folder!r} is a directory\n"
+        assert list(tmp_path.iterdir()) == []
+        assert list(tmp_path.parent.glob(f"{tmp_path.name}.*")) == []
 
 
 def test_json_reports_deterministic(capsys):
@@ -235,6 +250,32 @@ def test_json_reports_deterministic(capsys):
     d1.pop("timestamp")
     d2.pop("timestamp")
     assert json.dumps(d1) == json.dumps(d2)
+
+
+_NORMAL_ORDER_WORDS = (
+    "a1- a1+",
+    "a1- a1- a1+ a1+",
+    "a2- k1^-1 a1+",
+    "a2- a1+ a2+ a1-",
+    "k2^2 a1+ k1^-1 a2- a1-",
+    "a3- a2- a1+ a3+",
+)
+# sha256 of the exact stdout and exit code of every command below, timestamp
+# line dropped; these layers are exact, so the bytes do not depend on numpy
+_REPORT_BYTES_DIGEST = "7c4fd576e7d7162b071c78acaa69666103eff79a7dd8bc2ebbd9f3e88870ceda"
+
+
+def test_report_bytes_golden_digest(capsys):
+    runs = [("verify", "--n", str(n), "--format", "json") for n in range(1, 5)]
+    runs.append(("verify", "--n", "2", "--corrupt-rules", "--format", "json"))
+    for word in _NORMAL_ORDER_WORDS:
+        runs += [("normal-order", word), ("normal-order", word, "--contract")]
+    digest = hashlib.sha256()
+    for argv in runs:
+        code, out, _ = run_main(capsys, *argv)
+        out = re.sub(r'^  "timestamp": .*\n', "", out, flags=re.M)
+        digest.update(f"{argv}|{code}|{out}\n".encode())
+    assert digest.hexdigest() == _REPORT_BYTES_DIGEST
 
 
 def test_rep_all_checks(capsys):
@@ -389,6 +430,7 @@ def test_module_entry_point():
         [sys.executable, "-m", "ospq.cli", "--version"],
         capture_output=True,
         text=True,
+        env=_child_env(),
     )
     assert proc.returncode == 0
     assert proc.stdout.strip().startswith("ospq ")
@@ -401,6 +443,7 @@ def test_cli_import_leaves_numpy_and_scipy_unloaded():
          "import sys, ospq.cli; print(sorted({'numpy', 'scipy'} & set(sys.modules)))"],
         capture_output=True,
         text=True,
+        env=_child_env(),
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
@@ -420,7 +463,9 @@ def test_rep_and_decompose_leave_scipy_unloaded(tmp_path):
         f"             main(['rep', '--n', '2', '--k', '3', '--out', {stem!r}])]\n"
         "print(codes)"
     )
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=_child_env()
+    )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[0, 0, 0]"
     for label in ("a1+", "a1-", "k1", "L1", "a2+", "a2-", "k2", "L2"):

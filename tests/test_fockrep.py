@@ -124,7 +124,7 @@ def test_matrix_cache_holds_one_shape():
     build_generator_matrix("a1+", 3, 2)
     build_generator_matrix("k2", 3, 2)
     assert fockrep._MATRIX_CACHE
-    assert all(key[3:] == (3, 2) for key in fockrep._MATRIX_CACHE)
+    assert all(key[1:] == (3, 2) for key in fockrep._MATRIX_CACHE)
     assert fockrep._digits.cache_info().currsize == 1
     assert not fockrep._digits(3, 2).flags.writeable
 
@@ -222,10 +222,10 @@ def test_weight_rows_fail_under_phase_mutations(monkeypatch):
     # the letters: every a^+ weight carries the phase of the next prefix sum
     letter = fockrep._letter
 
-    def shifted_letter(kind, i, exp, n, k):
-        op = letter(kind, i, exp, n, k)
+    def shifted_letter(x, n, k):
+        op = letter(x, n, k)
         step = cmath.exp(-1j * math.pi / k)
-        return {d: w * step for d, w in op.items()} if kind == AP else op
+        return {d: w * step for d, w in op.items()} if x[0] == AP else op
 
     with monkeypatch.context() as patch:
         patch.setattr(fockrep, "_letter", shifted_letter)
@@ -266,7 +266,7 @@ def test_perturbed_letter_fails_unitarity_and_relations(monkeypatch):
     # entrywise and in the relations built from it
     n, k = 2, 3
     assert all(r.ok for r in check_unitarity(n, k))
-    key = (AP, 1, 0, n, k)
+    key = ((AP, 0, 0), n, k)
     ((d, w),) = fockrep._MATRIX_CACHE[key].items()
     bad = w.copy()
     bad[np.flatnonzero(w)[0]] *= 1.001
@@ -331,8 +331,8 @@ def test_only_calls_that_share_a_memo_build_one(monkeypatch):
     memos = []
 
     class Spy(fockrep._Memo):
-        def __init__(self):
-            super().__init__()
+        def __init__(self, budget):
+            super().__init__(budget)
             memos.append(self)
 
     monkeypatch.setattr(fockrep, "_Memo", Spy)
@@ -354,8 +354,8 @@ def test_memo_bound_keeps_rows_and_is_never_exceeded(monkeypatch):
     memos = []
 
     class Spy(fockrep._Memo):
-        def __init__(self):
-            super().__init__()
+        def __init__(self, budget):
+            super().__init__(budget)
             memos.append(self)
 
     monkeypatch.setattr(fockrep, "_Memo", Spy)
@@ -375,7 +375,7 @@ def test_memo_bound_keeps_rows_and_is_never_exceeded(monkeypatch):
         entries[bound] = len(memo)
     assert entries[0] == 0 < entries[4096] < entries[default]
     # nothing but letters outlives the call
-    assert all(len(key) == 5 and key[3:] == (3, 2) for key in fockrep._MATRIX_CACHE)
+    assert all(len(key) == 3 and key[1:] == (3, 2) for key in fockrep._MATRIX_CACHE)
 
 
 def test_cartan_anticommutator_as_two_by_two_matrices():
@@ -571,7 +571,7 @@ def test_connectivity_search_matches_csgraph():
             for j in range(1, n + 1)
             if i != j
         }
-        ladder = [fockrep._letter(kind, i, 0, n, k) for i in range(1, n + 1) for kind in (AP, AM)]
+        ladder = [fockrep._letter((kind, mode, 0), n, k) for mode in range(n) for kind in (AP, AM)]
         cases = [
             (list(gl.values()), labels),
             ([op for (i, j), op in gl.items() if i < j], labels),

@@ -29,11 +29,6 @@ from ospq.uqosp import (
     build_preoscillator,
     catalog,
     classical_limit_checks,
-    gen_A,
-    gen_e,
-    gen_f,
-    gen_k,
-    gen_L,
     realize,
     realized_catalog,
     round_trip_checks,
@@ -124,10 +119,10 @@ def test_builder_errors():
 
 
 def test_cartan_L_products():
-    assert build_cartan_L(3, 2).factors == (gen_k(2), gen_k(3))
-    assert build_cartan_L(3, 3).factors == (gen_k(3),)
+    assert build_cartan_L(3, 2).factors == (Gen("k", 2), Gen("k", 3))
+    assert build_cartan_L(3, 3).factors == (Gen("k", 3),)
     inv = build_cartan_L(3, 2, -1)
-    assert inv.factors == (gen_k(3, -1), gen_k(2, -1))
+    assert inv.factors == (Gen("k", 3, -1), Gen("k", 2, -1))
 
 
 # ---------------------------------------------------------------------------
@@ -138,23 +133,23 @@ def test_cartan_L_products():
 def test_leaf_images():
     n = 3
     for i in (1, 2, 3):
-        assert realize(gen_A(i, +1), n) == a_plus(n, i)
-        assert realize(gen_A(i, -1), n) == a_minus(n, i)
+        assert realize(Gen("A", i, +1), n) == a_plus(n, i)
+        assert realize(Gen("A", i, -1), n) == a_minus(n, i)
         # L_i -> q^{-1/2} kappa_i^{-1}
-        assert realize(gen_L(i), n) == kappa_el(n, i, -1).scale(_spow(-1))
-        assert realize(gen_L(i, -1), n) == kappa_el(n, i, 1).scale(_spow(1))
+        assert realize(Gen("L", i), n) == kappa_el(n, i, -1).scale(_spow(-1))
+        assert realize(Gen("L", i, -1), n) == kappa_el(n, i, 1).scale(_spow(1))
     # k_i -> kappa_i^{-1} kappa_{i+1} for i < n, k_n -> q^{-1/2} kappa_n^{-1}
-    assert realize(gen_k(1), n) == mul(kappa_el(n, 1, -1), kappa_el(n, 2, 1))
-    assert realize(gen_k(3), n) == kappa_el(n, 3, -1).scale(_spow(-1))
-    assert realize(Product((gen_k(1), gen_k(1, -1))), n).is_zero() is False
+    assert realize(Gen("k", 1), n) == mul(kappa_el(n, 1, -1), kappa_el(n, 2, 1))
+    assert realize(Gen("k", 3), n) == kappa_el(n, 3, -1).scale(_spow(-1))
+    assert realize(Product((Gen("k", 1), Gen("k", 1, -1))), n).is_zero() is False
 
 
 def test_short_root_images():
     n = 2
-    assert realize(gen_e(2), n) == a_minus(n, 2).scale(
+    assert realize(Gen("e", 2), n) == a_minus(n, 2).scale(
         QFrac(Q2(0, Fraction(-1, 2)))
     )
-    assert realize(gen_f(2), n) == a_plus(n, 2).scale(
+    assert realize(Gen("f", 2), n) == a_plus(n, 2).scale(
         QFrac(Q2(0, Fraction(1, 2)))
     )
 
@@ -162,7 +157,7 @@ def test_short_root_images():
 def test_long_root_image_normal_form():
     # e_1 for n=2 realizes to -(s^3+s)/2 * a_2^+ kappa_2 a_1^-
     n = 2
-    img = realize(gen_e(1), n)
+    img = realize(Gen("e", 1), n)
     expected = (
         mul(mul(a_plus(n, 2), kappa_el(n, 2)), a_minus(n, 1))
     ).scale(QFrac({3: Q2(Fraction(-1, 2)), 1: Q2(Fraction(-1, 2))}))
@@ -180,7 +175,7 @@ def test_gl_generator_image_matches_cos_form():
     assert img == expected
     # same element as the realized e_1 (they differ only by L-dressing
     # conventions that cancel for this index pattern)
-    assert img == realize(gen_e(1), n)
+    assert img == realize(Gen("e", 1), n)
     # the mirrored generator carries L_2 itself, whose image is an inverse
     # kappa, so the normal form is -(s^-1+s^-3)/2 a_1^+ kappa_2^-1 a_2^-
     img21 = realize(build_gl_generator(n, 2, 1), n)
@@ -194,7 +189,7 @@ def test_anticommutator_cartan_identity():
     # {A_1^-, A_1^+} realizes to -2(l - l^-1)/(q - q^-1) with
     # l = q^{-1/2} kappa_1^{-1}
     n = 1
-    img = realize(AntiComm(gen_A(1, -1), gen_A(1, +1)), n)
+    img = realize(AntiComm(Gen("A", 1, -1), Gen("A", 1, +1)), n)
     expected = kappa_el(n, 1, -1).scale(-2 * INV_QMQI * _spow(-1)) + kappa_el(
         n, 1, 1
     ).scale(2 * INV_QMQI * _spow(1))
@@ -203,7 +198,7 @@ def test_anticommutator_cartan_identity():
 
 def test_qbracket_is_deformed_commutator():
     n = 2
-    x, y = gen_A(1, +1), gen_A(2, +1)
+    x, y = Gen("A", 1, +1), Gen("A", 2, +1)
     img = realize(QBracket(x, y, 2), n)
     direct = mul(a_plus(n, 1), a_plus(n, 2)) - mul(
         a_plus(n, 2), a_plus(n, 1)
@@ -301,7 +296,7 @@ def test_t2_instance_shape():
     assert isinstance(inst.rhs, Sum) and len(inst.rhs.terms) == 1
     coeff, body = inst.rhs.terms[0]
     assert coeff == QFrac(-2)
-    assert body == Product((gen_A(2, +1), gen_L(1, 1)))
+    assert body == Product((Gen("A", 2, +1), Gen("L", 1, 1)))
 
 
 def test_g2_instance_has_cartan_tail():
@@ -310,8 +305,8 @@ def test_g2_instance_has_cartan_tail():
         (c, t) for c, t in inst.rhs.terms
         if isinstance(t, Product) and all(isinstance(f, Gen) and f.kind == "L" for f in t.factors)
     ]
-    assert (INV_QMQI, Product((gen_L(1), gen_L(2, -1)))) in tails
-    assert (-INV_QMQI, Product((gen_L(1, -1), gen_L(2)))) in tails
+    assert (INV_QMQI, Product((Gen("L", 1), Gen("L", 2, -1)))) in tails
+    assert (-INV_QMQI, Product((Gen("L", 1, -1), Gen("L", 2)))) in tails
 
 
 # ---------------------------------------------------------------------------
@@ -441,8 +436,8 @@ def test_realization_memo_is_bounded_and_keeps_normal_forms():
 def test_verify_instance_reports_residual_size():
     inst = RelationInstance(
         "FAKE[x]", "FAKE", (1,), (),
-        Product((gen_A(1, +1),)),
-        Product((gen_A(1, -1),)),
+        Product((Gen("A", 1, +1),)),
+        Product((Gen("A", 1, -1),)),
     )
     row = verify_instance(inst, 1)
     assert not row.ok
@@ -468,7 +463,7 @@ def test_failing_rows_show_their_residual():
 def test_long_residuals_are_cut():
     inst = RelationInstance(
         "FAKE[long]", "FAKE", (1,), (),
-        Product((gen_A(1, -1),) * 4 + (gen_A(1, +1),) * 4), ONE_EXPR,
+        Product((Gen("A", 1, -1),) * 4 + (Gen("A", 1, +1),) * 4), ONE_EXPR,
     )
     row = verify_instance(inst, 1)
     assert not row.ok and row.detail.endswith(TRUNCATED_MARK)
