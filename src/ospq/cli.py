@@ -120,9 +120,11 @@ def _fail(message: str) -> int:
 
 
 def _bad_out(out_path: str | None) -> str | None:
-    """An error if out_path, a report path or a CSV file-name prefix, names a
-    file in a directory that does not exist, or names a directory; checked
-    before any check runs, so a bad path costs nothing."""
+    """An error if out_path, a report path or a CSV file-name prefix, is
+    empty, names a file in a directory that does not exist, or names a
+    directory; checked before any check runs, so a bad path costs nothing."""
+    if out_path == "":
+        return "--out is empty"
     folder = os.path.dirname(out_path or "")
     if folder and not os.path.isdir(folder):
         return f"--out directory {folder!r} does not exist"

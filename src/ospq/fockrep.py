@@ -36,7 +36,10 @@ with w_d zero wherever col + d leaves the space, so every letter is one shift.
 Every word of letters -- a leaf's image under phi (uqosp.leaf_word), a
 monomial of a normal form, an explicit gl root vector -- is one product.
 Every check reads the shifts; the matrix objects and the CSV export list
-their nonzero weights as (row, col) entries.
+their nonzero weights as (row, col) entries.  One FockSpace per shape (held
+by fock_space for the most recent shape only) keeps the occupation digits,
+the letters and the gl(n) decomposition; only check_matrix_relations keeps
+a memo of the leaves and monomials it builds, and drops it on return.
 """
 
 from __future__ import annotations
@@ -45,7 +48,7 @@ import cmath
 import math
 import re
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -108,13 +111,6 @@ class RepMatrix:
 Op = dict[int, np.ndarray]  # weighted shifts {d: w}, see the module docstring
 
 
-def _check_shape(n: int, k: int) -> None:
-    if n < 1:
-        raise ValueError("mode count must be at least 1")
-    if k < 2:
-        raise ValueError("root order k must be at least 2")
-
-
 def _amp_plus(m_i: int, k: int) -> float:
     """|amplitude| of a^+ on occupation m_i -> m_i + 1."""
     return math.sqrt(
@@ -122,56 +118,81 @@ def _amp_plus(m_i: int, k: int) -> float:
     ) / math.sin(math.pi / k)
 
 
-@lru_cache(maxsize=1)
-def _digits(n: int, k: int) -> np.ndarray:
-    """(k^n, n) occupation digits: row idx holds m_1..m_n of basis vector idx,
-    m_1 most significant.  Shared, so read-only."""
-    places = k ** np.arange(n - 1, -1, -1, dtype=np.int64)
-    digits = np.arange(k**n, dtype=np.int64)[:, None] // places % k
-    digits.flags.writeable = False
-    return digits
+class FockSpace:
+    """The k^n basis vectors of n modes at q = exp(i pi / k) and what every
+    check of that shape shares, each built once: the read-only (k^n, n)
+    occupation digits (row idx holds m_1..m_n of basis vector idx, m_1 most
+    significant), the letters and the gl(n) decomposition."""
 
+    def __init__(self, n: int, k: int) -> None:
+        if n < 1:
+            raise ValueError("mode count must be at least 1")
+        if k < 2:
+            raise ValueError("root order k must be at least 2")
+        self.n, self.k, self.dim = n, k, k**n
+        places = k ** np.arange(n - 1, -1, -1, dtype=np.int64)
+        self.digits = np.arange(self.dim, dtype=np.int64)[:, None] // places % k
+        self.digits.flags.writeable = False
+        self.letters: dict[Letter, Op] = {}
 
-# letters of the most recently used (n, k) only, keyed (letter, n, k)
-_MATRIX_CACHE: dict[tuple[Letter, int, int], Op] = {}
+    def letter(self, letter: Letter) -> Op:
+        """One shift for a Letter (kind, 0-based mode, exp): a^{+-} (kind
+        AP/AM) on mode i = mode + 1 moves |m> by +-k^(n-i), with amplitude
+        and phase looked up by m_i and by the prefix sum m_1 + ... + m_{i-1};
+        kappa_i^exp (kind KA) keeps it, with weight exp(i pi exp m_i / k)."""
+        op = self.letters.get(letter)
+        if op is not None:
+            return op
+        n, k = self.n, self.k
+        kind, mode, exp = letter
+        if not 0 <= mode < n:
+            raise ValueError(f"mode index {mode + 1} outside 1..{n}")
+        m_i = self.digits[:, mode]
+        if kind == KA:
+            weight = np.array([cmath.exp(1j * math.pi * exp * m / k) for m in range(k)])
+            op = {0: weight[m_i]}
+        else:
+            sign = {AP: +1, AM: -1}[kind]
+            cols = np.flatnonzero(m_i != (k - 1 if sign == +1 else 0))
+            # the lower of the two occupations joined by the ladder step
+            low = m_i[cols] if sign == +1 else m_i[cols] - 1
+            prefix = self.digits[cols, :mode].sum(axis=1)
+            amp = np.array([_amp_plus(m, k) for m in range(k - 1)])
+            # exp of the whole prefix sum: a product of per-mode exponentials
+            # (a kron of one-mode phases) would differ from it in the last bit
+            phase = np.array(
+                [cmath.exp(-sign * 1j * math.pi * p / k) for p in range(n * (k - 1) + 1)]
+            )
+            w = np.zeros(self.dim, dtype=np.complex128)
+            w[cols] = amp[low] * phase[prefix]
+            op = {sign * k ** (n - 1 - mode): w}
+        self.letters[letter] = op
+        return op
 
+    def word(self, word: Iterable[Letter]) -> Op:
+        """Product of letters, the leftmost acting last."""
+        return _product([self.letter(letter) for letter in word], self.dim)
 
-def _letter(letter: Letter, n: int, k: int) -> Op:
-    """One shift for a Letter (kind, 0-based mode, exp): a^{+-} (kind AP/AM)
-    on mode i = mode + 1 moves |m> by +-k^(n-i), with amplitude and phase
-    looked up by m_i and by the prefix sum m_1 + ... + m_{i-1}; kappa_i^exp
-    (kind KA) keeps it, with weight exp(i pi exp m_i / k)."""
-    key = (letter, n, k)
-    cached = _MATRIX_CACHE.get(key)
-    if cached is not None:
-        return cached
-    kind, mode, exp = letter
-    if not 0 <= mode < n:
-        raise ValueError(f"mode index {mode + 1} outside 1..{n}")
-    if _MATRIX_CACHE and next(iter(_MATRIX_CACHE))[1:] != (n, k):
-        _MATRIX_CACHE.clear()
-    digits = _digits(n, k)
-    m_i = digits[:, mode]
-    if kind == KA:
-        weight = np.array([cmath.exp(1j * math.pi * exp * m / k) for m in range(k)])
-        op = {0: weight[m_i]}
-    else:
-        sign = {AP: +1, AM: -1}[kind]
-        cols = np.flatnonzero(m_i != (k - 1 if sign == +1 else 0))
-        # the lower of the two occupations joined by the ladder step
-        low = m_i[cols] if sign == +1 else m_i[cols] - 1
-        prefix = digits[cols, :mode].sum(axis=1)
-        amp = np.array([_amp_plus(m, k) for m in range(k - 1)])
-        # exp of the whole prefix sum: a product of per-mode exponentials (a
-        # kron of one-mode phases) would differ from it in the last bit
-        phase = np.array(
-            [cmath.exp(-sign * 1j * math.pi * p / k) for p in range(n * (k - 1) + 1)]
+    @cached_property
+    def labels(self) -> np.ndarray:
+        """Total occupation m_1 + ... + m_n of every basis vector."""
+        return self.digits.sum(axis=1)
+
+    @cached_property
+    def decomposition(self) -> GlDecomposition:
+        """Partition of the basis by total occupation number; frozen."""
+        order = np.argsort(self.labels, kind="stable")
+        groups = np.split(order, np.cumsum(np.bincount(self.labels))[:-1])
+        blocks = tuple(
+            GlBlock(m, len(idx), tuple(idx.tolist())) for m, idx in enumerate(groups)
         )
-        w = np.zeros(k**n, dtype=np.complex128)
-        w[cols] = amp[low] * phase[prefix]
-        op = {sign * k ** (n - 1 - mode): w}
-    _MATRIX_CACHE[key] = op
-    return op
+        return GlDecomposition(self.n, self.k, blocks)
+
+
+@lru_cache(maxsize=1)
+def fock_space(n: int, k: int) -> FockSpace:
+    """The space the public (n, k) functions read, for the latest shape only."""
+    return FockSpace(n, k)
 
 
 def _cmul(x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -211,12 +232,6 @@ def _product(ops: Sequence[Op], dim: int) -> Op:
     return acc
 
 
-def _word_op(word: Iterable[Letter], n: int, k: int) -> Op:
-    """Product of letters (kind, 0-based mode, exp), the leftmost acting last."""
-    ops = [_letter(letter, n, k) for letter in word]
-    return _product(ops, k**n)
-
-
 def _sum(terms: Iterable[tuple[complex, Op]]) -> Op:
     """sum of c * op, added per shift."""
     acc: Op = {}
@@ -250,26 +265,26 @@ def build_generator_matrix(label: str, n: int, k: int) -> RepMatrix:
     """Matrix of a named operator: a{i}+, a{i}-, k{i}[^e], L{i}[^e], or
     e{i},{j} for the gl root vectors (built from their explicit
     -cos(pi/(2k)) oscillator form, independent of the symbolic engine)."""
-    _check_shape(n, k)
+    space = fock_space(n, k)
     m = re.fullmatch(r"e(\d+),(\d+)", label.strip())
     if m:
-        op = _gl_matrix_direct(int(m.group(1)), int(m.group(2)), n, k)
+        op = _gl_matrix_direct(int(m.group(1)), int(m.group(2)), space)
     else:
-        op = _matrix_of_expr(_parse_label(label, n), n, k)
-    return RepMatrix(label, n, k, _entries(op, k**n))
+        op = _matrix_of_expr(_parse_label(label, n), space)
+    return RepMatrix(label, n, k, _entries(op, space.dim))
 
 
-def _gl_matrix_direct(i: int, j: int, n: int, k: int) -> Op:
+def _gl_matrix_direct(i: int, j: int, space: FockSpace) -> Op:
     """pi(e_ij) = -cos(pi/(2k)) kappa_j a_j^+ a_i^-        (i < j)
        pi(e_ij) = -cos(pi/(2k)) a_j^+ a_i^- kappa_i^{-1}   (i > j)"""
-    if i == j or not 1 <= i <= n or not 1 <= j <= n:
-        raise ValueError(f"gl root vector needs distinct modes in 1..{n}")
-    coeff = -math.cos(math.pi / (2 * k))
+    if i == j or not 1 <= i <= space.n or not 1 <= j <= space.n:
+        raise ValueError(f"gl root vector needs distinct modes in 1..{space.n}")
+    coeff = -math.cos(math.pi / (2 * space.k))
     if i < j:
         word = ((KA, j - 1, 1), (AP, j - 1, 0), (AM, i - 1, 0))
     else:
         word = ((AP, j - 1, 0), (AM, i - 1, 0), (KA, i - 1, -1))
-    return _sum([(coeff, _word_op(word, n, k))])
+    return _sum([(coeff, space.word(word))])
 
 
 def _parse_label(label: str, n: int) -> GenExpr:
@@ -301,22 +316,18 @@ MEMO_BYTES = 64 * 2**20
 
 class _Memo(dict):
     """Operators already built within one call, keyed by a leaf Gen or by a
-    WeylMonomial, for one (n, k).  It stores until it holds `budget` bytes of
-    weights, then only looks up; a leaf's or a monomial's operator always
-    has weights, so a zero budget stores nothing.  A stored operator is exactly what the same
+    WeylMonomial, for one space.  It stores until it holds MEMO_BYTES of
+    weights, then only looks up.  A stored operator is exactly what the same
     deterministic operations would build again, so no result changes; its
     weights are shared, so read-only."""
 
-    def __init__(self, budget: int) -> None:
+    def __init__(self) -> None:
         super().__init__()
-        self.budget = budget
         self.nbytes = 0  # of weights stored
 
     def keep(self, key: Gen | WeylMonomial, op: Op) -> Op:
-        size = 0
-        for w in op.values():
-            size += w.nbytes
-        if self.nbytes + size <= self.budget:
+        size = sum(w.nbytes for w in op.values())
+        if self.nbytes + size <= MEMO_BYTES:
             for w in op.values():
                 w.setflags(write=False)
             self[key] = op
@@ -324,64 +335,63 @@ class _Memo(dict):
         return op
 
 
-# the memo of every call that shares no operator: it stays empty
-_UNSHARED = _Memo(0)
-
-
-def _matrix_of_expr(x: GenExpr, n: int, k: int, memo: _Memo = _UNSHARED) -> Op:
+def _matrix_of_expr(x: GenExpr, space: FockSpace, memo: _Memo | None = None) -> Op:
     """Evaluate an expression tree by operator products only (no symbolic
     normal ordering): the first of the two verification routes.  A leaf
-    other than e/f is phi's letter word (uqosp.leaf_word) times s^a; a memo
-    with a budget keeps each leaf it has room for, built once."""
+    other than e/f is phi's letter word (uqosp.leaf_word) times s^a; a memo,
+    if given, keeps each leaf it has room for, built once."""
+    k, dim = space.k, space.dim
     if isinstance(x, Gen):
-        op = memo.get(x)
+        op = memo.get(x) if memo is not None else None
         if op is not None:
             return op
         if x.kind in ("e", "f"):
-            e_expr, f_expr = build_chevalley_from_pre(n, x.index)
-            op = _matrix_of_expr(e_expr if x.kind == "e" else f_expr, n, k, memo)
+            e_expr, f_expr = build_chevalley_from_pre(space.n, x.index)
+            op = _matrix_of_expr(e_expr if x.kind == "e" else f_expr, space, memo)
         else:
-            a, word = leaf_word(x.kind, x.index, x.exp, n)
-            op = _word_op(word, n, k)
+            a, word = leaf_word(x.kind, x.index, x.exp, space.n)
+            op = space.word(word)
             op = _sum([(root_s(k) ** a, op)]) if a else op
-        return memo.keep(x, op)
+        return memo.keep(x, op) if memo is not None else op
     if isinstance(x, Product):
-        return _product([_matrix_of_expr(fac, n, k, memo) for fac in x.factors], k**n)
+        return _product([_matrix_of_expr(fac, space, memo) for fac in x.factors], dim)
     if isinstance(x, Sum):
         return _sum(
-            (complex(coeff.eval_root(k)), _matrix_of_expr(term, n, k, memo))
+            (complex(coeff.eval_root(k)), _matrix_of_expr(term, space, memo))
             for coeff, term in x.terms
         )
     if isinstance(x, (QBracket, AntiComm)):
-        a = _matrix_of_expr(x.left, n, k, memo)
-        b = _matrix_of_expr(x.right, n, k, memo)
+        a = _matrix_of_expr(x.left, space, memo)
+        b = _matrix_of_expr(x.right, space, memo)
         coeff = -(root_s(k) ** x.s_exp) if isinstance(x, QBracket) else 1
-        return _sum(((1, _product((a, b), k**n)), (coeff, _product((b, a), k**n))))
+        return _sum(((1, _product((a, b), dim)), (coeff, _product((b, a), dim))))
     raise TypeError(f"not a generator expression: {type(x).__name__}")
 
 
 def matrix_of_expr(x: GenExpr, n: int, k: int) -> SparseMatrix:
-    _check_shape(n, k)
-    return _entries(_matrix_of_expr(x, n, k), k**n)
+    space = fock_space(n, k)
+    return _entries(_matrix_of_expr(x, space), space.dim)
 
 
-def _matrix_of_weyl(terms: Terms, n: int, k: int, memo: _Memo = _UNSHARED) -> Op:
+def _matrix_of_weyl(terms: Terms, space: FockSpace, memo: _Memo | None = None) -> Op:
     """Root-evaluated coefficients times letter products, over a normal form's
-    sorted (monomial, coefficient) pairs; a memo with a budget keeps each
+    sorted (monomial, coefficient) pairs; a memo, if given, keeps each
     monomial's product it has room for, built once."""
 
     def monomial(mono: WeylMonomial) -> Op:
+        if memo is None:
+            return space.word(mono.word())
         op = memo.get(mono)
-        return op if op is not None else memo.keep(mono, _word_op(mono.word(), n, k))
+        return op if op is not None else memo.keep(mono, space.word(mono.word()))
 
-    return _sum((complex(coeff.eval_root(k)), monomial(mono)) for mono, coeff in terms)
+    return _sum((complex(c.eval_root(space.k)), monomial(mono)) for mono, c in terms)
 
 
 def matrix_of_weyl(x: WeylElement, k: int) -> SparseMatrix:
     """Matrix of a normal-ordered element.  Together with matrix_of_expr
     this gives two independent routes from a relation to a matrix."""
-    _check_shape(x.n, k)
-    return _entries(_matrix_of_weyl(x.terms(), x.n, k), k**x.n)
+    space = fock_space(x.n, k)
+    return _entries(_matrix_of_weyl(x.terms(), space), space.dim)
 
 
 # ---------------------------------------------------------------------------
@@ -391,15 +401,15 @@ def matrix_of_weyl(x: WeylElement, k: int) -> SparseMatrix:
 
 def check_unitarity(n: int, k: int) -> list[CheckResult]:
     """(a_i^+)^dagger = a_i^- entrywise; kappa_i and L_i unitary diagonal."""
-    _check_shape(n, k)
+    space = fock_space(n, k)
     out: list[CheckResult] = []
     for i in range(1, n + 1):
         # (a+)^dagger: the entry of column col moves to col + shift, shift -shift
-        ((shift, up),) = _letter((AP, i - 1, 0), n, k).items()
+        ((shift, up),) = space.letter((AP, i - 1, 0)).items()
         cols = np.flatnonzero(up)
         dagger = np.zeros_like(up)
         dagger[cols + shift] = up[cols].conj()
-        diff = _sum(((1, _letter((AM, i - 1, 0), n, k)), (-1, {-shift: dagger})))
+        diff = _sum(((1, space.letter((AM, i - 1, 0))), (-1, {-shift: dagger})))
         dev = max(float(np.abs(w).max()) for w in diff.values())
         out.append(
             CheckResult(
@@ -410,8 +420,8 @@ def check_unitarity(n: int, k: int) -> list[CheckResult]:
             )
         )
         for label, op in (
-            (f"kappa{i}", _letter((KA, i - 1, 1), n, k)),
-            (f"L{i}", _matrix_of_expr(Gen("L", i), n, k)),
+            (f"kappa{i}", space.letter((KA, i - 1, 1))),
+            (f"L{i}", _matrix_of_expr(Gen("L", i), space)),
         ):
             # entrywise distance of |op| from the identity
             dev = max(float(np.abs(np.abs(w) - (d == 0)).max()) for d, w in op.items())
@@ -436,9 +446,9 @@ def check_weights(n: int, k: int) -> list[CheckResult]:
     """The kappa weights, the raising phases and the squared raising
     amplitudes against the defining action (walgebra.fock_letter) evaluated
     at the root."""
-    _check_shape(n, k)
+    space = fock_space(n, k)
     out: list[CheckResult] = []
-    digits = _digits(n, k)
+    digits = space.digits
 
     def at_root(letter: Letter, m: tuple[int, ...]) -> complex:
         return fock_letter(letter, m)[0].eval_root(k)
@@ -455,7 +465,7 @@ def check_weights(n: int, k: int) -> list[CheckResult]:
     worst_amp = 0.0
     worst_phase = 0.0
     for i in range(1, n + 1):
-        diag = _letter((KA, i - 1, 1), n, k)[0]
+        diag = space.letter((KA, i - 1, 1))[0]
         dev = float(_modulus(diag - weight[digits[:, i - 1]]).max())
         out.append(
             CheckResult(
@@ -464,7 +474,7 @@ def check_weights(n: int, k: int) -> list[CheckResult]:
             )
         )
         cols = np.flatnonzero(digits[:, i - 1] < k - 1)
-        amp = _letter((AP, i - 1, 0), n, k)[k ** (n - i)][cols]
+        amp = space.letter((AP, i - 1, 0))[k ** (n - i)][cols]
         modulus = _modulus(amp)
         sq_dev = np.abs(modulus**2 - ratios[digits[cols, i - 1]])
         worst_amp = max(worst_amp, float(sq_dev.max()))
@@ -498,14 +508,14 @@ def check_matrix_relations(n: int, k: int) -> list[CheckResult]:
     same matrices.  The normal forms are realized once per n
     (uqosp.realized_catalog); leaves and monomials are built once for the
     whole catalog, by one memo dropped on return."""
-    _check_shape(n, k)
+    space = fock_space(n, k)
     out: list[CheckResult] = []
-    memo = _Memo(MEMO_BYTES)
+    memo = _Memo()
     for inst, lhs_terms, rhs_terms in realized_catalog(n):
-        lhs = _matrix_of_expr(inst.lhs, n, k, memo)
-        rhs = _matrix_of_expr(inst.rhs, n, k, memo)
-        sym_lhs = _matrix_of_weyl(lhs_terms, n, k, memo)
-        sym_rhs = _matrix_of_weyl(rhs_terms, n, k, memo)
+        lhs = _matrix_of_expr(inst.lhs, space, memo)
+        rhs = _matrix_of_expr(inst.rhs, space, memo)
+        sym_lhs = _matrix_of_weyl(lhs_terms, space, memo)
+        sym_rhs = _matrix_of_weyl(rhs_terms, space, memo)
         res = max(_residual(lhs, rhs), _residual(sym_lhs, lhs), _residual(sym_rhs, rhs))
         out.append(
             CheckResult(f"MAT.{inst.id}[k={k}]", res < RESIDUAL_TOL, res, "matrix residual")
@@ -603,17 +613,9 @@ def block_dims_multinomial(n: int, k: int) -> list[int]:
     return dims
 
 
-@lru_cache(maxsize=1)
 def decompose_gl(n: int, k: int) -> GlDecomposition:
-    """Partition of the basis by total occupation number; frozen, so shared."""
-    _check_shape(n, k)
-    labels = _digits(n, k).sum(axis=1)
-    order = np.argsort(labels, kind="stable")
-    groups = np.split(order, np.cumsum(np.bincount(labels))[:-1])
-    blocks = tuple(
-        GlBlock(m, len(idx), tuple(idx.tolist())) for m, idx in enumerate(groups)
-    )
-    return GlDecomposition(n, k, blocks)
+    """Partition of the basis by total occupation number (FockSpace.decomposition)."""
+    return fock_space(n, k).decomposition
 
 
 def _connected_blocks(ops: list[Op], labels: np.ndarray) -> np.ndarray:
@@ -650,14 +652,13 @@ def _connected_blocks(ops: list[Op], labels: np.ndarray) -> np.ndarray:
 
 def check_decomposition(n: int, k: int) -> list[CheckResult]:
     """Block structure, dimension oracles, invariance, and connectivity."""
-    dec = decompose_gl(n, k)
+    space = fock_space(n, k)
+    dec = space.decomposition
     out: list[CheckResult] = []
     expected_blocks = n * (k - 1) + 1
     out.append(
         CheckResult(
-            f"DEC.blocks[n={n},k={k}]",
-            len(dec.blocks) == expected_blocks,
-            None,
+            f"DEC.blocks[n={n},k={k}]", len(dec.blocks) == expected_blocks, None,
             f"{len(dec.blocks)} blocks, expected {expected_blocks}",
         )
     )
@@ -679,9 +680,9 @@ def check_decomposition(n: int, k: int) -> list[CheckResult]:
             )
         )
     # invariance: gl generators never connect different blocks
-    labels = _digits(n, k).sum(axis=1)
+    labels = space.labels
     gl_ops = [
-        ((i, j), _gl_matrix_direct(i, j, n, k))
+        ((i, j), _gl_matrix_direct(i, j, space))
         for i in range(1, n + 1)
         for j in range(1, n + 1)
         if i != j
@@ -699,7 +700,7 @@ def check_decomposition(n: int, k: int) -> list[CheckResult]:
         )
         # the explicit oscillator form must agree with the image of the
         # symbolic root vector evaluated at the root
-        dev = _residual(op, _matrix_of_expr(build_gl_generator(n, i, j), n, k))
+        dev = _residual(op, _matrix_of_expr(build_gl_generator(n, i, j), space))
         out.append(
             CheckResult(
                 f"DEC.root_form[n={n},k={k},e={i},{j}]", dev < RESIDUAL_TOL, dev,
@@ -714,12 +715,11 @@ def check_decomposition(n: int, k: int) -> list[CheckResult]:
                 "strong connectivity under gl root vectors",
             )
         )
-    ladder = [_letter((kind, mode, 0), n, k) for mode in range(n) for kind in (AP, AM)]
+    ladder = [space.letter((kind, mode, 0)) for mode in range(n) for kind in (AP, AM)]
     out.append(
         CheckResult(
             f"OSP.connected[n={n},k={k}]",
-            bool(_connected_blocks(ladder, np.zeros(k**n, dtype=np.int64))[0]),
-            None,
+            bool(_connected_blocks(ladder, np.zeros(space.dim, dtype=np.int64))[0]), None,
             "strong connectivity of the full space under the oscillators",
         )
     )

@@ -242,6 +242,27 @@ def test_out_in_missing_directory_is_refused(tmp_path, capsys, argv):
         assert list(tmp_path.parent.glob(f"{tmp_path.name}.*")) == []
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("verify", "--n", "5"),
+        ("rep", "--n", "5", "--k", "10"),
+        ("decompose", "--n", "5", "--k", "10"),
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_empty_out_is_refused(tmp_path, monkeypatch, capsys, argv):
+    # an empty path is not the absence of --out: refused before any check
+    # runs, with nothing written
+    monkeypatch.chdir(tmp_path)
+    start = time.perf_counter()
+    code, out, err = run_main(capsys, *argv, "--out", "")
+    assert time.perf_counter() - start < 1.0
+    assert code == 2 and out == ""
+    assert err == "error: --out is empty\n"
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_json_reports_deterministic(capsys):
     argv = ("verify", "--n", "1", "--format", "json")
     _, out1, _ = run_main(capsys, *argv)
@@ -472,10 +493,21 @@ def test_rep_and_decompose_leave_scipy_unloaded(tmp_path):
         assert (tmp_path / f"m.{label}.csv").is_file()
 
 
-def test_decompose_builds_the_decomposition_once(capsys):
-    fockrep.decompose_gl.cache_clear()
+def test_decompose_builds_the_decomposition_once(capsys, monkeypatch):
+    built = []
+    real = fockrep.GlDecomposition
+
+    def counting(*args):
+        built.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(fockrep, "GlDecomposition", counting)
+    fockrep.fock_space.cache_clear()
     assert main(["decompose", "--n", "2", "--k", "3"]) == 0
-    assert fockrep.decompose_gl.cache_info().misses == 1
+    # one space for the command, and one decomposition, read by both the
+    # report and the checks
+    assert fockrep.fock_space.cache_info().misses == 1
+    assert len(built) == 1
 
 
 def _readme_commands() -> list[tuple[list[str], str]]:

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import cmath
+import gc
 import hashlib
 import json
 import math
@@ -13,6 +14,7 @@ import re
 import subprocess
 import sys
 import time
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -119,14 +121,73 @@ def test_letter_matrices_equal_per_column_formula():
                 assert got == expected, (label, n, k)
 
 
-def test_matrix_cache_holds_one_shape():
+def test_fock_space_holds_one_shape():
     build_generator_matrix("e1,2", 2, 3)
     build_generator_matrix("a1+", 3, 2)
+    misses = fockrep.fock_space.cache_info().misses
     build_generator_matrix("k2", 3, 2)
-    assert fockrep._MATRIX_CACHE
-    assert all(key[1:] == (3, 2) for key in fockrep._MATRIX_CACHE)
-    assert fockrep._digits.cache_info().currsize == 1
-    assert not fockrep._digits(3, 2).flags.writeable
+    assert fockrep.fock_space.cache_info().currsize == 1
+    space = fockrep.fock_space(3, 2)
+    assert fockrep.fock_space.cache_info().misses == misses  # the same space
+    assert (space.n, space.k, space.dim) == (3, 2, 8)
+    # the letters of this shape only, each built once and then shared
+    assert {(AP, 0, 0), (KA, 1, 1)} <= set(space.letters)
+    assert all(0 <= mode < 3 for _, mode, _ in space.letters)
+    assert all(len(w) == 8 for op in space.letters.values() for w in op.values())
+    assert space.letter((AP, 0, 0)) is space.letters[AP, 0, 0]
+    assert space.digits.shape == (8, 3) and not space.digits.flags.writeable
+    with pytest.raises(ValueError):
+        space.digits[0, 0] = 1
+
+
+@pytest.mark.parametrize("n, k", [(0, 3), (2, 1)])
+def test_every_entry_point_refuses_a_bad_shape(n, k):
+    calls = [
+        lambda: build_generator_matrix("a1+", n, k),
+        lambda: build_generator_matrix("e1,2", n, k),
+        lambda: matrix_of_expr(Gen("a", 1, +1), n, k),
+        lambda: check_unitarity(n, k),
+        lambda: check_weights(n, k),
+        lambda: check_matrix_relations(n, k),
+        lambda: check_decomposition(n, k),
+        lambda: decompose_gl(n, k),
+    ]
+    if n >= 1:
+        calls.append(lambda: matrix_of_weyl(realize(Gen("a", 1, +1), n), k))
+    message = "mode count must be at least 1" if n < 1 else "root order k must be at least 2"
+    for call in calls:
+        with pytest.raises(ValueError, match=message):
+            call()
+
+
+def _program_objects():
+    """Weak references to what the module builds for one shape: the space,
+    its digits, a letter's weights, the labels and the decomposition."""
+    check_unitarity(2, 3)
+    check_decomposition(2, 3)
+    space = fockrep.fock_space(2, 3)
+    ((_, w),) = space.letter((AP, 0, 0)).items()
+    return [weakref.ref(x) for x in (space, space.digits, w, space.labels,
+                                     space.decomposition)]
+
+
+def test_clearing_every_cache_starts_cold():
+    # the benchmark starts each sweep cold by calling every cache_clear it
+    # finds in the module: nothing of a shape may outlive that
+    refs = _program_objects()
+    assert all(ref() is not None for ref in refs)
+    for value in list(vars(fockrep).values()):
+        clear = getattr(value, "cache_clear", None)
+        if callable(clear):
+            clear()
+    assert fockrep.fock_space.cache_info().currsize == 0
+    gc.collect()
+    assert [ref() for ref in refs] == [None] * len(refs)
+    # nor does any other module-level object hold one: no dict of letters
+    for name, value in vars(fockrep).items():
+        if not name.startswith("__"):
+            assert not isinstance(value, (fockrep.FockSpace, np.ndarray,
+                                          fockrep.GlDecomposition, dict)), name
 
 
 def test_structural_checks_at_size_guard_are_fast():
@@ -220,15 +281,15 @@ def test_weight_rows_fail_under_phase_mutations(monkeypatch):
     for n, k in shapes:
         assert not _failing_families(check_weights(n, k))
     # the letters: every a^+ weight carries the phase of the next prefix sum
-    letter = fockrep._letter
+    letter = fockrep.FockSpace.letter
 
-    def shifted_letter(x, n, k):
-        op = letter(x, n, k)
-        step = cmath.exp(-1j * math.pi / k)
+    def shifted_letter(space, x):
+        op = letter(space, x)
+        step = cmath.exp(-1j * math.pi / space.k)
         return {d: w * step for d, w in op.items()} if x[0] == AP else op
 
     with monkeypatch.context() as patch:
-        patch.setattr(fockrep, "_letter", shifted_letter)
+        patch.setattr(fockrep.FockSpace, "letter", shifted_letter)
         for n, k in shapes:
             assert _failing_families(check_weights(n, k)) == {"WGT.phase"}, (n, k)
     # the exact action: every s-power sign flipped (s -> s^-1), which leaves
@@ -262,15 +323,15 @@ def test_matrix_relations_small():
 
 
 def test_perturbed_letter_fails_unitarity_and_relations(monkeypatch):
-    # negative control: one wrong weight in a cached letter must show up both
-    # entrywise and in the relations built from it
+    # negative control: one wrong weight in a letter of the space must show
+    # up both entrywise and in the relations built from it
     n, k = 2, 3
     assert all(r.ok for r in check_unitarity(n, k))
-    key = ((AP, 0, 0), n, k)
-    ((d, w),) = fockrep._MATRIX_CACHE[key].items()
+    letters = fockrep.fock_space(n, k).letters
+    ((d, w),) = letters[AP, 0, 0].items()
     bad = w.copy()
     bad[np.flatnonzero(w)[0]] *= 1.001
-    monkeypatch.setitem(fockrep._MATRIX_CACHE, key, {d: bad})
+    monkeypatch.setitem(letters, (AP, 0, 0), {d: bad})
     rows = {r.id: r for r in check_unitarity(n, k)}
     assert not rows["UNI.adjoint[n=2,k=3,i=1]"].ok
     assert rows["UNI.adjoint[n=2,k=3,i=2]"].ok
@@ -281,6 +342,8 @@ def test_perturbed_letter_fails_unitarity_and_relations(monkeypatch):
     # the per-call memo cannot hide it: built afresh, the same rows fail
     monkeypatch.setattr(fockrep, "MEMO_BYTES", 0)
     assert [r.id for r in check_matrix_relations(n, k) if not r.ok] == failing
+    # every check above read the one space that holds the planted letter
+    assert fockrep.fock_space(n, k).letters[AP, 0, 0][d] is bad
 
 
 def test_matrix_relations_three_modes():
@@ -331,8 +394,8 @@ def test_only_calls_that_share_a_memo_build_one(monkeypatch):
     memos = []
 
     class Spy(fockrep._Memo):
-        def __init__(self, budget):
-            super().__init__(budget)
+        def __init__(self):
+            super().__init__()
             memos.append(self)
 
     monkeypatch.setattr(fockrep, "_Memo", Spy)
@@ -354,8 +417,8 @@ def test_memo_bound_keeps_rows_and_is_never_exceeded(monkeypatch):
     memos = []
 
     class Spy(fockrep._Memo):
-        def __init__(self, budget):
-            super().__init__(budget)
+        def __init__(self):
+            super().__init__()
             memos.append(self)
 
     monkeypatch.setattr(fockrep, "_Memo", Spy)
@@ -374,8 +437,14 @@ def test_memo_bound_keeps_rows_and_is_never_exceeded(monkeypatch):
                 w[0] = 0  # shared with later rows, so read-only
         entries[bound] = len(memo)
     assert entries[0] == 0 < entries[4096] < entries[default]
-    # nothing but letters outlives the call
-    assert all(len(key) == 3 and key[1:] == (3, 2) for key in fockrep._MATRIX_CACHE)
+    # nothing but letters outlives the call: the space holds no memo, and
+    # every operator it keeps is one letter's shift
+    space = fockrep.fock_space(3, 2)
+    assert set(vars(space)) <= {"n", "k", "dim", "digits", "letters", "labels",
+                                "decomposition"}
+    assert space.letters
+    for (kind, mode, exp), op in space.letters.items():
+        assert kind in (AP, AM, KA) and 0 <= mode < 3 and len(op) == 1
 
 
 def test_cartan_anticommutator_as_two_by_two_matrices():
@@ -531,8 +600,9 @@ def test_strong_connectivity_needs_both_directions():
     for b in dec.blocks:
         labels[list(b.indices)] = b.m
     block = next(b for b in dec.blocks if b.m == 1)
-    one_way = [_gl_matrix_direct(1, 2, n, k)]
-    both = one_way + [_gl_matrix_direct(2, 1, n, k)]
+    space = fockrep.fock_space(n, k)
+    one_way = [_gl_matrix_direct(1, 2, space)]
+    both = one_way + [_gl_matrix_direct(2, 1, space)]
     assert not _connected_blocks(one_way, labels)[block.m]
     assert _connected_blocks(both, labels)[block.m]
 
@@ -563,15 +633,16 @@ def _connected_blocks_csgraph(ops, labels):
 def test_connectivity_search_matches_csgraph():
     pytest.importorskip("scipy")
     for n, k in ((2, 3), (3, 4), (4, 10), (5, 6), (2, 316), (1, 50)):
-        labels = fockrep._digits(n, k).sum(axis=1)
+        space = fockrep.fock_space(n, k)
+        labels = space.labels
         whole = np.zeros(k**n, dtype=np.int64)
         gl = {
-            (i, j): _gl_matrix_direct(i, j, n, k)
+            (i, j): _gl_matrix_direct(i, j, space)
             for i in range(1, n + 1)
             for j in range(1, n + 1)
             if i != j
         }
-        ladder = [fockrep._letter((kind, mode, 0), n, k) for mode in range(n) for kind in (AP, AM)]
+        ladder = [space.letter((kind, mode, 0)) for mode in range(n) for kind in (AP, AM)]
         cases = [
             (list(gl.values()), labels),
             ([op for (i, j), op in gl.items() if i < j], labels),
@@ -624,23 +695,25 @@ def test_entries_match_scipy_csr_in_order():
             f"{p}{i}{s}" for i in range(1, n + 1)
             for p, s in (("a", "+"), ("a", "-"), ("k", ""), ("L", ""))
         ]
+        space = fockrep.fock_space(n, k)
         for label in labels:
-            op = fockrep._matrix_of_expr(fockrep._parse_label(label, n), n, k)
+            op = fockrep._matrix_of_expr(fockrep._parse_label(label, n), space)
             _assert_entries_match_csr(build_generator_matrix(label, n, k).matrix, op)
         if n >= 2:
             for i, j in ((1, 2), (2, 1)):
                 mat = build_generator_matrix(f"e{i},{j}", n, k).matrix
-                _assert_entries_match_csr(mat, _gl_matrix_direct(i, j, n, k))
+                _assert_entries_match_csr(mat, _gl_matrix_direct(i, j, space))
     # shifts +3, -1 and 0 meet in one row: its columns must still rise
     n, k = 2, 3
+    space = fockrep.fock_space(n, k)
     one = QFrac.one()
     mixed = Sum(((one, Gen("a", 1, +1)), (one, Gen("a", 2, -1)), (one, Gen("kappa", 1))))
     for x in (mixed, ZERO_EXPR):
-        _assert_entries_match_csr(matrix_of_expr(x, n, k), fockrep._matrix_of_expr(x, n, k))
+        _assert_entries_match_csr(matrix_of_expr(x, n, k), fockrep._matrix_of_expr(x, space))
     assert matrix_of_expr(ZERO_EXPR, n, k).nnz == 0
     for inst in catalog(n):
         x = realize(inst.lhs, n)
-        op = fockrep._matrix_of_weyl(x.terms(), n, k)
+        op = fockrep._matrix_of_weyl(x.terms(), space)
         _assert_entries_match_csr(matrix_of_weyl(x, k), op)
 
 
