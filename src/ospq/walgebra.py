@@ -22,9 +22,9 @@ Two reduction routes are implemented and cross-checked:
 
 - a literal word-rewriting engine (`normal_order` with contract=False uses
   only the local exchange rules above, oriented left-to-right; with
-  contract=True a deterministic contraction pass follows).  The engine
-  supports leftmost/rightmost strategies and an optional termination-measure
-  assertion, which back the confluence property tests.  It merges identical
+  contract=True a deterministic contraction pass follows).  Its
+  leftmost/rightmost strategies back the confluence property tests, and a
+  test checks its termination measure on every rule.  It merges identical
   intermediate words and reduces each distinct word once, so its cost grows
   polynomially with the number of a^- a^+ crossings: (a_1^-)^10 (a_1^+)^10
   takes a few hundredths of a second per strategy.
@@ -491,10 +491,6 @@ def commutator(x: WeylElement, y: WeylElement, s_exp: int = 0,
 # --------------------------------------------------------------- engine
 
 
-class _MeasureError(AssertionError):
-    pass
-
-
 # a pending coefficient: {s exponent: number of rewrite paths}, i.e. the sum
 # of count * s^a, still to be multiplied by c^t for the word's t contractions
 _Counts = dict[int, int]
@@ -530,8 +526,8 @@ def _shifted(counts: _Counts, ds: int, into: _Counts) -> None:
         into[se + ds] = into.get(se + ds, 0) + k
 
 
-def _reduce_word(word: tuple[Letter, ...], n: int, strategy: str, rules: Rules,
-                 check_measure: bool) -> dict[WeylMonomial, QFrac]:
+def _reduce_word(word: tuple[Letter, ...], n: int, strategy: str,
+                 rules: Rules) -> dict[WeylMonomial, QFrac]:
     """Rewrite `word` to pre-normal form with the local exchange rules only.
 
     Identical intermediate words are merged, so each distinct word is reduced
@@ -541,6 +537,8 @@ def _reduce_word(word: tuple[Letter, ...], n: int, strategy: str, rules: Rules,
     only after all of its sources.  Runs of single-branch rewrites are
     followed in place; only branch points enter the heap, together with
     their redex, which every path into the word finds at the same place.
+    Inversions are counted once per queued word, when it is first pushed;
+    the start word is alone in the heap and popped first, so it needs none.
 
     Every rewrite path is priced s^a c^t with c = `rules.s1_kappa`: the
     contraction a_i^- a_i^+ -> c kappa_i^-1 is the only rule that drops an
@@ -556,31 +554,21 @@ def _reduce_word(word: tuple[Letter, ...], n: int, strategy: str, rules: Rules,
     # word -> (pending coefficient, its redex)
     pending: dict[tuple[Letter, ...], tuple[_Counts, tuple | None]] = {
         word: ({0: 1}, _redex(word, 0 if left else len(word) - 2, left))}
-    heap = [(-len(word), -_inversions(word), 0, word)]
+    heap = [(-len(word), 0, 0, word)]
     pushed = 1
     collected: dict[WeylMonomial, _Counts] = {}
     while heap:
-        _, neg_inv, _, w = heappop(heap)
+        w = heappop(heap)[3]
         counts, hit = pending.pop(w)
         if hit is None:
             _shifted(counts, 0, collected.setdefault(_collect_prenormal(w, n), {}))
             continue
         for branch in hit[1]:
-            cur, inv, t = w, -neg_inv, hit[0]
+            cur, t = w, hit[0]
             ds = 0
             while True:
                 b_ds, repl = branch
                 w2 = cur[:t] + repl + cur[t + 2:]
-                # an exchange removes one inversion; a shortening is recounted
-                inv2 = inv - 1 if len(repl) == 2 else _inversions(w2)
-                if check_measure:
-                    before = (_inversions(cur), len(cur))
-                    after = (_inversions(w2), len(w2))
-                    if not after < before:
-                        raise _MeasureError(
-                            f"measure did not drop: {before} -> {after} at {cur}")
-                    if after[0] != inv2:
-                        raise _MeasureError(f"inversions miscounted at {w2}")
                 ds += b_ds
                 # locality: only the boundary pairs around the rewrite site
                 # can become new redexes, so the scan resumes there
@@ -589,13 +577,13 @@ def _reduce_word(word: tuple[Letter, ...], n: int, strategy: str, rules: Rules,
                     _shifted(counts, ds, collected.setdefault(_collect_prenormal(w2, n), {}))
                     break
                 if len(nxt[1]) == 1:
-                    cur, inv, (t, (branch,)) = w2, inv2, nxt
+                    cur, (t, (branch,)) = w2, nxt
                     continue
                 # a branch point: merge into the pending word
                 entry = pending.get(w2)
                 if entry is None:
                     entry = pending[w2] = ({}, nxt)
-                    heappush(heap, (-len(w2), -inv2, pushed, w2))
+                    heappush(heap, (-len(w2), -_inversions(w2), pushed, w2))
                     pushed += 1
                 _shifted(counts, ds, entry[0])
                 break
@@ -617,13 +605,6 @@ def _contraction_power(rules: Rules, t: int) -> QFrac:
     return rules.s1_kappa ** t
 
 
-@lru_cache(maxsize=65536)
-def _contract_monomial(m: WeylMonomial,
-                       rules: Rules) -> tuple[tuple[WeylMonomial, QFrac], ...]:
-    el = WeylElement.from_word(m.n, m.word(), rules)
-    return tuple(el._terms.items())
-
-
 def _collect_prenormal(word: tuple[Letter, ...], n: int) -> WeylMonomial:
     plus = [0] * n
     kappa = [0] * n
@@ -642,8 +623,7 @@ WordLike = Union[str, Sequence[Letter], WeylElement]
 
 
 def normal_order(word: WordLike, n: int | None = None, *, contract: bool,
-                 strategy: str = "leftmost", rules: Rules = DEFAULT_RULES,
-                 check_measure: bool = False) -> WeylElement:
+                 strategy: str = "leftmost", rules: Rules = DEFAULT_RULES) -> WeylElement:
     """Normal-order a word (or re-normalize an element).
 
     With contract=False the result is the pre-normal form produced by the
@@ -662,21 +642,26 @@ def normal_order(word: WordLike, n: int | None = None, *, contract: bool,
             letters, n_seen = parse_word(word, n)
         else:
             letters = list(word)
-            n_seen = 1 + max((l[1] for l in letters), default=-1)
+            n_seen = 0
+            for kind, mode, e in letters:
+                if (kind not in (AP, KA, AM) or mode < 0
+                        or (e not in (1, -1) if kind == KA else e != 0)):
+                    raise ValueError(f"not a letter: {(kind, mode, e)!r}")
+                n_seen = max(n_seen, mode + 1)
             if n is not None and n_seen > n:
                 raise ValueError(f"letter mode exceeds n={n}")
         n = max(n_seen, 1) if n is None else n
         items = [(None, tuple(letters))]
     acc: dict[WeylMonomial, QFrac] = {}
     for c0, w in items:
-        pre = _reduce_word(w, n, strategy, rules, check_measure)
+        pre = _reduce_word(w, n, strategy, rules)
         for m, c in pre.items():
             if c0 is not None:
                 c = c * c0
             # pre-normal monomials may straddle the contraction identity;
             # replaying their word through the append calculus contracts them
             if contract and not m.is_canonical():
-                for m2, c2 in _contract_monomial(m, rules):
+                for m2, c2 in WeylElement.from_word(n, m.word(), rules)._terms.items():
                     _add_into(acc, m2, c2 * c)
             else:
                 _add_into(acc, m, c)

@@ -379,10 +379,10 @@ def test_rep_csv_export(tmp_path, capsys):
     expected = [f"{stem}.{lbl}.csv" for lbl in ("a1+", "a1-", "k1", "L1")]
     assert doc["parameters"]["exports"] == expected
     for path in expected:
-        lines = open(path).read().splitlines()
+        lines = Path(path).read_text().splitlines()
         assert lines[0] == "row,col,re,im"
         assert len(lines) >= 2  # every generator is nonzero at k = 2
-    plus = open(expected[0]).read().splitlines()
+    plus = Path(expected[0]).read_text().splitlines()
     assert plus[1] == "1,0,1.189207115002721,0.0"
 
 

@@ -25,9 +25,11 @@ from ospq.walgebra import (
     mul,
     normal_order,
     parse_word,
+    _inversions,
     _reduce_word,
     _rule,
 )
+from ospq import walgebra
 
 
 def _sq(e: int) -> QFrac:
@@ -173,7 +175,7 @@ def test_merging_engine_matches_path_enumeration():
     for rules in (DEFAULT_RULES, DEFAULT_RULES.corrupted()):
         for n, w in words:
             for strategy in ("leftmost", "rightmost"):
-                got = _reduce_word(tuple(w), n, strategy, rules, False)
+                got = _reduce_word(tuple(w), n, strategy, rules)
                 assert got == _dfs_reduce(w, n, strategy, rules), (w, strategy)
 
 
@@ -269,13 +271,49 @@ def test_long_crossing_words_are_fast():
 
 
 def test_termination_measure_strictly_drops():
+    """Every rewrite either strategy can take, at any position, lowers
+    (inversions, length) lexicographically; an exchange keeps the length and
+    removes exactly one inversion, which the engine's heap key relies on."""
     rng = random.Random(4)
+    todo = []
     for _ in range(60):
         n = rng.randint(1, 3)
-        w = _rand_word(rng, n, 8)
-        # check_measure asserts the lexicographic drop inside the engine
-        normal_order(w, n=n, check_measure=True, contract=True)
-        normal_order(w, n=n, strategy="rightmost", check_measure=True, contract=True)
+        todo.append(tuple(_rand_word(rng, n, 8)))
+    seen: set = set()
+    edges = 0
+    while todo:
+        w = todo.pop()
+        if w in seen:
+            continue
+        seen.add(w)
+        before = (_inversions(w), len(w))
+        for t in range(len(w) - 1):
+            for _, repl in _rule(w[t], w[t + 1]) or ():
+                w2 = w[:t] + repl + w[t + 2:]
+                after = (_inversions(w2), len(w2))
+                assert after < before, (w, t, w2)
+                if len(repl) == 2:
+                    assert after == (before[0] - 1, before[1]), (w, t, w2)
+                todo.append(w2)
+                edges += 1
+    assert (len(seen), edges) == (2042, 4614)
+
+
+def test_inversions_counted_once_per_queued_word(monkeypatch):
+    word = [(AM, 0, 0)] * 6 + [(AP, 0, 0)] * 6
+    counted: list = []
+
+    def spy(w):
+        counted.append(tuple(w))
+        return _inversions(w)
+
+    monkeypatch.setattr(walgebra, "_inversions", spy)
+    for strategy in ("leftmost", "rightmost"):
+        counted.clear()
+        normal_order(word, n=1, strategy=strategy, contract=False)
+        assert counted, strategy  # the a1- a1+ branch points were queued
+        assert tuple(word) not in counted, strategy
+        assert len(set(counted)) == len(counted), strategy
 
 
 def test_associativity_random():
@@ -451,6 +489,13 @@ def test_parse_errors_carry_positions():
         parse_word("a3+", n=2)
     with pytest.raises(ValueError):
         normal_order([(AP, 5, 0)], n=2, contract=True)
+    # a bad kind, a negative mode, a kappa exponent other than ±1 and a
+    # ladder exponent other than 0 are refused, not misread
+    for letters, n in (([(7, 0, 0)], 1), ([(AP, -1, 0)], 2),
+                       ([(KA, 0, 2), (KA, 0, -1)], 1), ([(AM, 0, 1)], 1)):
+        for contract in (False, True):
+            with pytest.raises(ValueError):
+                normal_order(letters, n=n, contract=contract)
 
 
 def test_str_formats():
