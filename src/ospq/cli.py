@@ -45,7 +45,8 @@ from .uqosp import (
 SIZE_GUARD = 100_000
 # longest word `normal-order` accepts (after k^e expands to |e| letters): the
 # costliest words of that length, a1-..a9- a1+..a9+ with --contract, take
-# about 1.6 s on a 2-vCPU machine, and two more letters more than double that
+# about 0.3 s as a whole command on a 2-vCPU machine, and each two more
+# letters double the size of the contracted form
 WORD_BUDGET = 18
 
 FAMILY_ORDER = ("classical", *FAMILY_BUILDERS)

@@ -52,6 +52,12 @@ def _reduced(a: int, b: int, d: int) -> "Q2":
     return out
 
 
+def _ratio_text(a: int, d: int) -> str:
+    """a/d (d > 0) in lowest terms, printed as `str(Fraction(a, d))` does."""
+    g = _gcd(a, d)
+    return str(a // g) if d == g else f"{a // g}/{d // g}"
+
+
 class Q2:
     """An element (a + b*sqrt(2))/d of Q(sqrt 2), immutable by convention.
 
@@ -226,19 +232,19 @@ class Q2:
     def __str__(self) -> str:
         """Rational part, then the radical with an explicit marker:
         "1-2√2", "-√2", "-1/2"."""
-        r, w = self.r, self.w
-        if w == 0:
-            return str(r)
-        if w == 1:
+        a, b, d = self.a, self.b, self.d
+        if not b:
+            return _ratio_text(a, d)
+        if b == d:
             root = "√2"
-        elif w == -1:
+        elif b == -d:
             root = "-√2"
         else:
-            root = f"{w}√2"
-        if r == 0:
+            root = f"{_ratio_text(b, d)}√2"
+        if not a:
             return root
-        sign = "+" if not root.startswith("-") else ""
-        return f"{r}{sign}{root}"
+        sign = "+" if b > 0 else ""
+        return f"{_ratio_text(a, d)}{sign}{root}"
 
     def __repr__(self) -> str:
         return f"Q2({self.r!r}, {self.w!r})"

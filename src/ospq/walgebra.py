@@ -22,12 +22,16 @@ Two reduction routes are implemented and cross-checked:
 
 - a literal word-rewriting engine (`normal_order` with contract=False uses
   only the local exchange rules above, oriented left-to-right; with
-  contract=True a deterministic contraction pass follows).  Its
-  leftmost/rightmost strategies back the confluence property tests, and a
-  test checks its termination measure on every rule.  It merges identical
-  intermediate words and reduces each distinct word once, so its cost grows
-  polynomially with the number of a^- a^+ crossings: (a_1^-)^10 (a_1^+)^10
-  takes a few hundredths of a second per strategy.
+  contract=True the engine then brings each remaining a_i^+ .. a_i^- pair
+  together by the same rules and applies the contraction identity, with no
+  replay through the append calculus).  Paths are counted, not followed:
+  each is priced s^a c^t S^u, S = c/(q - q^-1), for its t rule contractions
+  and u pair contractions.  Its leftmost/rightmost strategies back the
+  confluence property tests, and a test checks its termination measure on
+  every rule.  It merges identical intermediate words and reduces each
+  distinct word once, so its cost grows polynomially with the number of
+  a^- a^+ crossings: (a_1^-)^10 (a_1^+)^10 takes a few hundredths of a
+  second per strategy.
 - a closed-form append calculus (`mul`) that multiplies canonical monomials
   directly; all structure constants were derived from the same relations.
 
@@ -40,7 +44,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from functools import lru_cache
-from heapq import heappop, heappush
+from heapq import heapify, heappop, heappush
 from typing import Iterable, NamedTuple, Sequence, Union
 
 from .qcoeff import (
@@ -491,8 +495,8 @@ def commutator(x: WeylElement, y: WeylElement, s_exp: int = 0,
 # --------------------------------------------------------------- engine
 
 
-# a pending coefficient: {s exponent: number of rewrite paths}, i.e. the sum
-# of count * s^a, still to be multiplied by c^t for the word's t contractions
+# a pending coefficient: {s exponent: signed number of rewrite paths}, i.e.
+# the sum of count * s^a, still to be priced c^t S^u (see `_reduce_word`)
 _Counts = dict[int, int]
 
 
@@ -527,8 +531,9 @@ def _shifted(counts: _Counts, ds: int, into: _Counts) -> None:
 
 
 def _reduce_word(word: tuple[Letter, ...], n: int, strategy: str,
-                 rules: Rules) -> dict[WeylMonomial, QFrac]:
-    """Rewrite `word` to pre-normal form with the local exchange rules only.
+                 rules: Rules, contract: bool = False) -> dict[WeylMonomial, QFrac]:
+    """Rewrite `word` to pre-normal form with the local exchange rules, then,
+    if `contract`, contract its pairs a_i^+ .. a_i^- (`_contract_pairs`).
 
     Identical intermediate words are merged, so each distinct word is reduced
     once however many rewrite paths reach it.  Pending words wait in a heap
@@ -540,13 +545,15 @@ def _reduce_word(word: tuple[Letter, ...], n: int, strategy: str,
     Inversions are counted once per queued word, when it is first pushed;
     the start word is alone in the heap and popped first, so it needs none.
 
-    Every rewrite path is priced s^a c^t with c = `rules.s1_kappa`: the
-    contraction a_i^- a_i^+ -> c kappa_i^-1 is the only rule that drops an
-    a^+ letter, so t, the number of contractions, is fixed for a monomial by
-    its drop in a^+ count.  A pending coefficient is therefore a count of
-    paths per s exponent, priced once per collected monomial, whatever the
-    rule set.  The cost is polynomial in the number of a- a+ crossings where
-    following every path separately was exponential.
+    Every path is priced s^a c^t S^u with c = `rules.s1_kappa` and S =
+    `_CONTRACT_SCALE`: the rule a_i^- a_i^+ -> c kappa_i^-1 and the pair
+    contraction a_i^+ a_i^- = S (kappa_i - kappa_i^-1) are the only steps
+    that drop an a^+ letter, so t + u is fixed for a monomial by its drop in
+    a^+ count.  A pending coefficient is therefore a count of paths per s
+    exponent, kept apart per u, and priced once per collected monomial with
+    one cached c^t S^u per u, whatever the rule set.  Without `contract`, u
+    is 0 throughout.  The cost is polynomial in the number of a- a+ crossings
+    where following every path separately was exponential.
     """
     if strategy not in ("leftmost", "rightmost"):
         raise ValueError("strategy must be 'leftmost' or 'rightmost'")
@@ -588,21 +595,85 @@ def _reduce_word(word: tuple[Letter, ...], n: int, strategy: str,
                 _shifted(counts, ds, entry[0])
                 break
     n_plus = sum(1 for kind, _, _ in word if kind == AP)
+    # monomial -> {u: pending coefficient}, u the number of pair contractions
+    paths: dict[WeylMonomial, dict[int, _Counts]] = {
+        m: {0: counts} for m, counts in collected.items()}
+    if contract:
+        _contract_pairs(paths)
     out: dict[WeylMonomial, QFrac] = {}
-    for m, counts in collected.items():
-        c = QFrac({se: Q2(k) for se, k in counts.items()})
-        t = n_plus - sum(m.plus)
-        if t:
-            c = c * _contraction_power(rules, t)
+    for m, by_u in paths.items():
+        drop = n_plus - sum(m.plus)
+        c = None
+        for u, counts in by_u.items():
+            cu = QFrac({se: Q2(k) for se, k in counts.items()})
+            if drop:
+                cu = cu * _path_price(rules, drop - u, u)
+            c = cu if c is None else c + cu
         if not c.is_zero():
             out[m] = c
     return out
 
 
+def _pair_shift(m: WeylMonomial, j: int) -> int:
+    """The s exponent that brings the first a_j^- of m's word left to its
+    last a_j^+.
+
+    The a_j^- crosses the plus letters of higher modes, the kappas and the
+    minus letters of higher modes.  Crossing a letter x reverses the
+    engine's rule a_j^- x -> s^a x a_j^-, so it costs s^-a.  The kappa_j^{±1}
+    that the pair leaves passes only letters of other modes on its way into
+    the kappa block, which the rules exchange at no cost.
+    """
+    am = (AM, j, 0)
+    ds = 0
+    for i in range(j + 1, m.n):
+        for kind, count in ((AP, m.plus[i]), (AM, m.minus[i])):
+            if count:
+                ds -= count * _rule(am, (kind, i, 0))[0][0]
+    for i, z in enumerate(m.kappa):
+        if z:
+            ds -= abs(z) * _rule(am, (KA, i, 1 if z > 0 else -1))[0][0]
+    return ds
+
+
+def _contract_pairs(paths: dict[WeylMonomial, dict[int, _Counts]]) -> None:
+    """Contract every pair a_j^+ .. a_j^- of the pre-normal monomials in
+    place, as path counts.
+
+    A monomial with a pair contracts the one of its lowest mode j:
+    `_pair_shift` brings the pair together and a_j^+ a_j^- = S (kappa_j -
+    kappa_j^-1) splits its paths into two signed branches, each one more
+    pair contraction u.  A contraction drops one a^+ letter, so, as in the
+    engine, monomials wait in a heap keyed by their a^+ count and each is
+    contracted once, after every monomial that lands on it.
+    """
+    heap = [(-sum(m.plus), m) for m in paths if not m.is_canonical()]
+    heapify(heap)
+    while heap:
+        m = heappop(heap)[1]
+        by_u = paths.pop(m)
+        j = next(i for i, (p, d) in enumerate(zip(m.plus, m.minus)) if p and d)
+        ds = _pair_shift(m, j)
+        plus, minus = _tweak(m.plus, j, -1), _tweak(m.minus, j, -1)
+        for e in (1, -1):
+            m2 = WeylMonomial(plus, _tweak(m.kappa, j, e), minus)
+            entry = paths.get(m2)
+            if entry is None:
+                entry = paths[m2] = {}
+                if not m2.is_canonical():
+                    heappush(heap, (-sum(plus), m2))
+            for u, counts in by_u.items():
+                into = entry.setdefault(u + 1, {})
+                for se, k in counts.items():
+                    into[se + ds] = into.get(se + ds, 0) + e * k
+
+
 @lru_cache(maxsize=None)
-def _contraction_power(rules: Rules, t: int) -> QFrac:
-    """c^t with c = `rules.s1_kappa`, the price of t contractions."""
-    return rules.s1_kappa ** t
+def _path_price(rules: Rules, t: int, u: int) -> QFrac:
+    """c^t S^u with c = `rules.s1_kappa` and S = `_CONTRACT_SCALE`: the
+    price of a path with t rule contractions and u pair contractions."""
+    price = rules.s1_kappa ** t
+    return price * _CONTRACT_SCALE ** u if u else price
 
 
 def _collect_prenormal(word: tuple[Letter, ...], n: int) -> WeylMonomial:
@@ -628,13 +699,17 @@ def normal_order(word: WordLike, n: int | None = None, *, contract: bool,
 
     With contract=False the result is the pre-normal form produced by the
     local exchange rules alone (a_i^+ a_i^- left untouched); contract=True
-    applies the contraction identity afterwards, landing in the canonical
-    min(p_i, d_i) = 0 basis used by `mul`.  Callers choose: `ospq
-    normal-order` leaves the pairs unless given --contract.
+    has the engine contract those pairs too, in its path counts, landing in
+    the canonical min(p_i, d_i) = 0 basis used by `mul`.  Neither calls the
+    append calculus, which stays an independent oracle.  Callers choose:
+    `ospq normal-order` leaves the pairs unless given --contract.  An
+    element keeps its own mode count; an `n` other than it is refused.
     """
     # (scale, word) pairs; a bare word has no scale to multiply in
     items: list[tuple[QFrac | None, tuple[Letter, ...]]]
     if isinstance(word, WeylElement):
+        if n is not None and n != word.n:
+            raise ValueError(f"element has {word.n} modes, not n={n}")
         items = [(c, m.word()) for m, c in word._terms.items()]
         n = word.n
     else:
@@ -654,17 +729,8 @@ def normal_order(word: WordLike, n: int | None = None, *, contract: bool,
         items = [(None, tuple(letters))]
     acc: dict[WeylMonomial, QFrac] = {}
     for c0, w in items:
-        pre = _reduce_word(w, n, strategy, rules)
-        for m, c in pre.items():
-            if c0 is not None:
-                c = c * c0
-            # pre-normal monomials may straddle the contraction identity;
-            # replaying their word through the append calculus contracts them
-            if contract and not m.is_canonical():
-                for m2, c2 in WeylElement.from_word(n, m.word(), rules)._terms.items():
-                    _add_into(acc, m2, c2 * c)
-            else:
-                _add_into(acc, m, c)
+        for m, c in _reduce_word(w, n, strategy, rules, contract).items():
+            _add_into(acc, m, c if c0 is None else c * c0)
     return WeylElement(n, acc)
 
 

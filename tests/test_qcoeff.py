@@ -365,7 +365,7 @@ def test_exact_key_tells_term_orders_apart():
 # long normal forms, under the default and the corrupted rules: it pins each
 # term's value, its place in the numerator's order (which fixes the float sum
 # in eval_root to the last bit) and the printed form
-_COEFFICIENT_DIGEST = "568999d61c6c74d390ef85b0589e7307252530a43ccb90f8b24e43f8dd9f1e9f"
+_COEFFICIENT_DIGEST = "c547da6f13ebbb85637f94f3ee644ff0ee3bb2c3f9c9111d1ed7e7b915faac72"
 
 
 def _coefficient_lines(rules):

@@ -1,6 +1,7 @@
 """Tests for W_q(n): rewriting engine, append calculus, Fock action."""
 from __future__ import annotations
 
+import hashlib
 import random
 import time
 
@@ -270,6 +271,76 @@ def test_long_crossing_words_are_fast():
     assert elapsed < 10.0, f"long crossing words took {elapsed:.1f}s"
 
 
+def test_contracting_nine_crossing_pairs_is_fast():
+    # a1- .. a9- a1+ .. a9+ leaves nine pairs a_j^+ a_j^- to contract
+    text = " ".join([f"a{i}-" for i in range(1, 10)] + [f"a{i}+" for i in range(1, 10)])
+    letters, n = parse_word(text)
+    t0 = time.process_time()
+    contracted = normal_order(letters, n, contract=True)
+    elapsed = time.process_time() - t0
+    assert len(contracted) == 512
+    assert all(m.is_canonical() for m, _ in contracted.terms())
+    assert elapsed < 1.0, f"contracting nine crossing pairs took {elapsed:.2f}s"
+
+
+def test_contraction_is_independent_of_the_append_calculus(monkeypatch):
+    words = ["a1+ a1-", "a1+ a2+ a1-", "a1+ k1 a1-"]
+    append_minus = walgebra._append_minus
+
+    def off_by_two(m, j):
+        terms = append_minus(m, j)
+        if len(terms) == 2:  # the contraction branch
+            return [(s_exp + 2, k, m2) for s_exp, k, m2 in terms]
+        return terms
+
+    monkeypatch.setattr(walgebra, "_append_minus", off_by_two)
+    for text in words:
+        letters, n = parse_word(text)
+        assert normal_order(letters, n, contract=True) != WeylElement.from_word(n, letters), text
+    monkeypatch.undo()
+
+    append_word = walgebra._append_word
+    calls: list = []
+
+    def spy(*args):
+        calls.append(args)
+        return append_word(*args)
+
+    monkeypatch.setattr(walgebra, "_append_word", spy)
+    WeylElement.from_word(1, parse_word("a1+ a1-")[0])
+    assert calls  # the spy sees the append calculus
+    calls.clear()
+    for text in words + ["a1- a2- a1+ a2+ a1+ a1-"]:
+        letters, n = parse_word(text)
+        for strategy in ("leftmost", "rightmost"):
+            pre = normal_order(letters, n, strategy=strategy, contract=False)
+            normal_order(letters, n, strategy=strategy, contract=True)
+            normal_order(pre, strategy=strategy, contract=True)
+    assert not calls
+
+
+# sha256 of str() of contracted normal forms, under both rule sets and both
+# strategies, of words and of pre-normal elements; printed forms list their
+# terms in sorted order, so this pins values and not term order
+_CONTRACTED_DIGEST = "8890f6992f4952459ddda7de42e8ba435972b343586bcc4007e86a9d2b3dda5c"
+
+
+def _contracted_lines():
+    rng = random.Random(2323)
+    words = [(n, _rand_word(rng, n)) for n in (1, 2, 3) for _ in range(100)]
+    for rules in (DEFAULT_RULES, Rules.corrupted()):
+        for n, w in words:
+            for strategy in ("leftmost", "rightmost"):
+                yield str(normal_order(w, n, strategy=strategy, rules=rules, contract=True))
+            pre = normal_order(w, n, rules=rules, contract=False)
+            yield str(normal_order(pre, rules=rules, contract=True))
+
+
+def test_contracted_forms_golden_digest():
+    text = "\n".join(_contracted_lines())
+    assert hashlib.sha256(text.encode()).hexdigest() == _CONTRACTED_DIGEST
+
+
 def test_termination_measure_strictly_drops():
     """Every rewrite either strategy can take, at any position, lowers
     (inversions, length) lexicographically; an exchange keeps the length and
@@ -489,6 +560,11 @@ def test_parse_errors_carry_positions():
         parse_word("a3+", n=2)
     with pytest.raises(ValueError):
         normal_order([(AP, 5, 0)], n=2, contract=True)
+    # an element keeps its own mode count: a different n is refused
+    for contract in (False, True):
+        with pytest.raises(ValueError):
+            normal_order(a_plus(2, 1), n=1, contract=contract)
+        assert normal_order(a_plus(2, 1), n=2, contract=contract) == a_plus(2, 1)
     # a bad kind, a negative mode, a kappa exponent other than ±1 and a
     # ladder exponent other than 0 are refused, not misread
     for letters, n in (([(7, 0, 0)], 1), ([(AP, -1, 0)], 2),
