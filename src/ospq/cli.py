@@ -27,10 +27,14 @@ import sys
 from . import __version__
 from .report import RESIDUAL_TOL, STRUCTURAL_TOL, CheckResult, summarize
 from .walgebra import (
+    AM,
+    AP,
     DEFAULT_RULES,
+    KA,
     Rules,
     WeylElement,
     WordBudgetError,
+    letter_str,
     normal_order,
     parse_word,
 )
@@ -199,9 +203,11 @@ def _guard_rep(n: int, k: int) -> str | None:
 
 
 def _export_labels(n: int) -> list[str]:
+    """a{i}+, a{i}-, k{i} (as letter_str names them) and L{i} per mode."""
     labels: list[str] = []
-    for i in range(1, n + 1):
-        labels += [f"a{i}+", f"a{i}-", f"k{i}", f"L{i}"]
+    for i in range(n):
+        labels += [letter_str((AP, i, 0)), letter_str((AM, i, 0)),
+                   letter_str((KA, i, 1)), f"L{i + 1}"]
     return labels
 
 

@@ -68,7 +68,8 @@ from .uqosp import (
     leaf_word,
     realized_catalog,
 )
-from .walgebra import AM, AP, KA, Letter, WeylElement, WeylMonomial, fock_letter
+from .walgebra import (AM, AP, KA, Letter, WeylElement, WeylMonomial, fock_letter,
+                       letter_str)
 
 
 def root_s(k: int) -> complex:
@@ -262,15 +263,25 @@ def _entries(op: Op, dim: int) -> SparseMatrix:
 
 
 def build_generator_matrix(label: str, n: int, k: int) -> RepMatrix:
-    """Matrix of a named operator: a{i}+, a{i}-, k{i}[^e], L{i}[^e], or
-    e{i},{j} for the gl root vectors (built from their explicit
+    """Matrix of a named operator.  A label is a letter as walgebra.letter_str
+    names it (a{i}+, a{i}-, k{i}, k{i}^-1), L{i}[^+-1] for the leaf L_i^{+-1}
+    under phi, or e{i},{j} for the gl root vectors (built from their explicit
     -cos(pi/(2k)) oscillator form, independent of the symbolic engine)."""
     space = fock_space(n, k)
-    m = re.fullmatch(r"e(\d+),(\d+)", label.strip())
-    if m:
+    text = label.strip()
+    letters = {letter_str(x): x for i in range(n)
+               for x in ((AP, i, 0), (AM, i, 0), (KA, i, 1), (KA, i, -1))}
+    if text in letters:
+        op = space.letter(letters[text])
+    elif m := re.fullmatch(r"L(\d+)(?:\^(-?\d+))?", text):
+        exp = int(m.group(2) or 1)
+        if exp not in (-1, 1):
+            raise ValueError(f"L exponent must be +-1 in {label!r}")
+        op = _matrix_of_expr(Gen("L", int(m.group(1)), exp), space)
+    elif m := re.fullmatch(r"e(\d+),(\d+)", text):
         op = _gl_matrix_direct(int(m.group(1)), int(m.group(2)), space)
     else:
-        op = _matrix_of_expr(_parse_label(label, n), space)
+        raise ValueError(f"unknown operator label {label!r}")
     return RepMatrix(label, n, k, _entries(op, space.dim))
 
 
@@ -285,23 +296,6 @@ def _gl_matrix_direct(i: int, j: int, space: FockSpace) -> Op:
     else:
         word = ((AP, j - 1, 0), (AM, i - 1, 0), (KA, i - 1, -1))
     return _sum([(coeff, space.word(word))])
-
-
-def _parse_label(label: str, n: int) -> GenExpr:
-    text = label.strip()
-    m = re.fullmatch(r"a(\d+)([+-])", text)
-    if m:
-        return Gen("a", int(m.group(1)), +1 if m.group(2) == "+" else -1)
-    m = re.fullmatch(r"(k|kappa)(\d+)(?:\^(-?\d+))?", text)
-    if m:
-        return Gen("kappa", int(m.group(2)), int(m.group(3) or 1))
-    m = re.fullmatch(r"L(\d+)(?:\^(-?\d+))?", text)
-    if m:
-        exp = int(m.group(2) or 1)
-        if exp not in (-1, 1):
-            raise ValueError(f"L exponent must be +-1 in {label!r}")
-        return Gen("L", int(m.group(1)), exp)
-    raise ValueError(f"unknown operator label {label!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -363,7 +357,7 @@ def _matrix_of_expr(x: GenExpr, space: FockSpace, memo: _Memo | None = None) -> 
     if isinstance(x, (QBracket, AntiComm)):
         a = _matrix_of_expr(x.left, space, memo)
         b = _matrix_of_expr(x.right, space, memo)
-        coeff = -(root_s(k) ** x.s_exp) if isinstance(x, QBracket) else 1
+        coeff = x.sign * root_s(k) ** x.s_exp
         return _sum(((1, _product((a, b), dim)), (coeff, _product((b, a), dim))))
     raise TypeError(f"not a generator expression: {type(x).__name__}")
 

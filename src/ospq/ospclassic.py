@@ -40,7 +40,7 @@ from .scalars import SQRT2, Q2
 
 Entry = tuple[int, int]
 
-_SIGN_STR = {1: "+", -1: "-"}
+SIGN_STR = {1: "+", -1: "-"}
 
 
 def _parity(index: int) -> int:
@@ -446,8 +446,8 @@ def pbose_relation_checks(
                         for eps in signs:
                             out.append(residual_row(
                                 f"C21[n={n},i={i},j={j},k={k},"
-                                f"xi={_SIGN_STR[xi]},eta={_SIGN_STR[eta]},"
-                                f"eps={_SIGN_STR[eps]}]",
+                                f"xi={SIGN_STR[xi]},eta={SIGN_STR[eta]},"
+                                f"eps={SIGN_STR[eps]}]",
                                 pbose_residual(A, anti, i, xi, j, eta, k, eps),
                             ))
     return out
@@ -505,8 +505,8 @@ def sp2n_relation_checks(anti: AnticommutatorTable, n: int) -> list[CheckResult]
                                 for phi in signs:
                                     out.append(residual_row(
                                         f"C28[n={n},i={i},j={j},k={k},l={l},"
-                                        f"xi={_SIGN_STR[xi]},eta={_SIGN_STR[eta]},"
-                                        f"eps={_SIGN_STR[eps]},phi={_SIGN_STR[phi]}]",
+                                        f"xi={SIGN_STR[xi]},eta={SIGN_STR[eta]},"
+                                        f"eps={SIGN_STR[eps]},phi={SIGN_STR[phi]}]",
                                         sp2n_residual(anti, i, xi, j, eta, k, eps, l, phi),
                                     ))
     return out
@@ -599,7 +599,7 @@ def membership_checks(
         ok = mat.in_osp() and mat.grade == 1
         out.append(
             CheckResult(
-                f"MEM.gen[n={n},i={i},sign={_SIGN_STR[s]}]",
+                f"MEM.gen[n={n},i={i},sign={SIGN_STR[s]}]",
                 ok,
                 None,
                 "" if ok else "block constraints violated",
@@ -614,7 +614,7 @@ def membership_checks(
                     out.append(
                         CheckResult(
                             f"MEM.pair[n={n},i={i},j={j},"
-                            f"xi={_SIGN_STR[xi]},eta={_SIGN_STR[eta]}]",
+                            f"xi={SIGN_STR[xi]},eta={SIGN_STR[eta]}]",
                             ok,
                             None,
                             "" if ok else "block constraints violated",
@@ -678,7 +678,7 @@ def chain_checks(
             rebuilt = parabose_from_chevalley(e, f, i, s)
             out.append(
                 residual_row(
-                    f"CHAIN[n={n},i={i},sign={_SIGN_STR[s]}]",
+                    f"CHAIN[n={n},i={i},sign={SIGN_STR[s]}]",
                     rebuilt - A[(i, s)],
                 )
             )

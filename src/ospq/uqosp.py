@@ -13,9 +13,10 @@ holds exactly when the normal form of (lhs - rhs) is the zero element.
 phi is written once: leaf_word gives the image of every leaf but e_i, f_i,
 which build_chevalley_from_pre writes over A and L.
 
-The expression layer is a small immutable AST (GenExpr) with leaves for the
-named generators and nodes for products, weighted sums, anticommutators and
-the deformed bracket [u, v]_x = uv - x vu where x is a power of s = q^{1/2}.
+The expression layer is a small immutable AST (GenExpr) on the U_q side of
+phi only, with leaves for the generators e, f, k, A, L and nodes for
+products, weighted sums and the brackets [u, v]_x = uv + sign x vu, x a
+power of s = q^{1/2}: QBracket (sign -1) and AntiComm (sign +1, x = 1).
 
 The relation catalog covers:
 
@@ -42,7 +43,7 @@ from functools import lru_cache
 from typing import Sequence
 
 from .ospclassic import (
-    _SIGN_STR,
+    SIGN_STR,
     anticommutator_table,
     cartan_h_upper,
     cartan_matrix,
@@ -61,7 +62,7 @@ from .walgebra import (
     Rules,
     WeylElement,
     WeylMonomial,
-    _check_mode,
+    check_mode,
     commutator,
     mul,
 )
@@ -80,11 +81,11 @@ class GenExpr:
 
 @dataclass(frozen=True)
 class Gen(GenExpr):
-    """A single generator leaf.
+    """A single generator leaf of U_q[osp(1|2n)].
 
-    kind is one of "e", "f", "k", "A", "L", "a", "kappa"; exp is the sign
-    (+-1) for the ladder kinds "A"/"a" and the integer exponent for the
-    invertible kinds "k"/"L"/"kappa".
+    kind is one of "e", "f", "k" (Chevalley) or "A", "L" (pre-oscillator);
+    exp is the sign (+-1) for the ladder kind "A" and the integer exponent
+    for the invertible kinds "k"/"L".
     """
 
     kind: str
@@ -92,11 +93,11 @@ class Gen(GenExpr):
     exp: int = 1
 
     def __post_init__(self) -> None:
-        if self.kind not in ("e", "f", "k", "A", "L", "a", "kappa"):
+        if self.kind not in ("e", "f", "k", "A", "L"):
             raise ValueError(f"unknown generator kind {self.kind!r}")
         if self.kind in ("e", "f") and self.exp != 1:
             raise ValueError("simple generators carry no exponent")
-        if self.kind in ("A", "a") and self.exp not in (+1, -1):
+        if self.kind == "A" and self.exp not in (+1, -1):
             raise ValueError("ladder generators need sign +1 or -1")
 
 
@@ -115,17 +116,23 @@ class Sum(GenExpr):
 @dataclass(frozen=True)
 class QBracket(GenExpr):
     """[u, v]_x = uv - x vu with x = s^{s_exp} (s_exp = 0 is the plain
-    commutator, s_exp = +-2 the brackets deformed by q^{+-1})."""
+    commutator, s_exp = +-2 the brackets deformed by q^{+-1}); the class
+    constant sign = -1 is not a field, so repr and hash read the fields only."""
 
     left: GenExpr
     right: GenExpr
     s_exp: int = 0
+    sign = -1
 
 
 @dataclass(frozen=True)
 class AntiComm(GenExpr):
+    """{u, v} = uv + vu; sign = +1 and s_exp = 0 are class constants."""
+
     left: GenExpr
     right: GenExpr
+    sign = +1
+    s_exp = 0
 
 
 ONE_EXPR = Product(())
@@ -186,7 +193,7 @@ def build_preoscillator(n: int, i: int, sign: int) -> GenExpr:
     with every bracket deformed, and A_n^- = -sqrt(2) e_n,
     A_n^+ = sqrt(2) f_n.
     """
-    _check_mode(n, i)
+    check_mode(n, i)
     if sign == -1:
         expr: GenExpr = Gen("e", n)
         for j in range(n - 1, i - 1, -1):
@@ -202,7 +209,7 @@ def build_preoscillator(n: int, i: int, sign: int) -> GenExpr:
 
 def build_cartan_L(n: int, i: int, exp: int = 1) -> GenExpr:
     """L_i = k_i k_{i+1} ... k_n (or the reversed product of inverses)."""
-    _check_mode(n, i)
+    check_mode(n, i)
     if exp == 1:
         return Product(tuple(Gen("k", j) for j in range(i, n + 1)))
     if exp == -1:
@@ -217,7 +224,7 @@ def build_chevalley_from_pre(n: int, i: int) -> tuple[GenExpr, GenExpr]:
         f_i = -(1/(2q)) L_{i+1} {A_i^+, A_{i+1}^-}       for i < n,
         e_n = -2^{-1/2} A_n^-,   f_n = 2^{-1/2} A_n^+.
     """
-    _check_mode(n, i)
+    check_mode(n, i)
     if i == n:
         return (
             scaled(-_INV_SQRT2_Q, Gen("A", n, -1)),
@@ -240,8 +247,8 @@ def build_gl_generator(n: int, i: int, j: int) -> GenExpr:
         e_ij = -1/2 L_j^{-1} {A_i^-, A_j^+}   for i < j,
         e_ij = -1/2 {A_i^-, A_j^+} L_i        for i > j.
     """
-    _check_mode(n, i)
-    _check_mode(n, j)
+    check_mode(n, i)
+    check_mode(n, j)
     if i == j:
         raise ValueError("diagonal directions are carried by the L_i")
     body = AntiComm(Gen("A", i, -1), Gen("A", j, +1))
@@ -258,17 +265,14 @@ def build_gl_generator(n: int, i: int, j: int) -> GenExpr:
 def leaf_word(
     kind: str, index: int, exp: int, n: int
 ) -> tuple[int, tuple[Letter, ...]]:
-    """phi on a leaf other than e/f: (a, word) for s^a times a word of W_q(n)
+    """phi on a leaf A, L or k: (a, word) for s^a times a word of W_q(n)
     letters.  phi(A_i^+-) = a_i^+-, phi(L_i^e) = q^{-e/2} kappa_i^{-e},
-    phi(k_i^e) = kappa_i^{-e} kappa_{i+1}^e for i < n, phi(k_n) = phi(L_n),
-    and the letters a, kappa map to themselves.  realize() and the matrix
-    route of fockrep both read phi here."""
-    _check_mode(n, index)
+    phi(k_i^e) = kappa_i^{-e} kappa_{i+1}^e for i < n, phi(k_n) = phi(L_n).
+    realize() and the matrix route of fockrep both read phi here."""
+    check_mode(n, index)
     mode = index - 1
-    if kind in ("a", "A"):
+    if kind == "A":
         return 0, ((AP if exp == +1 else AM, mode, 0),)
-    if kind == "kappa":
-        return 0, ((KA, mode, exp),)
     if kind == "L" or (kind == "k" and index == n):
         return -exp, ((KA, mode, -exp),)
     if kind == "k":
@@ -282,8 +286,7 @@ def _leaf_image(kind: str, index: int, exp: int, n: int, rules: Rules) -> WeylEl
         e_expr, f_expr = build_chevalley_from_pre(n, index)
         return realize(e_expr if kind == "e" else f_expr, n, rules)
     a, word = leaf_word(kind, index, exp, n)
-    image = WeylElement.from_word(n, word, rules)
-    return image.scale(QFrac.s_pow(a)) if a else image
+    return WeylElement.from_word(n, word, rules).mul_s_pow(a)
 
 
 def realize(x: GenExpr, n: int, rules: Rules = DEFAULT_RULES) -> WeylElement:
@@ -306,8 +309,10 @@ def realize(x: GenExpr, n: int, rules: Rules = DEFAULT_RULES) -> WeylElement:
 @lru_cache(maxsize=256)
 def _realize_node(x: GenExpr, n: int, rules: Rules) -> WeylElement:
     if isinstance(x, Product):
-        acc = WeylElement.one(n)
-        for fac in x.factors:
+        if not x.factors:
+            return WeylElement.one(n)
+        acc = realize(x.factors[0], n, rules)
+        for fac in x.factors[1:]:
             acc = mul(acc, realize(fac, n, rules), rules)
         return acc
     if isinstance(x, Sum):
@@ -315,21 +320,9 @@ def _realize_node(x: GenExpr, n: int, rules: Rules) -> WeylElement:
         for coeff, term in x.terms:
             acc = acc + realize(term, n, rules).scale(coeff)
         return acc
-    if isinstance(x, QBracket):
+    if isinstance(x, (QBracket, AntiComm)):
         return commutator(
-            realize(x.left, n, rules),
-            realize(x.right, n, rules),
-            s_exp=x.s_exp,
-            sign=-1,
-            rules=rules,
-        )
-    if isinstance(x, AntiComm):
-        return commutator(
-            realize(x.left, n, rules),
-            realize(x.right, n, rules),
-            s_exp=0,
-            sign=+1,
-            rules=rules,
+            realize(x.left, n, rules), realize(x.right, n, rules), x.s_exp, x.sign, rules
         )
     raise TypeError(f"not a generator expression: {type(x).__name__}")
 
@@ -485,7 +478,7 @@ def _pre_instances(n: int) -> list[RelationInstance]:
                 # L_i A_j^+- = q^{-+delta_ij} A_j^+- L_i
                 out.append(
                     RelationInstance(
-                        f"PRE2[n={n},i={i},j={j},sign={_SIGN_STR[s]}]",
+                        f"PRE2[n={n},i={i},j={j},sign={SIGN_STR[s]}]",
                         "PRE2", (i, j), (s,),
                         prod(Gen("L", i), A[j, s]),
                         scaled(
@@ -527,7 +520,7 @@ def _pre_instances(n: int) -> list[RelationInstance]:
                     out.append(
                         RelationInstance(
                             f"PRE4[n={n},i={i},sigma={sigma:+d},"
-                            f"xi={_SIGN_STR[xi]},j={j}]",
+                            f"xi={SIGN_STR[xi]},j={j}]",
                             "PRE4", (i, j), (sigma, xi), lhs, rhs,
                         )
                     )
@@ -535,7 +528,7 @@ def _pre_instances(n: int) -> list[RelationInstance]:
         for xi in (+1, -1):
             out.append(
                 RelationInstance(
-                    f"PRE5[n={n},xi={_SIGN_STR[xi]}]", "PRE5", (n - 1, n), (xi,),
+                    f"PRE5[n={n},xi={SIGN_STR[xi]}]", "PRE5", (n - 1, n), (xi,),
                     QBracket(anti[(n - 1, xi), (n, xi)], A[n, xi], 2),
                     ZERO_EXPR,
                 )
@@ -574,7 +567,7 @@ def _t_instances(n: int) -> list[RelationInstance]:
                         )
                     out.append(
                         RelationInstance(
-                            f"T1[n={n},i={i},j={j},k={k},xi={_SIGN_STR[xi]}]",
+                            f"T1[n={n},i={i},j={j},k={k},xi={SIGN_STR[xi]}]",
                             "T1", (i, j, k), (xi,), lhs, Sum(tuple(terms)),
                         )
                     )
@@ -612,7 +605,7 @@ def _t_instances(n: int) -> list[RelationInstance]:
                         )
                     out.append(
                         RelationInstance(
-                            f"T2[n={n},i={i},j={j},k={k},xi={_SIGN_STR[xi]}]",
+                            f"T2[n={n},i={i},j={j},k={k},xi={SIGN_STR[xi]}]",
                             "T2", (i, j, k), (xi,), lhs, Sum(tuple(terms)),
                         )
                     )
@@ -644,8 +637,8 @@ def _t_instances(n: int) -> list[RelationInstance]:
                         terms.append((w_plus, prod(A[i, xi], Gen("L", i, 1))))
                     out.append(
                         RelationInstance(
-                            f"T3[n={n},i={i},k={k},xi={_SIGN_STR[xi]},"
-                            f"eta={_SIGN_STR[eta]}]",
+                            f"T3[n={n},i={i},k={k},xi={SIGN_STR[xi]},"
+                            f"eta={SIGN_STR[eta]}]",
                             "T3", (i, k), (xi, eta), lhs, Sum(tuple(terms)),
                         )
                     )
@@ -659,7 +652,7 @@ def _t_instances(n: int) -> list[RelationInstance]:
                     )
                     out.append(
                         RelationInstance(
-                            f"T4[n={n},i={i},j={j},k={k},xi={_SIGN_STR[xi]}]",
+                            f"T4[n={n},i={i},j={j},k={k},xi={SIGN_STR[xi]}]",
                             "T4", (i, j, k), (xi,), lhs, ZERO_EXPR,
                         )
                     )
@@ -674,8 +667,8 @@ def _g_instances(n: int) -> list[RelationInstance]:
                 for eta in (+1, -1):
                     out.append(
                         RelationInstance(
-                            f"G1.LL[n={n},i={i},j={j},xi={_SIGN_STR[xi]},"
-                            f"eta={_SIGN_STR[eta]}]",
+                            f"G1.LL[n={n},i={i},j={j},xi={SIGN_STR[xi]},"
+                            f"eta={SIGN_STR[eta]}]",
                             "G1", (i, j), (xi, eta),
                             prod(Gen("L", i, xi), Gen("L", j, eta)),
                             prod(Gen("L", j, eta), Gen("L", i, xi)),
@@ -756,7 +749,7 @@ def _g_instances(n: int) -> list[RelationInstance]:
                     terms.append((t * Q_MINUS_QINV, prod(e[k, j], e[i, l])))
                 out.append(
                     RelationInstance(
-                        f"G3[n={n},i={i},j={j},k={k},l={l},xi={_SIGN_STR[xi]}]",
+                        f"G3[n={n},i={i},j={j},k={k},l={l},xi={SIGN_STR[xi]}]",
                         "G3", (i, j, k, l), (xi,), lhs, Sum(tuple(terms)),
                     )
                 )
@@ -790,13 +783,13 @@ def catalog(
     """
     if n < 1:
         raise ValueError("mode count must be at least 1")
-    chosen = FAMILY_BUILDERS if families is None else {
-        f: FAMILY_BUILDERS[f] for f in families
-    }
+    chosen = FAMILY_BUILDERS if families is None else families
+    for name in chosen:
+        if name not in FAMILY_BUILDERS:
+            raise ValueError(f"unknown family {name!r} "
+                             f"(choose from {', '.join(FAMILY_BUILDERS)})")
     out: list[RelationInstance] = []
-    for name in FAMILY_BUILDERS:
-        if name not in chosen:
-            continue
+    for name in [f for f in FAMILY_BUILDERS if f in chosen]:
         instances = FAMILY_BUILDERS[name](n)
         if seed is not None and len(instances) > CATALOG_SAMPLE:
             rng = random.Random(seed + len(name))
@@ -865,7 +858,7 @@ def round_trip_checks(n: int, rules: Rules = DEFAULT_RULES) -> list[CheckResult]
         for s in (-1, +1):
             target = realize(Gen("A", i, s), n, rules)
             out.append(residual_row(
-                f"RT.A[n={n},i={i},sign={_SIGN_STR[s]}]",
+                f"RT.A[n={n},i={i},sign={SIGN_STR[s]}]",
                 realize(build_preoscillator(n, i, s), n, rules) - target,
             ))
     for i in range(1, n + 1):
@@ -934,8 +927,8 @@ def classical_limit_checks(n: int, rules: Rules = DEFAULT_RULES) -> list[CheckRe
         out.append(
             CheckResult(
                 f"LIM.{inst.id}", not why, None,
-                f"classical instance (i={a},xi={_SIGN_STR[x]},j={b},"
-                f"eta={_SIGN_STR[y]},k={c},eps={_SIGN_STR[z]}){why}",
+                f"classical instance (i={a},xi={SIGN_STR[x]},j={b},"
+                f"eta={SIGN_STR[y]},k={c},eps={SIGN_STR[z]}){why}",
             )
         )
     return out

@@ -66,10 +66,11 @@ _KIND_TXT = {AP: "a{}+", KA: "k{}", AM: "a{}-"}
 
 
 def letter_str(letter: Letter) -> str:
+    """The one name of a letter: a{i}+, a{i}-, k{i}, or k{i}^{e} if e != 1."""
     kind, mode, e = letter
     txt = _KIND_TXT[kind].format(mode + 1)
-    if kind == KA and e == -1:
-        txt += "^-1"
+    if kind == KA and e != 1:
+        txt += f"^{e}"
     return txt
 
 
@@ -396,6 +397,12 @@ class WeylElement:
             raise TypeError(f"cannot scale by {type(c).__name__}")
         return WeylElement(self.n, {m: v * cc for m, v in self._terms.items()})
 
+    def mul_s_pow(self, e: int) -> "WeylElement":
+        """self * s^e, every coefficient by QFrac.mul_s_pow."""
+        if not e:
+            return self
+        return WeylElement(self.n, {m: c.mul_s_pow(e) for m, c in self._terms.items()})
+
     def __rmul__(self, other: object) -> "WeylElement":
         cc = QFrac._coerce(other)
         if cc is None:
@@ -446,26 +453,26 @@ class WeylElement:
 
 def a_plus(n: int, i: int) -> WeylElement:
     """The raising generator a_i^+ (1-based mode index)."""
-    _check_mode(n, i)
+    check_mode(n, i)
     m = WeylMonomial.identity(n)
     return WeylElement.from_monomial(m._replace(plus=_tweak(m.plus, i - 1, 1)))
 
 
 def a_minus(n: int, i: int) -> WeylElement:
     """The lowering generator a_i^- (1-based mode index)."""
-    _check_mode(n, i)
+    check_mode(n, i)
     m = WeylMonomial.identity(n)
     return WeylElement.from_monomial(m._replace(minus=_tweak(m.minus, i - 1, 1)))
 
 
 def kappa_el(n: int, i: int, e: int = 1) -> WeylElement:
     """kappa_i^e (1-based mode index)."""
-    _check_mode(n, i)
+    check_mode(n, i)
     m = WeylMonomial.identity(n)
     return WeylElement.from_monomial(m._replace(kappa=_tweak(m.kappa, i - 1, e)))
 
 
-def _check_mode(n: int, i: int) -> None:
+def check_mode(n: int, i: int) -> None:
     if not 1 <= i <= n:
         raise ValueError(f"mode index {i} out of range 1..{n}")
 
@@ -487,8 +494,7 @@ def commutator(x: WeylElement, y: WeylElement, s_exp: int = 0,
     """[x, y]_{s^e} = x y + sign * s^e * y x (sign=-1 commutator-like,
     sign=+1 anticommutator-like)."""
     xy = mul(x, y, rules)
-    yx = mul(y, x, rules)
-    w = WeylElement(x.n, {m: c.mul_s_pow(s_exp) for m, c in yx._terms.items()}) if s_exp else yx
+    w = mul(y, x, rules).mul_s_pow(s_exp)
     return xy + w if sign > 0 else xy - w
 
 

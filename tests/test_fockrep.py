@@ -21,6 +21,7 @@ import numpy as np
 import pytest
 
 from ospq import fockrep, uqosp
+from ospq.cli import _export_labels
 from ospq.fockrep import (
     block_dims_multinomial,
     block_dims_polynomial,
@@ -43,7 +44,7 @@ from ospq.fockrep import (
 from ospq.qcoeff import QFrac, fock_norm_factor, q_int
 from ospq.report import STRUCTURAL_TOL
 from ospq.uqosp import ZERO_EXPR, Gen, Product, Sum, build_gl_generator, catalog, realize
-from ospq.walgebra import AM, AP, DEFAULT_RULES, KA, WeylElement, letter_str
+from ospq.walgebra import AM, AP, DEFAULT_RULES, KA, WeylElement, letter_str, parse_word
 
 
 def dense(label: str, n: int, k: int) -> np.ndarray:
@@ -145,7 +146,7 @@ def test_every_entry_point_refuses_a_bad_shape(n, k):
     calls = [
         lambda: build_generator_matrix("a1+", n, k),
         lambda: build_generator_matrix("e1,2", n, k),
-        lambda: matrix_of_expr(Gen("a", 1, +1), n, k),
+        lambda: matrix_of_expr(Gen("A", 1, +1), n, k),
         lambda: check_unitarity(n, k),
         lambda: check_weights(n, k),
         lambda: check_matrix_relations(n, k),
@@ -153,7 +154,7 @@ def test_every_entry_point_refuses_a_bad_shape(n, k):
         lambda: decompose_gl(n, k),
     ]
     if n >= 1:
-        calls.append(lambda: matrix_of_weyl(realize(Gen("a", 1, +1), n), k))
+        calls.append(lambda: matrix_of_weyl(realize(Gen("A", 1, +1), n), k))
     message = "mode count must be at least 1" if n < 1 else "root order k must be at least 2"
     for call in calls:
         with pytest.raises(ValueError, match=message):
@@ -461,10 +462,12 @@ def test_cartan_anticommutator_as_two_by_two_matrices():
 
 
 def _letter_gen(letter):
+    """A letter as a U_q expression: a_i^+- = phi(A_i^+-) and
+    kappa_i^e = s^{-e} phi(L_i^{-e})."""
     kind, mode, exp = letter
     if kind == KA:
-        return Gen("kappa", mode + 1, exp)
-    return Gen("a", mode + 1, +1 if kind == AP else -1)
+        return uqosp.scaled(QFrac.s_pow(-exp), Gen("L", mode + 1, -exp))
+    return Gen("A", mode + 1, +1 if kind == AP else -1)
 
 
 def test_symbolic_and_matrix_routes_agree_on_random_words():
@@ -680,6 +683,16 @@ def _entries_csr(op, dim):
     return rows[order], mat.indices[order], mat.data[order]
 
 
+def _named_op(label, space):
+    """The operator an a/k/L label names, built apart from
+    build_generator_matrix: a letter read by parse_word, or the leaf L_i."""
+    if label.startswith("L"):
+        return fockrep._matrix_of_expr(Gen("L", int(label[1:])), space)
+    ((letter,), _) = parse_word(label, space.n)
+    assert letter_str(letter) == label
+    return space.letter(letter)
+
+
 def _assert_entries_match_csr(mat, op):
     row, col, data = _entries_csr(op, mat.shape[0])
     assert mat.nnz == len(data)
@@ -697,7 +710,7 @@ def test_entries_match_scipy_csr_in_order():
         ]
         space = fockrep.fock_space(n, k)
         for label in labels:
-            op = fockrep._matrix_of_expr(fockrep._parse_label(label, n), space)
+            op = _named_op(label, space)
             _assert_entries_match_csr(build_generator_matrix(label, n, k).matrix, op)
         if n >= 2:
             for i, j in ((1, 2), (2, 1)):
@@ -707,7 +720,8 @@ def test_entries_match_scipy_csr_in_order():
     n, k = 2, 3
     space = fockrep.fock_space(n, k)
     one = QFrac.one()
-    mixed = Sum(((one, Gen("a", 1, +1)), (one, Gen("a", 2, -1)), (one, Gen("kappa", 1))))
+    mixed = Sum(((one, Gen("A", 1, +1)), (one, Gen("A", 2, -1)),
+                 (one, _letter_gen((KA, 0, 1)))))
     for x in (mixed, ZERO_EXPR):
         _assert_entries_match_csr(matrix_of_expr(x, n, k), fockrep._matrix_of_expr(x, space))
     assert matrix_of_expr(ZERO_EXPR, n, k).nnz == 0
@@ -752,6 +766,25 @@ def test_label_parsing_and_errors():
         build_generator_matrix("a1+", 1, 1)
 
 
+def test_exported_labels_build_the_operators_they_name():
+    for n in (1, 2, 3):
+        k = 3
+        space = fockrep.fock_space(n, k)
+        for label in _export_labels(n):
+            got = build_generator_matrix(label, n, k).matrix
+            expected = fockrep._entries(_named_op(label, space), space.dim)
+            assert np.array_equal(got.row, expected.row), (label, n)
+            assert np.array_equal(got.col, expected.col), (label, n)
+            assert np.array_equal(got.data, expected.data), (label, n)
+
+
+def test_labels_other_than_letter_names_are_refused():
+    # a kappa power is not an operator label, nor a second name for k_i
+    for bad in ("kappa1", "k1^2", "k1^-2"):
+        with pytest.raises(ValueError, match="unknown operator label"):
+            build_generator_matrix(bad, 2, 3)
+
+
 def test_verify_representation_bundle():
     n, k = 2, 3
     rows = (
@@ -775,8 +808,7 @@ def test_L_matrix_matches_realized_image():
     # through the append calculus)
     for n, k in ((1, 2), (2, 3), (3, 2)):
         for i in range(1, n + 1):
-            leaves = [Gen(kind, i, e) for kind in ("A", "a", "L", "k", "kappa")
-                      for e in (+1, -1)]
+            leaves = [Gen(kind, i, e) for kind in ("A", "L", "k") for e in (+1, -1)]
             for leaf in leaves:
                 direct = matrix_of_expr(leaf, n, k).toarray()
                 via_weyl = matrix_of_weyl(realize(leaf, n), k).toarray()

@@ -37,7 +37,7 @@ from ospq.uqosp import (
     verify_instance,
     verify_relations,
 )
-from ospq.walgebra import DEFAULT_RULES, a_minus, a_plus, kappa_el, mul
+from ospq.walgebra import DEFAULT_RULES, Rules, a_minus, a_plus, kappa_el, mul
 
 
 def _spow(e: int, c=1) -> QFrac:
@@ -116,6 +116,14 @@ def test_builder_errors():
         Gen("A", 1, 2)
     with pytest.raises(ValueError):
         Gen("e", 1, -1)
+
+
+def test_letters_of_the_weyl_algebra_are_not_generators():
+    # phi(A_i^+-) = a_i^+- and phi(L_i^-1) = q^{1/2} kappa_i name them on
+    # the U_q side
+    for kind in ("a", "kappa"):
+        with pytest.raises(ValueError, match="unknown generator kind"):
+            Gen(kind, 1)
 
 
 def test_cartan_L_products():
@@ -249,6 +257,32 @@ def test_catalog_golden_digest():
             for i in catalog(n)
         )
         assert hashlib.sha256(lines.encode()).hexdigest() == expected, n
+
+
+# sha256 over every realized side of realized_catalog(n, rules): one line per
+# term, (str(monomial), exact_key()) in term order, after the instance id.  It
+# pins each normal form, its term order and each coefficient's numerator order.
+_REALIZED_CATALOG_DIGEST = "2b4b931e7117bc53cc38f876a52ddb2e59de1ea1a6bbadd3108fd67bd839762d"
+
+
+def test_realized_catalog_golden_digest():
+    cases = [(n, DEFAULT_RULES) for n in (1, 2, 3, 4, 5)]
+    cases += [(n, Rules.corrupted()) for n in (2, 3)]
+    digest = hashlib.sha256()
+    for n, rules in cases:
+        for inst, lhs, rhs in realized_catalog(n, rules):
+            digest.update(f"{inst.id}\n".encode())
+            for side, terms in (("lhs", lhs), ("rhs", rhs)):
+                for mono, coeff in terms:
+                    digest.update(f"{side}|{mono}|{coeff.exact_key()!r}\n".encode())
+    assert digest.hexdigest() == _REALIZED_CATALOG_DIGEST
+
+
+def test_unknown_family_is_refused():
+    for call in (lambda: catalog(2, families=["X"]),
+                 lambda: verify_relations(2, families=["CK", "X"])):
+        with pytest.raises(ValueError, match="unknown family 'X'.*CK, SERRE, PRE, T, G"):
+            call()
 
 
 def _subtrees(x, seen):

@@ -23,6 +23,7 @@ from ospq.walgebra import (
     commutator,
     fock_letter,
     kappa_el,
+    letter_str,
     mul,
     normal_order,
     parse_word,
@@ -593,3 +594,13 @@ def test_commutator_helper():
     # anticommutator flavor
     z = commutator(x, y, sign=+1)
     assert z == mul(x, y) + mul(y, x)
+
+
+def test_letter_str_names_every_kappa_power():
+    # as WeylMonomial prints kappa powers and parse_word reads them
+    assert [letter_str((kind, 1, 0)) for kind in (AP, AM)] == ["a2+", "a2-"]
+    assert letter_str((KA, 0, 0)) == "k1^0"
+    for e in (-3, -2, -1, 1, 2, 3):
+        text = letter_str((KA, 1, e))
+        assert text == str(kappa_el(2, 2, e)), e
+        assert parse_word(text, 2) == ([(KA, 1, 1 if e > 0 else -1)] * abs(e), 2), e
