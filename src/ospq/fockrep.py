@@ -38,8 +38,12 @@ monomial of a normal form, an explicit gl root vector -- is one product.
 Every check reads the shifts; the matrix objects and the CSV export list
 their nonzero weights as (row, col) entries.  One FockSpace per shape (held
 by fock_space for the most recent shape only) keeps the occupation digits,
-the letters and the gl(n) decomposition; only check_matrix_relations keeps
-a memo of the leaves and monomials it builds, and drops it on return.
+the letters and the gl(n) decomposition.  A relation of the catalog never
+changes the occupation of a mode it does not touch, and reaches such a mode
+only through the phases above, so check_matrix_relations reads each
+relation on the space of its touched modes S alone and scales the residual
+by sqrt(k^(n-|S|)) back to k^n; it alone keeps a memo of the leaves and
+monomials it builds, and drops it on return.
 """
 
 from __future__ import annotations
@@ -61,15 +65,16 @@ from .uqosp import (
     GenExpr,
     Product,
     QBracket,
+    RelationPattern,
     Sum,
     Terms,
     build_chevalley_from_pre,
     build_gl_generator,
     leaf_word,
-    realized_catalog,
+    relation_patterns,
 )
-from .walgebra import (AM, AP, KA, Letter, WeylElement, WeylMonomial, fock_letter,
-                       letter_str)
+from .walgebra import (AM, AP, DEFAULT_RULES, KA, Letter, Rules, WeylElement, WeylMonomial,
+                       fock_letter, letter_str)
 
 
 def root_s(k: int) -> complex:
@@ -303,23 +308,24 @@ def _gl_matrix_direct(i: int, j: int, space: FockSpace) -> Op:
 # ---------------------------------------------------------------------------
 
 
-# bytes of weights the memo of check_matrix_relations stores; at k^n = 10^5
-# one shift is 1.6 MB
+# bytes of weights the memo of check_matrix_relations stores, over the
+# spaces of every touched-mode count of one call; one shift on k^m states is
+# 16 k^m bytes (160 KB at 10^4, the largest such space of rep --n 5 --k 10)
 MEMO_BYTES = 64 * 2**20
 
 
 class _Memo(dict):
-    """Operators already built within one call, keyed by a leaf Gen or by a
-    WeylMonomial, for one space.  It stores until it holds MEMO_BYTES of
-    weights, then only looks up.  A stored operator is exactly what the same
-    deterministic operations would build again, so no result changes; its
-    weights are shared, so read-only."""
+    """Operators already built within one call, keyed by the mode count of
+    their space and a leaf Gen or a WeylMonomial, at one k.  It stores until
+    it holds MEMO_BYTES of weights, then only looks up.  A stored operator is
+    exactly what the same deterministic operations would build again, so no
+    result changes; its weights are shared, so read-only."""
 
     def __init__(self) -> None:
         super().__init__()
         self.nbytes = 0  # of weights stored
 
-    def keep(self, key: Gen | WeylMonomial, op: Op) -> Op:
+    def keep(self, key: tuple[int, Gen | WeylMonomial], op: Op) -> Op:
         size = sum(w.nbytes for w in op.values())
         if self.nbytes + size <= MEMO_BYTES:
             for w in op.values():
@@ -336,7 +342,7 @@ def _matrix_of_expr(x: GenExpr, space: FockSpace, memo: _Memo | None = None) -> 
     if given, keeps each leaf it has room for, built once."""
     k, dim = space.k, space.dim
     if isinstance(x, Gen):
-        op = memo.get(x) if memo is not None else None
+        op = memo.get((space.n, x)) if memo is not None else None
         if op is not None:
             return op
         if x.kind in ("e", "f"):
@@ -346,7 +352,7 @@ def _matrix_of_expr(x: GenExpr, space: FockSpace, memo: _Memo | None = None) -> 
             a, word = leaf_word(x.kind, x.index, x.exp, space.n)
             op = space.word(word)
             op = _sum([(root_s(k) ** a, op)]) if a else op
-        return memo.keep(x, op) if memo is not None else op
+        return memo.keep((space.n, x), op) if memo is not None else op
     if isinstance(x, Product):
         return _product([_matrix_of_expr(fac, space, memo) for fac in x.factors], dim)
     if isinstance(x, Sum):
@@ -375,8 +381,8 @@ def _matrix_of_weyl(terms: Terms, space: FockSpace, memo: _Memo | None = None) -
     def monomial(mono: WeylMonomial) -> Op:
         if memo is None:
             return space.word(mono.word())
-        op = memo.get(mono)
-        return op if op is not None else memo.keep(mono, space.word(mono.word()))
+        op = memo.get((space.n, mono))
+        return op if op is not None else memo.keep((space.n, mono), space.word(mono.word()))
 
     return _sum((complex(c.eval_root(space.k)), monomial(mono)) for mono, c in terms)
 
@@ -496,24 +502,45 @@ def check_weights(n: int, k: int) -> list[CheckResult]:
 # ---------------------------------------------------------------------------
 
 
-def check_matrix_relations(n: int, k: int) -> list[CheckResult]:
+def check_matrix_relations(
+    n: int, k: int, rules: Rules = DEFAULT_RULES
+) -> list[CheckResult]:
     """Every catalog instance as a k^n x k^n matrix identity, with the
     symbolic normal form re-evaluated at the root as a cross-check of the
-    same matrices.  The normal forms are realized once per n
-    (uqosp.realized_catalog); leaves and monomials are built once for the
-    whole catalog, by one memo dropped on return."""
-    space = fock_space(n, k)
-    out: list[CheckResult] = []
+    same matrices.
+
+    An instance never changes the occupation of a mode outside the modes S
+    it touches and reaches such a mode only through the prefix phases, one
+    common unimodular phase per shift and spectator state, so its residual
+    on k^n is sqrt(k^(n-|S|)) times the one on the k^|S| space of S.  Each
+    pattern of uqosp.relation_patterns is evaluated once, on
+    FockSpace(|S|, k) (fock_space(n, k) when |S| = n), and every row
+    reports its residual scaled back to k^n, which RESIDUAL_TOL bounds.
+    Leaves and monomials are built once per |S| by one memo, dropped on
+    return."""
+    spaces: dict[int, FockSpace] = {}
     memo = _Memo()
-    for inst, lhs_terms, rhs_terms in realized_catalog(n):
-        lhs = _matrix_of_expr(inst.lhs, space, memo)
-        rhs = _matrix_of_expr(inst.rhs, space, memo)
-        sym_lhs = _matrix_of_weyl(lhs_terms, space, memo)
-        sym_rhs = _matrix_of_weyl(rhs_terms, space, memo)
-        res = max(_residual(lhs, rhs), _residual(sym_lhs, lhs), _residual(sym_rhs, rhs))
-        out.append(
-            CheckResult(f"MAT.{inst.id}[k={k}]", res < RESIDUAL_TOL, res, "matrix residual")
-        )
+    residuals: dict[RelationPattern, float] = {}
+    out: list[CheckResult] = []
+    for inst, modes, pattern in relation_patterns(n, rules):
+        res = residuals.get(pattern)
+        if res is None:
+            m = pattern.n
+            if m not in spaces:
+                spaces[m] = fock_space(n, k) if m == n else FockSpace(m, k)
+            space = spaces[m]
+            lhs = _matrix_of_expr(pattern.lhs, space, memo)
+            rhs = _matrix_of_expr(pattern.rhs, space, memo)
+            sym_lhs = _matrix_of_weyl(pattern.lhs_terms, space, memo)
+            sym_rhs = _matrix_of_weyl(pattern.rhs_terms, space, memo)
+            res = residuals[pattern] = max(
+                _residual(lhs, rhs), _residual(sym_lhs, lhs), _residual(sym_rhs, rhs))
+        spectators = n - pattern.n
+        res *= math.sqrt(k**spectators)
+        detail = f"matrix residual on modes {','.join(map(str, modes))} of {n}"
+        if spectators:
+            detail += f", x sqrt(k^{spectators})"
+        out.append(CheckResult(f"MAT.{inst.id}[k={k}]", res < RESIDUAL_TOL, res, detail))
     return out
 
 

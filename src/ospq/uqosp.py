@@ -301,7 +301,7 @@ def realize(x: GenExpr, n: int, rules: Rules = DEFAULT_RULES) -> WeylElement:
 # the memo keys by value, so it also serves equal nodes built apart.  One
 # pass over a catalog visits each distinct non-leaf node two to three times
 # (n = 5: 7,118 visits, 2,691 distinct nodes), and this memo serves that
-# pass; it cannot hold a catalog, so realized_catalog keeps the realized
+# pass; it cannot hold a catalog, so relation_patterns keeps the realized
 # sides for later passes.  The bound keeps the memo small: 256 entries
 # measured as fast as unbounded, which grows to megabytes over the catalogs
 # for n = 1..5.
@@ -802,27 +802,124 @@ def catalog(
 Terms = tuple[tuple[WeylMonomial, QFrac], ...]
 
 
+@dataclass(frozen=True, eq=False)
+class RelationPattern:
+    """Both sides of a relation relabelled onto the modes 1..n it touches,
+    in order, with each side's normal form realized at that n as
+    realize(side, n, rules).terms().  Catalog instances whose relabelled
+    sides evaluate alike share one pattern.  Shared, so never mutated."""
+
+    n: int
+    lhs: GenExpr
+    rhs: GenExpr
+    lhs_terms: Terms
+    rhs_terms: Terms
+
+
+def _children(x: GenExpr) -> tuple[GenExpr, ...]:
+    if isinstance(x, Product):
+        return x.factors
+    if isinstance(x, Sum):
+        return tuple(term for _, term in x.terms)
+    if isinstance(x, (QBracket, AntiComm)):
+        return (x.left, x.right)
+    return ()
+
+
+class _Relabeller:
+    """Moves the expressions of one catalog at n onto the modes they touch.
+
+    A leaf's image depends on n only through whether its index is n (k_n,
+    e_n, f_n), and an order-keeping relabelling of the touched modes moves n
+    to the new top mode, so a relabelled leaf means what it did.  Results
+    are hash-consed: equal results are one object, held in nodes, so a
+    node's key holds its children's ids, and Sum weights count as equal only
+    with equal exact_key, whose term order fixes their floats."""
+
+    def __init__(self, n: int) -> None:
+        self.n = n
+        self.leaf_modes: dict[Gen, int] = {}
+        self.nodes: dict[tuple, GenExpr] = {}  # key -> the one relabelled node
+
+    def touched(self, x: GenExpr) -> int:
+        """The modes of every letter in phi of x's leaves, bit i for mode i:
+        leaf_word's letters, and for e_i, f_i those of the A and L leaves
+        that build_chevalley_from_pre writes them over."""
+        if not isinstance(x, Gen):
+            modes = 0
+            for c in _children(x):
+                modes |= self.touched(c)
+            return modes
+        modes = self.leaf_modes.get(x)
+        if modes is None:
+            if x.kind in ("e", "f"):
+                e_expr, f_expr = build_chevalley_from_pre(self.n, x.index)
+                modes = self.touched(e_expr if x.kind == "e" else f_expr)
+            else:
+                word = leaf_word(x.kind, x.index, x.exp, self.n)[1]
+                modes = sum({1 << (mode + 1) for _, mode, _ in word})
+            self.leaf_modes[x] = modes
+        return modes
+
+    def relabel(self, x: GenExpr, modes: tuple[int, ...]) -> GenExpr:
+        """x with every leaf index modes[j - 1] moved to j."""
+        if isinstance(x, Gen):
+            index = modes.index(x.index) + 1
+            return self.nodes.setdefault((x.kind, index, x.exp), Gen(x.kind, index, x.exp))
+        parts = tuple(self.relabel(c, modes) for c in _children(x))
+        if isinstance(x, Product):
+            key, node = ("*", *map(id, parts)), Product(parts)
+        elif isinstance(x, Sum):
+            key = ("+", *((w.exact_key(), id(c)) for (w, _), c in zip(x.terms, parts)))
+            node = Sum(tuple((w, c) for (w, _), c in zip(x.terms, parts)))
+        elif isinstance(x, QBracket):
+            key, node = ("[]", x.s_exp, *map(id, parts)), QBracket(*parts, x.s_exp)
+        else:
+            key, node = ("{}", *map(id, parts)), AntiComm(*parts)
+        return self.nodes.setdefault(key, node)
+
+
 @lru_cache(maxsize=2)
-def realized_catalog(
+def relation_patterns(
     n: int, rules: Rules = DEFAULT_RULES
-) -> tuple[tuple[RelationInstance, Terms, Terms], ...]:
-    """(instance, lhs terms, rhs terms) for every instance of catalog(n), each
-    side as realize(side, n, rules).terms().  The normal forms do not depend
-    on the root order k, so a matrix check at several k realizes the catalog
-    once; two entries keep two mode counts, as a sweep over the acceptance
-    grid alternates n = 2 and n = 3.  Equal monomials and coefficients with
-    equal exact_key are held once, which keeps the n = 4 catalog's 800 terms
-    to 222 monomials and 74 coefficients.  Shared, so never mutated."""
+) -> tuple[tuple[RelationInstance, tuple[int, ...], RelationPattern], ...]:
+    """(instance, touched modes, pattern) for every instance of catalog(n).
+
+    A relation's letters act on a mode they do not touch only through the
+    phases of the q-commuting oscillators, so its matrices need only the
+    touched modes (fockrep.check_matrix_relations).  Both sides are
+    relabelled onto those modes in order and the sides realized once per
+    pattern: at n = 5, 1,350 instances share 189 patterns.  The normal forms
+    do not depend on the root order k, so a matrix check at several k
+    realizes each pattern once; two entries keep two mode counts, as a sweep
+    over the acceptance grid alternates n = 2 and n = 3.  Equal monomials
+    and coefficients with equal exact_key are held once.  Shared, so never
+    mutated."""
     monomials: dict[WeylMonomial, WeylMonomial] = {}
     coeffs: dict[tuple, QFrac] = {}
+    relabeller = _Relabeller(n)
+    patterns: dict[tuple[int, int, int], RelationPattern] = {}
 
-    def terms(side: GenExpr) -> Terms:
+    def terms(side: GenExpr, m: int) -> Terms:
         return tuple(
             (monomials.setdefault(mono, mono), coeffs.setdefault(coeff.exact_key(), coeff))
-            for mono, coeff in realize(side, n, rules).terms()
+            for mono, coeff in realize(side, m, rules).terms()
         )
 
-    return tuple((inst, terms(inst.lhs), terms(inst.rhs)) for inst in catalog(n))
+    out = []
+    for inst in catalog(n):
+        mask = relabeller.touched(inst.lhs) | relabeller.touched(inst.rhs)
+        modes = tuple(i for i in range(1, n + 1) if mask >> i & 1)
+        m = len(modes)
+        lhs, rhs = relabeller.relabel(inst.lhs, modes), relabeller.relabel(inst.rhs, modes)
+        # relabelled nodes are one object per value, so ids name the sides;
+        # k_1 means one thing at m = 1 and another at m = 2, so m counts too
+        key = (m, id(lhs), id(rhs))
+        pattern = patterns.get(key)
+        if pattern is None:
+            pattern = patterns[key] = RelationPattern(m, lhs, rhs, terms(lhs, m), terms(rhs, m))
+        out.append((inst, modes, pattern))
+    return tuple(out)
 
 
 def verify_instance(

@@ -457,6 +457,22 @@ def test_module_entry_point():
     assert proc.stdout.strip().startswith("ospq ")
 
 
+def test_rep_at_the_size_guard_passes_in_a_child():
+    # the whole command at k^n = 10^5: every relation row is read on the
+    # modes it touches, so the command ends well within its bound
+    start = time.perf_counter()
+    proc = subprocess.run(
+        [sys.executable, "-m", "ospq.cli", "rep", "--n", "5", "--k", "10"],
+        capture_output=True,
+        text=True,
+        env=_child_env(),
+    )
+    elapsed = time.perf_counter() - start
+    assert proc.returncode == 0, proc.stdout[-2000:] + proc.stderr[-2000:]
+    assert "x sqrt(k^" in proc.stdout
+    assert elapsed < 4.0, f"rep --n 5 --k 10 took {elapsed:.1f}s"
+
+
 def test_cli_import_leaves_numpy_and_scipy_unloaded():
     # only rep and decompose need them; they import fockrep on demand
     proc = subprocess.run(

@@ -44,7 +44,7 @@ from ospq.fockrep import (
 from ospq.qcoeff import QFrac, fock_norm_factor, q_int
 from ospq.report import STRUCTURAL_TOL
 from ospq.uqosp import ZERO_EXPR, Gen, Product, Sum, build_gl_generator, catalog, realize
-from ospq.walgebra import AM, AP, DEFAULT_RULES, KA, WeylElement, letter_str, parse_word
+from ospq.walgebra import AM, AP, DEFAULT_RULES, KA, Rules, WeylElement, letter_str, parse_word
 
 
 def dense(label: str, n: int, k: int) -> np.ndarray:
@@ -357,7 +357,7 @@ def test_matrix_residuals_golden_digest():
     # shapes: a change that moves any last bit of any route shows here.
     # These bits follow numpy's CPU dispatch (see fockrep._cmul): pinned on
     # an x86 machine with numpy's AVX-512 loops in use, the digest reads
-    # 59ce354b... under NPY_DISABLE_CPU_FEATURES="X86_V3 X86_V4 AVX512_ICL
+    # 8eedfc41... under NPY_DISABLE_CPU_FEATURES="X86_V3 X86_V4 AVX512_ICL
     # AVX512_SPR"
     grid = ((1, 2), (1, 3), (1, 5), (2, 2), (2, 3), (3, 2), (2, 5))
     digest = hashlib.sha256()
@@ -368,27 +368,110 @@ def test_matrix_residuals_golden_digest():
             count += 1
     assert count == 1752
     assert digest.hexdigest() == (
-        "645604545694e94e7737233fe20cd805d351551e7060e04b05582d02397c50f4"
+        "3e69973ee07688999326a8940bc81ea76477d87597e255f13076f104495978ae"
     )
 
 
 def test_matrix_relations_realize_each_catalog_once(monkeypatch):
+    # realize runs once per side of each pattern, never per instance; the
+    # calls it makes on subexpressions go through it too, so only the
+    # outermost calls count
     calls = []
+    depth = [0]
     real = uqosp.realize
 
     def counting(x, n, rules=DEFAULT_RULES):
-        calls.append(x)
-        return real(x, n, rules)
+        if not depth[0]:
+            calls.append((x, n))
+        depth[0] += 1
+        try:
+            return real(x, n, rules)
+        finally:
+            depth[0] -= 1
 
     monkeypatch.setattr(uqosp, "realize", counting)
-    uqosp.realized_catalog.cache_clear()
+    uqosp.relation_patterns.cache_clear()
     check_matrix_relations(3, 2)
-    realized = len(calls)
-    assert realized > 0 and uqosp.realized_catalog.cache_info().misses == 1
+    # the key check_matrix_relations reads, so a hit, not a second table
+    patterns = {id(p): p for _, _, p in uqosp.relation_patterns(3, DEFAULT_RULES)}.values()
+    assert sorted((id(x), n) for x, n in calls) == sorted(
+        (id(side), p.n) for p in patterns for side in (p.lhs, p.rhs))
+    assert len(calls) == 2 * 168 < 2 * 303
+    assert uqosp.relation_patterns.cache_info().misses == 1
     # the normal forms do not depend on k: a second root order reads them
+    realized = len(calls)
     check_matrix_relations(3, 4)
     assert len(calls) == realized
-    assert uqosp.realized_catalog.cache_info().misses == 1
+    assert uqosp.relation_patterns.cache_info().misses == 1
+
+
+def _full_space_residuals(n, k, rules=DEFAULT_RULES):
+    """Every instance evaluated on the whole k^n space, both routes, as the
+    reference for the residuals read on the touched modes."""
+    space = fockrep.FockSpace(n, k)
+    memo = fockrep._Memo()
+    out = {}
+    for inst in catalog(n):
+        lhs = fockrep._matrix_of_expr(inst.lhs, space, memo)
+        rhs = fockrep._matrix_of_expr(inst.rhs, space, memo)
+        sym_lhs = fockrep._matrix_of_weyl(realize(inst.lhs, n, rules).terms(), space, memo)
+        sym_rhs = fockrep._matrix_of_weyl(realize(inst.rhs, n, rules).terms(), space, memo)
+        out[f"MAT.{inst.id}[k={k}]"] = max(
+            fockrep._residual(lhs, rhs),
+            fockrep._residual(sym_lhs, lhs),
+            fockrep._residual(sym_rhs, rhs),
+        )
+    return out
+
+
+@pytest.mark.parametrize("n,k", [(3, 4), (4, 5), (2, 7)])
+def test_scaled_reduced_residuals_equal_the_full_space_ones(n, k):
+    # under corrupted rules the residuals are far from rounding, so the
+    # touched-mode residual, scaled by sqrt(k^(n-|S|)), must equal the one
+    # on the whole space to rounding, with the same rows failing
+    rules = Rules.corrupted()
+    rows = check_matrix_relations(n, k, rules=rules)
+    reference = _full_space_residuals(n, k, rules)
+    assert [r.id for r in rows] == list(reference)
+    failing = [r.id for r in rows if not r.ok]
+    assert failing == [i for i, res in reference.items() if not res < fockrep.RESIDUAL_TOL]
+    assert len(failing) > 20
+    reduced = 0
+    for r in rows:
+        if r.id in failing:
+            assert abs(r.residual / reference[r.id] - 1) < 1e-12, r.id
+            reduced += "sqrt" in r.detail
+    assert reduced > 0
+
+
+@pytest.mark.parametrize("n,k,whole", [(2, 5, 75), (3, 4, 82), (4, 3, 21)])
+def test_rows_on_every_mode_are_bit_identical_to_the_full_space(n, k, whole):
+    reference = _full_space_residuals(n, k)
+    touched = {f"MAT.{inst.id}[k={k}]": modes
+               for inst, modes, _ in uqosp.relation_patterns(n, DEFAULT_RULES)}
+    rows = [r for r in check_matrix_relations(n, k) if len(touched[r.id]) == n]
+    assert len(rows) == whole
+    for r in rows:
+        assert r.residual == reference[r.id], r.id
+        assert r.detail == f"matrix residual on modes {','.join(map(str, range(1, n + 1)))} of {n}"
+
+
+def test_matrix_rows_name_the_touched_modes_and_the_scale():
+    rows = {r.id: r for r in check_matrix_relations(3, 2)}
+    assert rows["MAT.PRE3[n=3,i=2][k=2]"].detail == "matrix residual on modes 2 of 3, x sqrt(k^2)"
+    assert rows["MAT.CK.ke[n=3,i=1,j=3][k=2]"].detail == (
+        "matrix residual on modes 1,2,3 of 3")
+    assert rows["MAT.CK.kk[n=3,i=3][k=2]"].detail == (
+        "matrix residual on modes 3 of 3, x sqrt(k^2)")
+
+
+def test_matrix_relations_at_the_size_guard_are_fast():
+    for n, k, bound in ((5, 10, 4.0), (4, 17, 3.0)):
+        start = time.perf_counter()
+        rows = check_matrix_relations(n, k)
+        elapsed = time.perf_counter() - start
+        assert len(rows) == len(catalog(n)) and all(r.ok for r in rows), (n, k)
+        assert elapsed < bound, f"relations at ({n}, {k}) took {elapsed:.1f}s"
 
 
 def test_only_calls_that_share_a_memo_build_one(monkeypatch):

@@ -30,7 +30,7 @@ from ospq.uqosp import (
     catalog,
     classical_limit_checks,
     realize,
-    realized_catalog,
+    relation_patterns,
     round_trip_checks,
     tau,
     theta,
@@ -259,9 +259,10 @@ def test_catalog_golden_digest():
         assert hashlib.sha256(lines.encode()).hexdigest() == expected, n
 
 
-# sha256 over every realized side of realized_catalog(n, rules): one line per
-# term, (str(monomial), exact_key()) in term order, after the instance id.  It
-# pins each normal form, its term order and each coefficient's numerator order.
+# sha256 over every realized side of catalog(n), realize(side, n, rules): one
+# line per term, (str(monomial), exact_key()) in term order, after the
+# instance id.  It pins each normal form, its term order and each
+# coefficient's numerator order.
 _REALIZED_CATALOG_DIGEST = "2b4b931e7117bc53cc38f876a52ddb2e59de1ea1a6bbadd3108fd67bd839762d"
 
 
@@ -270,10 +271,10 @@ def test_realized_catalog_golden_digest():
     cases += [(n, Rules.corrupted()) for n in (2, 3)]
     digest = hashlib.sha256()
     for n, rules in cases:
-        for inst, lhs, rhs in realized_catalog(n, rules):
+        for inst in catalog(n):
             digest.update(f"{inst.id}\n".encode())
-            for side, terms in (("lhs", lhs), ("rhs", rhs)):
-                for mono, coeff in terms:
+            for side, expr in (("lhs", inst.lhs), ("rhs", inst.rhs)):
+                for mono, coeff in realize(expr, n, rules).terms():
                     digest.update(f"{side}|{mono}|{coeff.exact_key()!r}\n".encode())
     assert digest.hexdigest() == _REALIZED_CATALOG_DIGEST
 
@@ -512,27 +513,74 @@ def test_round_trip_rows_show_their_residual():
 
 
 # ---------------------------------------------------------------------------
-# the held catalog
+# the held catalog: one relabelled pattern per class of instances
 # ---------------------------------------------------------------------------
+
+
+def _exact(terms):
+    # the coefficients' stored term order too, which fixes their floats
+    return [(mono, coeff.exact_key()) for mono, coeff in terms]
+
+
+def _onto(mono, modes):
+    """mono's exponents on the given 1-based modes, after checking that it
+    holds no letter on any other mode."""
+    picked = [i - 1 for i in modes]
+    for part in mono:
+        assert not any(e for i, e in enumerate(part) if i not in picked), mono
+    return type(mono)(*(tuple(part[i] for i in picked) for part in mono))
 
 
 @pytest.mark.parametrize("rules", [DEFAULT_RULES, DEFAULT_RULES.corrupted()],
                          ids=["default", "corrupted"])
 def test_realized_catalog_holds_each_sides_terms(rules):
-    def exact(terms):
-        # the coefficients' stored term order too, which fixes their floats
-        return [(mono, coeff.exact_key()) for mono, coeff in terms]
-
-    for n in (1, 2, 3):
-        held = realized_catalog(n, rules)
+    # each pattern holds its own sides' normal forms, and those are the
+    # instance's normal forms at n, relabelled onto the touched modes: the
+    # same monomials in the same order with the same exact coefficients
+    for n in (1, 2, 3, 4):
+        held = relation_patterns(n, rules)
         assert [inst.id for inst, _, _ in held] == [inst.id for inst in catalog(n)]
-        for inst, lhs, rhs in held:
-            assert exact(lhs) == exact(realize(inst.lhs, n, rules).terms()), inst.id
-            assert exact(rhs) == exact(realize(inst.rhs, n, rules).terms()), inst.id
+        for inst, modes, pattern in held:
+            assert len(modes) == pattern.n and list(modes) == sorted(set(modes))
+            for expr, side, terms in ((inst.lhs, pattern.lhs, pattern.lhs_terms),
+                                      (inst.rhs, pattern.rhs, pattern.rhs_terms)):
+                assert _exact(terms) == _exact(realize(side, pattern.n, rules).terms())
+                relabelled = [(_onto(mono, modes), coeff)
+                              for mono, coeff in realize(expr, n, rules).terms()]
+                assert _exact(relabelled) == _exact(terms), inst.id
+
+
+def test_relation_patterns_relabel_onto_the_touched_modes():
+    counts = {n: len({id(p) for _, _, p in relation_patterns(n)}) for n in range(1, 6)}
+    assert counts == {1: 14, 2: 86, 3: 168, 4: 189, 5: 189}
+    rows = {inst.id: (modes, pattern) for inst, modes, pattern in relation_patterns(5)}
+    # e_2 is written over A_2, A_3 and L_3; k_5 is phi(L_5) on mode 5 alone
+    modes, pattern = rows["CK.ke[n=5,i=5,j=2]"]
+    assert modes == (2, 3, 5) and pattern.lhs == Product((Gen("k", 3), Gen("e", 1)))
+    # instances that differ only by a shift of their modes share a pattern
+    assert rows["PRE3[n=5,i=1]"][1] is rows["PRE3[n=5,i=4]"][1]
+    assert rows["PRE3[n=5,i=1]"][0] == (1,)
+    # no instance at n = 5 touches all five modes
+    assert max(len(modes) for modes, _ in rows.values()) == 4
+
+
+def test_relation_patterns_split_on_weight_term_order():
+    # equal weights stored in another term order evaluate to other floats,
+    # so the sides that hold them are not one pattern
+    terms = {0: Q2(1), 2: Q2(-1), -2: Q2(-1)}
+    w = QFrac(terms)
+    w2 = QFrac({e: terms[e] for e in (2, -2, 0)})
+    assert w == w2 and w.exact_key() != w2.exact_key()
+    relabeller = uqosp._Relabeller(2)
+    a, a2, b = (relabeller.relabel(Sum(((c, Gen("A", 2)),)), (2,)) for c in (w, w2, w))
+    assert a is b and a is not a2 and a == a2
+    assert a.terms[0][1] == Gen("A", 1) and len(relabeller.nodes) == 3
 
 
 def test_realized_catalog_shares_monomials_and_coefficients():
-    terms = [t for _, lhs, rhs in realized_catalog(3) for t in lhs + rhs]
+    held = relation_patterns(3)
+    patterns = {id(p): p for _, _, p in held}.values()
+    terms = [t for p in patterns for t in p.lhs_terms + p.rhs_terms]
     monomials = {}
     coeffs = {}
     for mono, coeff in terms:
@@ -549,7 +597,7 @@ def test_realized_catalog_is_emptied_with_every_program_cache(monkeypatch):
     # module-level callable of the ospq submodules
     monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
     workloads = importlib.import_module("workloads")
-    realized_catalog(1)
-    assert realized_catalog.cache_info().currsize > 0
+    relation_patterns(1)
+    assert relation_patterns.cache_info().currsize > 0
     workloads.clear_caches()
-    assert realized_catalog.cache_info().currsize == 0
+    assert relation_patterns.cache_info().currsize == 0
