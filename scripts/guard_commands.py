@@ -1,0 +1,60 @@
+"""Time the guard commands: the `ospq` commands at the k^n = 10^5 size guard.
+
+    python3 scripts/guard_commands.py
+
+Run from anywhere; the program is imported from this checkout's `src/`.
+Each command runs once, in a child process, one after another, with its
+standard output discarded.  For each the script prints one JSON line: the
+argv, the exit code, the wall seconds and the child's peak resident set
+size in MB (ru_maxrss from os.wait4).  It records and gates nothing: a
+command that exits 1 is reported like any other.
+"""
+
+from __future__ import annotations
+
+import json
+import os
+import subprocess
+import sys
+import time
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+# the longest crossing word normal-order --contract accepts, a1-...a9- a1+...a9+
+WORD = " ".join([f"a{i}-" for i in range(1, 10)] + [f"a{i}+" for i in range(1, 10)])
+
+COMMANDS = (
+    ("verify", "--n", "5"),
+    *(("rep", "--n", str(n), "--k", str(k))
+      for n, k in ((5, 10), (4, 17), (3, 46), (2, 316), (1, 3000))),
+    *(("decompose", "--n", str(n), "--k", str(k)) for n, k in ((5, 10), (1, 100000))),
+    ("normal-order", "--contract", WORD),
+)
+
+
+def run(args: tuple[str, ...]) -> dict:
+    """Run `ospq <args>` in a child and measure it."""
+    path = os.environ.get("PYTHONPATH")
+    env = dict(os.environ, PYTHONPATH=f"{SRC}{os.pathsep}{path}" if path else str(SRC))
+    argv = [sys.executable, "-m", "ospq.cli", *args]
+    start = time.perf_counter()
+    child = subprocess.Popen(argv, env=env, stdout=subprocess.DEVNULL)
+    _, status, usage = os.wait4(child.pid, 0)
+    wall = time.perf_counter() - start
+    child.returncode = os.waitstatus_to_exitcode(status)
+    return {
+        "argv": ["ospq", *args],
+        "exit": child.returncode,
+        "wall_s": round(wall, 3),
+        "max_rss_mb": round(usage.ru_maxrss / 1024, 1),  # ru_maxrss is in KiB on Linux
+    }
+
+
+def main() -> None:
+    for args in COMMANDS:
+        print(json.dumps(run(args)), flush=True)
+
+
+if __name__ == "__main__":
+    main()

@@ -42,8 +42,10 @@ the letters and the gl(n) decomposition.  A relation of the catalog never
 changes the occupation of a mode it does not touch, and reaches such a mode
 only through the phases above, so check_matrix_relations reads each
 relation on the space of its touched modes S alone and scales the residual
-by sqrt(k^(n-|S|)) back to k^n; it alone keeps a memo of the leaves and
-monomials it builds, and drops it on return.
+by sqrt(k^(n-|S|)) back to k^n.  The leaves and monomials an evaluation
+builds are kept in a plain dict memo that is dropped on return:
+check_matrix_relations shares one across all its patterns, and every other
+caller passes a fresh one per expression.
 """
 
 from __future__ import annotations
@@ -282,7 +284,7 @@ def build_generator_matrix(label: str, n: int, k: int) -> RepMatrix:
         exp = int(m.group(2) or 1)
         if exp not in (-1, 1):
             raise ValueError(f"L exponent must be +-1 in {label!r}")
-        op = _matrix_of_expr(Gen("L", int(m.group(1)), exp), space)
+        op = _matrix_of_expr(Gen("L", int(m.group(1)), exp), space, {})
     elif m := re.fullmatch(r"e(\d+),(\d+)", text):
         op = _gl_matrix_direct(int(m.group(1)), int(m.group(2)), space)
     else:
@@ -308,41 +310,26 @@ def _gl_matrix_direct(i: int, j: int, space: FockSpace) -> Op:
 # ---------------------------------------------------------------------------
 
 
-# bytes of weights the memo of check_matrix_relations stores, over the
-# spaces of every touched-mode count of one call; one shift on k^m states is
-# 16 k^m bytes (160 KB at 10^4, the largest such space of rep --n 5 --k 10)
-MEMO_BYTES = 64 * 2**20
+def _keep(memo: dict, key: tuple[int, Gen | WeylMonomial], op: Op) -> Op:
+    """Store op in a memo of the operators already built within one call,
+    keyed by the mode count of their space and a leaf Gen or a WeylMonomial,
+    at one k.  A stored operator is exactly what the same deterministic
+    operations would build again, so no result changes; its weights are
+    shared, so read-only."""
+    for w in op.values():
+        w.setflags(write=False)
+    memo[key] = op
+    return op
 
 
-class _Memo(dict):
-    """Operators already built within one call, keyed by the mode count of
-    their space and a leaf Gen or a WeylMonomial, at one k.  It stores until
-    it holds MEMO_BYTES of weights, then only looks up.  A stored operator is
-    exactly what the same deterministic operations would build again, so no
-    result changes; its weights are shared, so read-only."""
-
-    def __init__(self) -> None:
-        super().__init__()
-        self.nbytes = 0  # of weights stored
-
-    def keep(self, key: tuple[int, Gen | WeylMonomial], op: Op) -> Op:
-        size = sum(w.nbytes for w in op.values())
-        if self.nbytes + size <= MEMO_BYTES:
-            for w in op.values():
-                w.setflags(write=False)
-            self[key] = op
-            self.nbytes += size
-        return op
-
-
-def _matrix_of_expr(x: GenExpr, space: FockSpace, memo: _Memo | None = None) -> Op:
+def _matrix_of_expr(x: GenExpr, space: FockSpace, memo: dict) -> Op:
     """Evaluate an expression tree by operator products only (no symbolic
     normal ordering): the first of the two verification routes.  A leaf
-    other than e/f is phi's letter word (uqosp.leaf_word) times s^a; a memo,
-    if given, keeps each leaf it has room for, built once."""
+    other than e/f is phi's letter word (uqosp.leaf_word) times s^a, built
+    once per memo."""
     k, dim = space.k, space.dim
     if isinstance(x, Gen):
-        op = memo.get((space.n, x)) if memo is not None else None
+        op = memo.get((space.n, x))
         if op is not None:
             return op
         if x.kind in ("e", "f"):
@@ -352,7 +339,7 @@ def _matrix_of_expr(x: GenExpr, space: FockSpace, memo: _Memo | None = None) -> 
             a, word = leaf_word(x.kind, x.index, x.exp, space.n)
             op = space.word(word)
             op = _sum([(root_s(k) ** a, op)]) if a else op
-        return memo.keep((space.n, x), op) if memo is not None else op
+        return _keep(memo, (space.n, x), op)
     if isinstance(x, Product):
         return _product([_matrix_of_expr(fac, space, memo) for fac in x.factors], dim)
     if isinstance(x, Sum):
@@ -370,19 +357,17 @@ def _matrix_of_expr(x: GenExpr, space: FockSpace, memo: _Memo | None = None) -> 
 
 def matrix_of_expr(x: GenExpr, n: int, k: int) -> SparseMatrix:
     space = fock_space(n, k)
-    return _entries(_matrix_of_expr(x, space), space.dim)
+    return _entries(_matrix_of_expr(x, space, {}), space.dim)
 
 
-def _matrix_of_weyl(terms: Terms, space: FockSpace, memo: _Memo | None = None) -> Op:
+def _matrix_of_weyl(terms: Terms, space: FockSpace, memo: dict) -> Op:
     """Root-evaluated coefficients times letter products, over a normal form's
-    sorted (monomial, coefficient) pairs; a memo, if given, keeps each
-    monomial's product it has room for, built once."""
+    sorted (monomial, coefficient) pairs; each monomial's product is built
+    once per memo."""
 
     def monomial(mono: WeylMonomial) -> Op:
-        if memo is None:
-            return space.word(mono.word())
         op = memo.get((space.n, mono))
-        return op if op is not None else memo.keep((space.n, mono), space.word(mono.word()))
+        return op if op is not None else _keep(memo, (space.n, mono), space.word(mono.word()))
 
     return _sum((complex(c.eval_root(space.k)), monomial(mono)) for mono, c in terms)
 
@@ -391,7 +376,7 @@ def matrix_of_weyl(x: WeylElement, k: int) -> SparseMatrix:
     """Matrix of a normal-ordered element.  Together with matrix_of_expr
     this gives two independent routes from a relation to a matrix."""
     space = fock_space(x.n, k)
-    return _entries(_matrix_of_weyl(x.terms(), space), space.dim)
+    return _entries(_matrix_of_weyl(x.terms(), space, {}), space.dim)
 
 
 # ---------------------------------------------------------------------------
@@ -421,7 +406,7 @@ def check_unitarity(n: int, k: int) -> list[CheckResult]:
         )
         for label, op in (
             (f"kappa{i}", space.letter((KA, i - 1, 1))),
-            (f"L{i}", _matrix_of_expr(Gen("L", i), space)),
+            (f"L{i}", _matrix_of_expr(Gen("L", i), space, {})),
         ):
             # entrywise distance of |op| from the identity
             dev = max(float(np.abs(np.abs(w) - (d == 0)).max()) for d, w in op.items())
@@ -519,7 +504,7 @@ def check_matrix_relations(
     Leaves and monomials are built once per |S| by one memo, dropped on
     return."""
     spaces: dict[int, FockSpace] = {}
-    memo = _Memo()
+    memo: dict = {}
     residuals: dict[RelationPattern, float] = {}
     out: list[CheckResult] = []
     for inst, modes, pattern in relation_patterns(n, rules):
@@ -721,7 +706,7 @@ def check_decomposition(n: int, k: int) -> list[CheckResult]:
         )
         # the explicit oscillator form must agree with the image of the
         # symbolic root vector evaluated at the root
-        dev = _residual(op, _matrix_of_expr(build_gl_generator(n, i, j), space))
+        dev = _residual(op, _matrix_of_expr(build_gl_generator(n, i, j), space, {}))
         out.append(
             CheckResult(
                 f"DEC.root_form[n={n},k={k},e={i},{j}]", dev < RESIDUAL_TOL, dev,

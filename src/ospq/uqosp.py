@@ -879,7 +879,6 @@ class _Relabeller:
         return self.nodes.setdefault(key, node)
 
 
-@lru_cache(maxsize=2)
 def relation_patterns(
     n: int, rules: Rules = DEFAULT_RULES
 ) -> tuple[tuple[RelationInstance, tuple[int, ...], RelationPattern], ...]:
@@ -892,20 +891,18 @@ def relation_patterns(
     pattern: at n = 5, 1,350 instances share 189 patterns.  The normal forms
     do not depend on the root order k, so a matrix check at several k
     realizes each pattern once; two entries keep two mode counts, as a sweep
-    over the acceptance grid alternates n = 2 and n = 3.  Equal monomials
-    and coefficients with equal exact_key are held once.  Shared, so never
+    over the acceptance grid alternates n = 2 and n = 3.  Shared, so never
     mutated."""
-    monomials: dict[WeylMonomial, WeylMonomial] = {}
-    coeffs: dict[tuple, QFrac] = {}
+    return _relation_patterns(n, rules)
+
+
+@lru_cache(maxsize=2)
+def _relation_patterns(
+    n: int, rules: Rules
+) -> tuple[tuple[RelationInstance, tuple[int, ...], RelationPattern], ...]:
+    """relation_patterns, cached by (n, rules) however the rules were passed."""
     relabeller = _Relabeller(n)
     patterns: dict[tuple[int, int, int], RelationPattern] = {}
-
-    def terms(side: GenExpr, m: int) -> Terms:
-        return tuple(
-            (monomials.setdefault(mono, mono), coeffs.setdefault(coeff.exact_key(), coeff))
-            for mono, coeff in realize(side, m, rules).terms()
-        )
-
     out = []
     for inst in catalog(n):
         mask = relabeller.touched(inst.lhs) | relabeller.touched(inst.rhs)
@@ -917,7 +914,9 @@ def relation_patterns(
         key = (m, id(lhs), id(rhs))
         pattern = patterns.get(key)
         if pattern is None:
-            pattern = patterns[key] = RelationPattern(m, lhs, rhs, terms(lhs, m), terms(rhs, m))
+            pattern = patterns[key] = RelationPattern(
+                m, lhs, rhs, tuple(realize(lhs, m, rules).terms()),
+                tuple(realize(rhs, m, rules).terms()))
         out.append((inst, modes, pattern))
     return tuple(out)
 

@@ -62,16 +62,13 @@ Letter = tuple[int, int, int]
 
 AP, KA, AM = 0, 1, 2  # raising, kappa, lowering
 
-_KIND_TXT = {AP: "a{}+", KA: "k{}", AM: "a{}-"}
-
 
 def letter_str(letter: Letter) -> str:
     """The one name of a letter: a{i}+, a{i}-, k{i}, or k{i}^{e} if e != 1."""
     kind, mode, e = letter
-    txt = _KIND_TXT[kind].format(mode + 1)
-    if kind == KA and e != 1:
-        txt += f"^{e}"
-    return txt
+    if kind == KA:
+        return f"k{mode + 1}" if e == 1 else f"k{mode + 1}^{e}"
+    return f"a{mode + 1}{'+' if kind == AP else '-'}"
 
 
 def _rank(letter: Letter) -> tuple[int, int]:
@@ -197,17 +194,11 @@ class WeylMonomial(NamedTuple):
         return WeylMonomial(self.minus, tuple(-z for z in self.kappa), self.plus)
 
     def __str__(self) -> str:
-        parts: list[str] = []
-        for i, p in enumerate(self.plus):
-            parts.extend([f"a{i + 1}+"] * p)
-        for i, z in enumerate(self.kappa):
-            if z == 1:
-                parts.append(f"k{i + 1}")
-            elif z:
-                parts.append(f"k{i + 1}^{z}")
-        for i in range(self.n - 1, -1, -1):
-            parts.extend([f"a{i + 1}-"] * self.minus[i])
-        return " ".join(parts) if parts else "1"
+        # as word() but with each kappa power one letter
+        letters = [(AP, i, 0) for i, p in enumerate(self.plus) for _ in range(p)]
+        letters += [(KA, i, z) for i, z in enumerate(self.kappa) if z]
+        letters += [(AM, i, 0) for i in range(self.n - 1, -1, -1) for _ in range(self.minus[i])]
+        return " ".join(map(letter_str, letters)) or "1"
 
 
 def _tweak(t: tuple[int, ...], i: int, delta: int) -> tuple[int, ...]:

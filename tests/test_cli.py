@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import hashlib
+import importlib
 import json
 import os
 import re
@@ -455,6 +456,16 @@ def test_module_entry_point():
     )
     assert proc.returncode == 0
     assert proc.stdout.strip().startswith("ospq ")
+
+
+def test_guard_script_reports_each_child(monkeypatch):
+    monkeypatch.syspath_prepend(str(SRC.parent / "scripts"))
+    guard = importlib.import_module("guard_commands")
+    assert len(guard.COMMANDS) == 9
+    for args, code in ((("--version",), 0), (("rep", "--n", "0", "--k", "2"), 2)):
+        row = guard.run(args)
+        assert row["argv"] == ["ospq", *args] and row["exit"] == code
+        assert row["wall_s"] > 0 and row["max_rss_mb"] > 0
 
 
 def test_rep_at_the_size_guard_passes_in_a_child():

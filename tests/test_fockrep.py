@@ -340,8 +340,8 @@ def test_perturbed_letter_fails_unitarity_and_relations(monkeypatch):
     assert not weights["WGT.norm_ratio[n=2,k=3]"].ok
     failing = [r.id for r in check_matrix_relations(n, k) if not r.ok]
     assert any(i.startswith("MAT.") for i in failing)
-    # the per-call memo cannot hide it: built afresh, the same rows fail
-    monkeypatch.setattr(fockrep, "MEMO_BYTES", 0)
+    # the per-call memo cannot hide it: a second call builds afresh, and the
+    # same rows fail
     assert [r.id for r in check_matrix_relations(n, k) if not r.ok] == failing
     # every check above read the one space that holds the planted letter
     assert fockrep.fock_space(n, k).letters[AP, 0, 0][d] is bad
@@ -390,26 +390,36 @@ def test_matrix_relations_realize_each_catalog_once(monkeypatch):
             depth[0] -= 1
 
     monkeypatch.setattr(uqosp, "realize", counting)
-    uqosp.relation_patterns.cache_clear()
+    uqosp._relation_patterns.cache_clear()
     check_matrix_relations(3, 2)
-    # the key check_matrix_relations reads, so a hit, not a second table
+    # the table check_matrix_relations read, so a hit, not a second table
     patterns = {id(p): p for _, _, p in uqosp.relation_patterns(3, DEFAULT_RULES)}.values()
     assert sorted((id(x), n) for x, n in calls) == sorted(
         (id(side), p.n) for p in patterns for side in (p.lhs, p.rhs))
     assert len(calls) == 2 * 168 < 2 * 303
-    assert uqosp.relation_patterns.cache_info().misses == 1
+    assert uqosp._relation_patterns.cache_info().misses == 1
     # the normal forms do not depend on k: a second root order reads them
     realized = len(calls)
     check_matrix_relations(3, 4)
     assert len(calls) == realized
-    assert uqosp.relation_patterns.cache_info().misses == 1
+    assert uqosp._relation_patterns.cache_info().misses == 1
+
+
+def test_relation_patterns_share_one_entry_however_the_rules_are_passed(monkeypatch):
+    check_matrix_relations(3, 2)
+    calls = []
+    real = uqosp.realize
+    monkeypatch.setattr(uqosp, "realize", lambda *args: calls.append(args) or real(*args))
+    tables = [uqosp.relation_patterns(3), uqosp.relation_patterns(3, DEFAULT_RULES),
+              uqosp.relation_patterns(3, rules=DEFAULT_RULES)]
+    assert calls == [] and all(t is tables[0] for t in tables)
 
 
 def _full_space_residuals(n, k, rules=DEFAULT_RULES):
     """Every instance evaluated on the whole k^n space, both routes, as the
     reference for the residuals read on the touched modes."""
     space = fockrep.FockSpace(n, k)
-    memo = fockrep._Memo()
+    memo = {}
     out = {}
     for inst in catalog(n):
         lhs = fockrep._matrix_of_expr(inst.lhs, space, memo)
@@ -474,53 +484,66 @@ def test_matrix_relations_at_the_size_guard_are_fast():
         assert elapsed < bound, f"relations at ({n}, {k}) took {elapsed:.1f}s"
 
 
-def test_only_calls_that_share_a_memo_build_one(monkeypatch):
-    memos = []
+def _spy_on_memos(monkeypatch, fresh=False):
+    """Wrap both evaluators; the returned list gets the memo of every
+    outermost call.  With fresh, every call, inner ones too, gets a memo of
+    its own in place of the one passed."""
+    outer = []
+    depth = [0]
 
-    class Spy(fockrep._Memo):
-        def __init__(self):
-            super().__init__()
-            memos.append(self)
+    def wrap(real):
+        def spy(x, space, memo):
+            if fresh:
+                memo = {}
+            if not depth[0]:
+                outer.append(memo)
+            depth[0] += 1
+            try:
+                return real(x, space, memo)
+            finally:
+                depth[0] -= 1
+        return spy
 
-    monkeypatch.setattr(fockrep, "_Memo", Spy)
+    for name in ("_matrix_of_expr", "_matrix_of_weyl"):
+        monkeypatch.setattr(fockrep, name, wrap(getattr(fockrep, name)))
+    return outer
+
+
+def test_only_check_matrix_relations_shares_a_memo(monkeypatch):
+    outer = _spy_on_memos(monkeypatch)
     n, k = 2, 3
     check_unitarity(n, k)
     check_decomposition(n, k)
     build_generator_matrix("L1", n, k)
     matrix_of_expr(Gen("e", 1), n, k)
     matrix_of_weyl(realize(Gen("f", 1), n), k)
-    assert memos == []
+    # every one-shot expression gets a memo of its own
+    assert len(outer) > 5 and len({id(m) for m in outer}) == len(outer)
+    outer.clear()
     check_matrix_relations(n, k)
-    assert len(memos) == 1
+    first = outer[:]
+    outer.clear()
+    check_matrix_relations(n, k)
+    # one memo per call, shared by every pattern, then dropped
+    assert len(first) == 4 * 86 and all(m is first[0] for m in first)
+    assert outer[0] is not first[0] and all(m is outer[0] for m in outer)
 
 
-def test_memo_bound_keeps_rows_and_is_never_exceeded(monkeypatch):
+def test_memo_keeps_rows_and_only_letters_outlive_the_call(monkeypatch):
     def rows():
         return [(r.id, r.ok, repr(r.residual)) for r in check_matrix_relations(3, 2)]
 
-    memos = []
-
-    class Spy(fockrep._Memo):
-        def __init__(self):
-            super().__init__()
-            memos.append(self)
-
-    monkeypatch.setattr(fockrep, "_Memo", Spy)
-    expected = rows()
-    default = fockrep.MEMO_BYTES
-    entries = {}
-    for bound in (0, 4096, default):
-        monkeypatch.setattr(fockrep, "MEMO_BYTES", bound)
-        memos.clear()
-        assert rows() == expected, bound
-        (memo,) = memos  # one memo shared across the catalog, then dropped
-        stored = [w for op in memo.values() for w in op.values()]
-        assert memo.nbytes == sum(w.nbytes for w in stored) <= bound
-        for w in stored:
-            with pytest.raises(ValueError):
-                w[0] = 0  # shared with later rows, so read-only
-        entries[bound] = len(memo)
-    assert entries[0] == 0 < entries[4096] < entries[default]
+    with monkeypatch.context() as m:
+        _spy_on_memos(m, fresh=True)
+        unshared = rows()
+    outer = _spy_on_memos(monkeypatch)
+    assert rows() == unshared
+    memo = outer[0]  # one memo shared across the catalog, then dropped
+    stored = [w for op in memo.values() for w in op.values()]
+    assert stored
+    for w in stored:
+        with pytest.raises(ValueError):
+            w[0] = 0  # shared with later rows, so read-only
     # nothing but letters outlives the call: the space holds no memo, and
     # every operator it keeps is one letter's shift
     space = fockrep.fock_space(3, 2)
@@ -770,7 +793,7 @@ def _named_op(label, space):
     """The operator an a/k/L label names, built apart from
     build_generator_matrix: a letter read by parse_word, or the leaf L_i."""
     if label.startswith("L"):
-        return fockrep._matrix_of_expr(Gen("L", int(label[1:])), space)
+        return fockrep._matrix_of_expr(Gen("L", int(label[1:])), space, {})
     ((letter,), _) = parse_word(label, space.n)
     assert letter_str(letter) == label
     return space.letter(letter)
@@ -806,11 +829,11 @@ def test_entries_match_scipy_csr_in_order():
     mixed = Sum(((one, Gen("A", 1, +1)), (one, Gen("A", 2, -1)),
                  (one, _letter_gen((KA, 0, 1)))))
     for x in (mixed, ZERO_EXPR):
-        _assert_entries_match_csr(matrix_of_expr(x, n, k), fockrep._matrix_of_expr(x, space))
+        _assert_entries_match_csr(matrix_of_expr(x, n, k), fockrep._matrix_of_expr(x, space, {}))
     assert matrix_of_expr(ZERO_EXPR, n, k).nnz == 0
     for inst in catalog(n):
         x = realize(inst.lhs, n)
-        op = fockrep._matrix_of_weyl(x.terms(), space)
+        op = fockrep._matrix_of_weyl(x.terms(), space, {})
         _assert_entries_match_csr(matrix_of_weyl(x, k), op)
 
 

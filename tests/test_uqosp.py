@@ -577,27 +577,12 @@ def test_relation_patterns_split_on_weight_term_order():
     assert a.terms[0][1] == Gen("A", 1) and len(relabeller.nodes) == 3
 
 
-def test_realized_catalog_shares_monomials_and_coefficients():
-    held = relation_patterns(3)
-    patterns = {id(p): p for _, _, p in held}.values()
-    terms = [t for p in patterns for t in p.lhs_terms + p.rhs_terms]
-    monomials = {}
-    coeffs = {}
-    for mono, coeff in terms:
-        assert monomials.setdefault(mono, mono) is mono
-        assert coeffs.setdefault(coeff.exact_key(), coeff) is coeff
-    # interned by exact key, not by value: equal fractions whose terms are
-    # stored in another order stay apart, as they evaluate differently
-    assert len(monomials) < len(terms) and len(coeffs) < len(terms)
-    assert len(set(coeffs.values())) < len(coeffs)
-
-
 def test_realized_catalog_is_emptied_with_every_program_cache(monkeypatch):
     # the benchmark starts each sweep cold by calling cache_clear on every
     # module-level callable of the ospq submodules
     monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
     workloads = importlib.import_module("workloads")
     relation_patterns(1)
-    assert relation_patterns.cache_info().currsize > 0
+    assert uqosp._relation_patterns.cache_info().currsize > 0
     workloads.clear_caches()
-    assert relation_patterns.cache_info().currsize == 0
+    assert uqosp._relation_patterns.cache_info().currsize == 0
