@@ -314,13 +314,11 @@ class QFrac:
         return self._t == o._t and self.dp == o.dp and self.dm == o.dm
 
     def __hash__(self) -> int:
-        return hash((frozenset(self._t.items()), self.dp, self.dm))
-
-    def exact_key(self) -> tuple:
-        """The numerator terms in their stored order, then dp and dm.  Equal
-        keys evaluate to bit-identical floats; equal fractions need not, as
-        eval_root sums the terms in that order."""
-        return tuple(self._t.items()), self.dp, self.dm
+        # a constant hashes like the equal Q2, int or Fraction, as it compares
+        t = self._t
+        if len(t) < 2 and not (self.dp or self.dm) and (not t or 0 in t):
+            return hash(t.get(0, 0))
+        return hash((frozenset(t.items()), self.dp, self.dm))
 
     # -- arithmetic ---------------------------------------------------------
 

@@ -280,7 +280,7 @@ def leaf_word(
     raise ValueError(f"generator kind {kind!r} has no letter word")
 
 
-@lru_cache(maxsize=4096)
+@lru_cache(maxsize=None)
 def _leaf_image(kind: str, index: int, exp: int, n: int, rules: Rules) -> WeylElement:
     if kind in ("e", "f"):
         e_expr, f_expr = build_chevalley_from_pre(n, index)
@@ -807,7 +807,7 @@ class RelationPattern:
     """Both sides of a relation relabelled onto the modes 1..n it touches,
     in order, with each side's normal form realized at that n as
     realize(side, n, rules).terms().  Catalog instances whose relabelled
-    sides evaluate alike share one pattern.  Shared, so never mutated."""
+    sides are equal share one pattern.  Shared, so never mutated."""
 
     n: int
     lhs: GenExpr
@@ -826,57 +826,43 @@ def _children(x: GenExpr) -> tuple[GenExpr, ...]:
     return ()
 
 
-class _Relabeller:
-    """Moves the expressions of one catalog at n onto the modes they touch.
+def _touched(x: GenExpr, n: int, leaf_modes: dict[Gen, int]) -> int:
+    """The modes of every letter in phi of x's leaves, bit i for mode i:
+    leaf_word's letters, and for e_i, f_i those of the A and L leaves that
+    build_chevalley_from_pre writes them over.  leaf_modes memoizes leaves."""
+    if not isinstance(x, Gen):
+        modes = 0
+        for c in _children(x):
+            modes |= _touched(c, n, leaf_modes)
+        return modes
+    modes = leaf_modes.get(x)
+    if modes is None:
+        if x.kind in ("e", "f"):
+            e_expr, f_expr = build_chevalley_from_pre(n, x.index)
+            modes = _touched(e_expr if x.kind == "e" else f_expr, n, leaf_modes)
+        else:
+            word = leaf_word(x.kind, x.index, x.exp, n)[1]
+            modes = sum({1 << (mode + 1) for _, mode, _ in word})
+        leaf_modes[x] = modes
+    return modes
+
+
+def _relabel(x: GenExpr, modes: tuple[int, ...]) -> GenExpr:
+    """x with every leaf index modes[j - 1] moved to j.
 
     A leaf's image depends on n only through whether its index is n (k_n,
     e_n, f_n), and an order-keeping relabelling of the touched modes moves n
-    to the new top mode, so a relabelled leaf means what it did.  Results
-    are hash-consed: equal results are one object, held in nodes, so a
-    node's key holds its children's ids, and Sum weights count as equal only
-    with equal exact_key, whose term order fixes their floats."""
-
-    def __init__(self, n: int) -> None:
-        self.n = n
-        self.leaf_modes: dict[Gen, int] = {}
-        self.nodes: dict[tuple, GenExpr] = {}  # key -> the one relabelled node
-
-    def touched(self, x: GenExpr) -> int:
-        """The modes of every letter in phi of x's leaves, bit i for mode i:
-        leaf_word's letters, and for e_i, f_i those of the A and L leaves
-        that build_chevalley_from_pre writes them over."""
-        if not isinstance(x, Gen):
-            modes = 0
-            for c in _children(x):
-                modes |= self.touched(c)
-            return modes
-        modes = self.leaf_modes.get(x)
-        if modes is None:
-            if x.kind in ("e", "f"):
-                e_expr, f_expr = build_chevalley_from_pre(self.n, x.index)
-                modes = self.touched(e_expr if x.kind == "e" else f_expr)
-            else:
-                word = leaf_word(x.kind, x.index, x.exp, self.n)[1]
-                modes = sum({1 << (mode + 1) for _, mode, _ in word})
-            self.leaf_modes[x] = modes
-        return modes
-
-    def relabel(self, x: GenExpr, modes: tuple[int, ...]) -> GenExpr:
-        """x with every leaf index modes[j - 1] moved to j."""
-        if isinstance(x, Gen):
-            index = modes.index(x.index) + 1
-            return self.nodes.setdefault((x.kind, index, x.exp), Gen(x.kind, index, x.exp))
-        parts = tuple(self.relabel(c, modes) for c in _children(x))
-        if isinstance(x, Product):
-            key, node = ("*", *map(id, parts)), Product(parts)
-        elif isinstance(x, Sum):
-            key = ("+", *((w.exact_key(), id(c)) for (w, _), c in zip(x.terms, parts)))
-            node = Sum(tuple((w, c) for (w, _), c in zip(x.terms, parts)))
-        elif isinstance(x, QBracket):
-            key, node = ("[]", x.s_exp, *map(id, parts)), QBracket(*parts, x.s_exp)
-        else:
-            key, node = ("{}", *map(id, parts)), AntiComm(*parts)
-        return self.nodes.setdefault(key, node)
+    to the new top mode, so a relabelled leaf means what it did."""
+    if isinstance(x, Gen):
+        return Gen(x.kind, modes.index(x.index) + 1, x.exp)
+    parts = tuple(_relabel(c, modes) for c in _children(x))
+    if isinstance(x, Product):
+        return Product(parts)
+    if isinstance(x, Sum):
+        return Sum(tuple((w, c) for (w, _), c in zip(x.terms, parts)))
+    if isinstance(x, QBracket):
+        return QBracket(*parts, x.s_exp)
+    return AntiComm(*parts)
 
 
 def relation_patterns(
@@ -901,17 +887,16 @@ def _relation_patterns(
     n: int, rules: Rules
 ) -> tuple[tuple[RelationInstance, tuple[int, ...], RelationPattern], ...]:
     """relation_patterns, cached by (n, rules) however the rules were passed."""
-    relabeller = _Relabeller(n)
-    patterns: dict[tuple[int, int, int], RelationPattern] = {}
+    leaf_modes: dict[Gen, int] = {}
+    patterns: dict[tuple[int, GenExpr, GenExpr], RelationPattern] = {}
     out = []
     for inst in catalog(n):
-        mask = relabeller.touched(inst.lhs) | relabeller.touched(inst.rhs)
+        mask = _touched(inst.lhs, n, leaf_modes) | _touched(inst.rhs, n, leaf_modes)
         modes = tuple(i for i in range(1, n + 1) if mask >> i & 1)
         m = len(modes)
-        lhs, rhs = relabeller.relabel(inst.lhs, modes), relabeller.relabel(inst.rhs, modes)
-        # relabelled nodes are one object per value, so ids name the sides;
+        lhs, rhs = _relabel(inst.lhs, modes), _relabel(inst.rhs, modes)
         # k_1 means one thing at m = 1 and another at m = 2, so m counts too
-        key = (m, id(lhs), id(rhs))
+        key = (m, lhs, rhs)
         pattern = patterns.get(key)
         if pattern is None:
             pattern = patterns[key] = RelationPattern(

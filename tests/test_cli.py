@@ -461,7 +461,7 @@ def test_module_entry_point():
 def test_guard_script_reports_each_child(monkeypatch):
     monkeypatch.syspath_prepend(str(SRC.parent / "scripts"))
     guard = importlib.import_module("guard_commands")
-    assert len(guard.COMMANDS) == 9
+    assert len(guard.COMMANDS) == 10
     for args, code in ((("--version",), 0), (("rep", "--n", "0", "--k", "2"), 2)):
         row = guard.run(args)
         assert row["argv"] == ["ospq", *args] and row["exit"] == code

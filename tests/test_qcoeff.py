@@ -347,16 +347,30 @@ def test_norm_factor_real_q_all_positive():
         assert complex(v).real > 0
 
 
-def test_exact_key_tells_term_orders_apart():
+def test_equal_fractions_keep_their_stored_term_order():
     # q^-3 + q^-2 - q^-1 - 1 with its terms stored in two orders: equal
     # fractions, whose values at the root differ in the last bit
     terms = {-6: Q2(1), -4: Q2(1), -2: Q2(-1), 0: Q2(-1)}
     a = QFrac(terms)
     b = QFrac({e: terms[e] for e in (-2, -6, 0, -4)})
     assert a == b and hash(a) == hash(b)
-    assert a.exact_key() != b.exact_key()
+    assert list(a._t.items()) != list(b._t.items())
     assert a.eval_root(2) != b.eval_root(2)
-    assert QFrac(dict(terms)).exact_key() == a.exact_key()
+    assert list(QFrac(dict(terms))._t.items()) == list(a._t.items())
+
+
+def test_constant_fractions_hash_like_the_equal_scalar():
+    for c in (2, -7, Fraction(3, 5), Q2(0, 1), Q2(Fraction(1, 3), -2), 0):
+        x = QFrac(c)
+        assert x == c and hash(x) == hash(c), c
+        assert c in {x} and x in {c}, c
+    assert hash(QFrac.zero()) == hash(0) and 0 in {QFrac.zero()}
+    # equal fractions stored in two term orders still hash alike
+    terms = {-2: Q2(1), 0: Q2(2), 2: Q2(1)}
+    a, b = QFrac(terms), QFrac({e: terms[e] for e in (2, -2, 0)})
+    assert list(a._t.items()) != list(b._t.items()) and hash(a) == hash(b)
+    # a fraction with a denominator is not a constant
+    assert QFrac(2, 0, 1) != 2
 
 
 # ------------------------------------------------------------ golden digest

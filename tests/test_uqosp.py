@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from ospq import uqosp
+from ospq import uqosp, walgebra
 from ospq.cli import main
 from ospq.qcoeff import INV_QMQI, QFrac
 from ospq.report import RESIDUAL_TEXT_LIMIT, TRUNCATED_MARK
@@ -260,9 +260,10 @@ def test_catalog_golden_digest():
 
 
 # sha256 over every realized side of catalog(n), realize(side, n, rules): one
-# line per term, (str(monomial), exact_key()) in term order, after the
-# instance id.  It pins each normal form, its term order and each
-# coefficient's numerator order.
+# line per term in term order, after the instance id: str(monomial), then the
+# coefficient's numerator terms in their stored order with dp and dm.  It
+# pins each normal form, its term order and each coefficient's numerator
+# order.
 _REALIZED_CATALOG_DIGEST = "2b4b931e7117bc53cc38f876a52ddb2e59de1ea1a6bbadd3108fd67bd839762d"
 
 
@@ -275,7 +276,8 @@ def test_realized_catalog_golden_digest():
             digest.update(f"{inst.id}\n".encode())
             for side, expr in (("lhs", inst.lhs), ("rhs", inst.rhs)):
                 for mono, coeff in realize(expr, n, rules).terms():
-                    digest.update(f"{side}|{mono}|{coeff.exact_key()!r}\n".encode())
+                    exact = (tuple(coeff._t.items()), coeff.dp, coeff.dm)
+                    digest.update(f"{side}|{mono}|{exact!r}\n".encode())
     assert digest.hexdigest() == _REALIZED_CATALOG_DIGEST
 
 
@@ -444,6 +446,50 @@ def test_corrupted_rules_break_scale_sensitive_relations():
     assert "PRE1.comm[n=2,i=1,j=2]" not in failing
 
 
+_APPEND_KAPPA, _LEAF_WORD = walgebra._append_kappa, uqosp.leaf_word
+
+
+def _doubled_kappa_power(m, j, e):
+    # kappa_j^e passes the minus block with s^{4 e d_j}, not s^{2 e d_j}
+    return [(2 * s_exp, k, m2) for s_exp, k, m2 in _APPEND_KAPPA(m, j, e)]
+
+
+def _non_inverting_l_image(kind, index, exp, n):
+    # phi(L_i^e) and phi(k_n^e) carry s^-1 whatever e is
+    a, word = _LEAF_WORD(kind, index, exp, n)
+    return (-1 if kind == "L" or (kind == "k" and index == n) else a), word
+
+
+# each mutation of the realization, and the families of catalog(2) that must
+# fail under it, each with at least one row
+_MUTATIONS = {
+    "doubled-kappa-power": (walgebra, "_append_kappa", _doubled_kappa_power,
+                            {"CK.ke", "CK.kf", "PRE2", "G1.Le", "SERRE_E.quartic"}),
+    "non-inverting-L": (uqosp, "leaf_word", _non_inverting_l_image,
+                        {"CK.kk", "PRE1.inv"}),
+}
+
+
+def _clear_realization():
+    uqosp._leaf_image.cache_clear()
+    uqosp._realize_node.cache_clear()
+
+
+@pytest.mark.parametrize("name", list(_MUTATIONS))
+def test_each_mutation_fails_its_families(name, monkeypatch):
+    module, attr, mutant, families = _MUTATIONS[name]
+    _clear_realization()
+    monkeypatch.setattr(module, attr, mutant)
+    try:
+        rows = verify_relations(2)
+    finally:
+        monkeypatch.undo()
+        _clear_realization()
+    failing = {r.id.split("[")[0] for r in rows if not r.ok}
+    assert families <= failing, families - failing
+    assert all(r.ok for r in verify_relations(2))
+
+
 def test_realization_memo_separates_rule_sets():
     # images realized under one rule set must never answer for another
     bad = DEFAULT_RULES.corrupted()
@@ -519,7 +565,7 @@ def test_round_trip_rows_show_their_residual():
 
 def _exact(terms):
     # the coefficients' stored term order too, which fixes their floats
-    return [(mono, coeff.exact_key()) for mono, coeff in terms]
+    return [(mono, (tuple(c._t.items()), c.dp, c.dm)) for mono, c in terms]
 
 
 def _onto(mono, modes):
@@ -564,17 +610,24 @@ def test_relation_patterns_relabel_onto_the_touched_modes():
     assert max(len(modes) for modes, _ in rows.values()) == 4
 
 
-def test_relation_patterns_split_on_weight_term_order():
-    # equal weights stored in another term order evaluate to other floats,
-    # so the sides that hold them are not one pattern
+def test_relation_patterns_share_sides_equal_as_values(monkeypatch):
+    # two instances whose sides hold one weight stored in two term orders
+    # are one relation, so they get one pattern
     terms = {0: Q2(1), 2: Q2(-1), -2: Q2(-1)}
     w = QFrac(terms)
     w2 = QFrac({e: terms[e] for e in (2, -2, 0)})
-    assert w == w2 and w.exact_key() != w2.exact_key()
-    relabeller = uqosp._Relabeller(2)
-    a, a2, b = (relabeller.relabel(Sum(((c, Gen("A", 2)),)), (2,)) for c in (w, w2, w))
-    assert a is b and a is not a2 and a == a2
-    assert a.terms[0][1] == Gen("A", 1) and len(relabeller.nodes) == 3
+    assert w == w2 and list(w._t.items()) != list(w2._t.items())
+    instances = [RelationInstance(f"X[{i}]", "X", (2,), (), Sum(((c, Gen("A", 2)),)),
+                                  Sum(((c, Gen("A", 2)),)))
+                 for i, c in enumerate((w, w2))]
+    monkeypatch.setattr(uqosp, "catalog", lambda n: instances)
+    uqosp._relation_patterns.cache_clear()
+    try:
+        (_, modes, p), (_, modes2, p2) = relation_patterns(2)
+    finally:
+        uqosp._relation_patterns.cache_clear()
+    assert modes == modes2 == (2,) and p is p2
+    assert p.lhs == Sum(((w, Gen("A", 1)),))
 
 
 def test_realized_catalog_is_emptied_with_every_program_cache(monkeypatch):
