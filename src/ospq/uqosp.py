@@ -338,8 +338,6 @@ class RelationInstance:
 
     id: str
     family: str
-    indices: tuple[int, ...]
-    signs: tuple[int, ...]
     lhs: GenExpr
     rhs: GenExpr
 
@@ -350,7 +348,7 @@ def _ck_instances(n: int) -> list[RelationInstance]:
     for i in range(1, n + 1):
         out.append(
             RelationInstance(
-                f"CK.kk[n={n},i={i}]", "CK", (i,), (),
+                f"CK.kk[n={n},i={i}]", "CK",
                 prod(Gen("k", i), Gen("k", i, -1)), ONE_EXPR,
             )
         )
@@ -358,7 +356,7 @@ def _ck_instances(n: int) -> list[RelationInstance]:
         for j in range(i + 1, n + 1):
             out.append(
                 RelationInstance(
-                    f"CK.kcomm[n={n},i={i},j={j}]", "CK", (i, j), (),
+                    f"CK.kcomm[n={n},i={i},j={j}]", "CK",
                     prod(Gen("k", i), Gen("k", j)), prod(Gen("k", j), Gen("k", i)),
                 )
             )
@@ -367,14 +365,14 @@ def _ck_instances(n: int) -> list[RelationInstance]:
             a_ij = alpha[i - 1][j - 1]
             out.append(
                 RelationInstance(
-                    f"CK.ke[n={n},i={i},j={j}]", "CK", (i, j), (),
+                    f"CK.ke[n={n},i={i},j={j}]", "CK",
                     prod(Gen("k", i), Gen("e", j)),
                     scaled(QFrac.s_pow(2 * a_ij), prod(Gen("e", j), Gen("k", i))),
                 )
             )
             out.append(
                 RelationInstance(
-                    f"CK.kf[n={n},i={i},j={j}]", "CK", (i, j), (),
+                    f"CK.kf[n={n},i={i},j={j}]", "CK",
                     prod(Gen("k", i), Gen("f", j)),
                     scaled(QFrac.s_pow(-2 * a_ij), prod(Gen("f", j), Gen("k", i))),
                 )
@@ -389,11 +387,7 @@ def _ck_instances(n: int) -> list[RelationInstance]:
                 )
             else:
                 rhs = ZERO_EXPR
-            out.append(
-                RelationInstance(
-                    f"CK.ef[n={n},i={i},j={j}]", "CK", (i, j), (), lhs, rhs
-                )
-            )
+            out.append(RelationInstance(f"CK.ef[n={n},i={i},j={j}]", "CK", lhs, rhs))
     return out
 
 
@@ -409,7 +403,7 @@ def _serre_instances(n: int) -> list[RelationInstance]:
             for j in range(i + 2, n + 1):
                 out.append(
                     RelationInstance(
-                        f"{family}.far[n={n},i={i},j={j}]", family, (i, j), (),
+                        f"{family}.far[n={n},i={i},j={j}]", family,
                         QBracket(g[i], g[j], 0), ZERO_EXPR,
                     )
                 )
@@ -423,8 +417,7 @@ def _serre_instances(n: int) -> list[RelationInstance]:
             )
             out.append(
                 RelationInstance(
-                    f"{family}.quad[n={n},i={i},j={j}]", family, (i, j), (),
-                    lhs, ZERO_EXPR,
+                    f"{family}.quad[n={n},i={i},j={j}]", family, lhs, ZERO_EXPR,
                 )
             )
         if n >= 2:
@@ -438,9 +431,7 @@ def _serre_instances(n: int) -> list[RelationInstance]:
                 )
             )
             out.append(
-                RelationInstance(
-                    f"{family}.quartic[n={n}]", family, (n - 1, n), (), lhs, ZERO_EXPR
-                )
+                RelationInstance(f"{family}.quartic[n={n}]", family, lhs, ZERO_EXPR)
             )
     return out
 
@@ -461,14 +452,14 @@ def _pre_instances(n: int) -> list[RelationInstance]:
     for i in range(1, n + 1):
         out.append(
             RelationInstance(
-                f"PRE1.inv[n={n},i={i}]", "PRE1", (i,), (),
+                f"PRE1.inv[n={n},i={i}]", "PRE1",
                 prod(Gen("L", i), Gen("L", i, -1)), ONE_EXPR,
             )
         )
         for j in range(i + 1, n + 1):
             out.append(
                 RelationInstance(
-                    f"PRE1.comm[n={n},i={i},j={j}]", "PRE1", (i, j), (),
+                    f"PRE1.comm[n={n},i={i},j={j}]", "PRE1",
                     prod(Gen("L", i), Gen("L", j)), prod(Gen("L", j), Gen("L", i)),
                 )
             )
@@ -478,8 +469,7 @@ def _pre_instances(n: int) -> list[RelationInstance]:
                 # L_i A_j^+- = q^{-+delta_ij} A_j^+- L_i
                 out.append(
                     RelationInstance(
-                        f"PRE2[n={n},i={i},j={j},sign={SIGN_STR[s]}]",
-                        "PRE2", (i, j), (s,),
+                        f"PRE2[n={n},i={i},j={j},sign={SIGN_STR[s]}]", "PRE2",
                         prod(Gen("L", i), A[j, s]),
                         scaled(
                             QFrac.s_pow(-2 * s * (1 if i == j else 0)),
@@ -490,7 +480,7 @@ def _pre_instances(n: int) -> list[RelationInstance]:
     for i in range(1, n + 1):
         out.append(
             RelationInstance(
-                f"PRE3[n={n},i={i}]", "PRE3", (i,), (),
+                f"PRE3[n={n},i={i}]", "PRE3",
                 anti[(i, -1), (i, +1)],
                 Sum(
                     (
@@ -521,14 +511,14 @@ def _pre_instances(n: int) -> list[RelationInstance]:
                         RelationInstance(
                             f"PRE4[n={n},i={i},sigma={sigma:+d},"
                             f"xi={SIGN_STR[xi]},j={j}]",
-                            "PRE4", (i, j), (sigma, xi), lhs, rhs,
+                            "PRE4", lhs, rhs,
                         )
                     )
     if n >= 2:
         for xi in (+1, -1):
             out.append(
                 RelationInstance(
-                    f"PRE5[n={n},xi={SIGN_STR[xi]}]", "PRE5", (n - 1, n), (xi,),
+                    f"PRE5[n={n},xi={SIGN_STR[xi]}]", "PRE5",
                     QBracket(anti[(n - 1, xi), (n, xi)], A[n, xi], 2),
                     ZERO_EXPR,
                 )
@@ -568,7 +558,7 @@ def _t_instances(n: int) -> list[RelationInstance]:
                     out.append(
                         RelationInstance(
                             f"T1[n={n},i={i},j={j},k={k},xi={SIGN_STR[xi]}]",
-                            "T1", (i, j, k), (xi,), lhs, Sum(tuple(terms)),
+                            "T1", lhs, Sum(tuple(terms)),
                         )
                     )
         # T2: [{A_i^xi, A_j^xi}, A_k^-xi], i != j
@@ -606,7 +596,7 @@ def _t_instances(n: int) -> list[RelationInstance]:
                     out.append(
                         RelationInstance(
                             f"T2[n={n},i={i},j={j},k={k},xi={SIGN_STR[xi]}]",
-                            "T2", (i, j, k), (xi,), lhs, Sum(tuple(terms)),
+                            "T2", lhs, Sum(tuple(terms)),
                         )
                     )
     # T3: [{A_i^xi, A_i^eta}, A_k^-eta]
@@ -639,7 +629,7 @@ def _t_instances(n: int) -> list[RelationInstance]:
                         RelationInstance(
                             f"T3[n={n},i={i},k={k},xi={SIGN_STR[xi]},"
                             f"eta={SIGN_STR[eta]}]",
-                            "T3", (i, k), (xi, eta), lhs, Sum(tuple(terms)),
+                            "T3", lhs, Sum(tuple(terms)),
                         )
                     )
     # T4: [{A_i^xi, A_j^xi}, A_k^xi]_{q^{tau_ik + tau_jk}} = 0
@@ -653,7 +643,7 @@ def _t_instances(n: int) -> list[RelationInstance]:
                     out.append(
                         RelationInstance(
                             f"T4[n={n},i={i},j={j},k={k},xi={SIGN_STR[xi]}]",
-                            "T4", (i, j, k), (xi,), lhs, ZERO_EXPR,
+                            "T4", lhs, ZERO_EXPR,
                         )
                     )
     return out
@@ -668,8 +658,7 @@ def _g_instances(n: int) -> list[RelationInstance]:
                     out.append(
                         RelationInstance(
                             f"G1.LL[n={n},i={i},j={j},xi={SIGN_STR[xi]},"
-                            f"eta={SIGN_STR[eta]}]",
-                            "G1", (i, j), (xi, eta),
+                            f"eta={SIGN_STR[eta]}]", "G1",
                             prod(Gen("L", i, xi), Gen("L", j, eta)),
                             prod(Gen("L", j, eta), Gen("L", i, xi)),
                         )
@@ -685,7 +674,7 @@ def _g_instances(n: int) -> list[RelationInstance]:
         for j, k in e:
             out.append(
                 RelationInstance(
-                    f"G1.Le[n={n},i={i},j={j},k={k}]", "G1", (i, j, k), (),
+                    f"G1.Le[n={n},i={i},j={j},k={k}]", "G1",
                     prod(Gen("L", i), e[j, k]),
                     scaled(
                         QFrac.s_pow(2 * ((i == j) - (i == k))), prod(e[j, k], Gen("L", i))
@@ -719,7 +708,6 @@ def _g_instances(n: int) -> list[RelationInstance]:
             out.append(
                 RelationInstance(
                     f"G2[n={n},i={i},j={j},k={k},l={l}]", "G2",
-                    (i, j, k, l), (),
                     QBracket(e[i, j], e[k, l], 0), Sum(tuple(terms)),
                 )
             )
@@ -750,7 +738,7 @@ def _g_instances(n: int) -> list[RelationInstance]:
                 out.append(
                     RelationInstance(
                         f"G3[n={n},i={i},j={j},k={k},l={l},xi={SIGN_STR[xi]}]",
-                        "G3", (i, j, k, l), (xi,), lhs, Sum(tuple(terms)),
+                        "G3", lhs, Sum(tuple(terms)),
                     )
                 )
     return out
@@ -967,10 +955,11 @@ def classical_limit_checks(n: int, rules: Rules = DEFAULT_RULES) -> list[CheckRe
 
     Both realized sides of every PRE4/PRE5 instance are evaluated
     coefficient-wise at s = 1: neither may have a pole there, and the two
-    images must agree.  The index pattern of each instance is mapped onto
-    the corresponding trilinear relation instance of the classical matrix
-    realization, which is checked independently.  PRE3 degenerates to the
-    anticommutator-Cartan identity of the matrices.
+    images must agree.  Each instance's lhs is [{A_a^xi, A_b^eta}, A_c^eps]_x,
+    and its three ladder leaves name the trilinear para-Bose instance
+    (a, xi, b, eta, c, eps) of the classical matrix realization, which is
+    checked independently.  PRE3 degenerates to the anticommutator-Cartan
+    identity of the matrices.
     """
     out: list[CheckResult] = []
     A = parabose_set(n)
@@ -985,15 +974,10 @@ def classical_limit_checks(n: int, rules: Rules = DEFAULT_RULES) -> list[CheckRe
             )
         )
     for inst in _pre_instances(n):
-        if inst.family == "PRE4":
-            i, j = inst.indices
-            sigma, xi = inst.signs
-            pattern = (i, -xi, i + sigma, xi, j, -xi)
-        elif inst.family == "PRE5":
-            (xi,) = inst.signs
-            pattern = (n - 1, xi, n, xi, n, xi)
-        else:
+        if inst.family not in ("PRE4", "PRE5"):
             continue
+        leaves = (inst.lhs.left.left, inst.lhs.left.right, inst.lhs.right)
+        pattern = tuple(x for leaf in leaves for x in (leaf.index, leaf.exp))
         lhs_one = _image_at_one(realize(inst.lhs, n, rules))
         rhs_one = _image_at_one(realize(inst.rhs, n, rules))
         if lhs_one is None or rhs_one is None:

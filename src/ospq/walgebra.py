@@ -278,12 +278,7 @@ def _append_word(cur: dict[WeylMonomial, QFrac], word: Iterable[Letter],
                 c2 = c.mul_s_pow(s_exp)
                 if k is not None:
                     c2 = c2 * k
-                acc = nxt.get(m2)
-                s = c2 if acc is None else acc + c2
-                if s.is_zero():
-                    nxt.pop(m2, None)
-                else:
-                    nxt[m2] = s
+                _add_into(nxt, m2, c2)
         cur = nxt
     return cur
 

@@ -17,6 +17,7 @@ from ospq.scalars import Q2
 from ospq.uqosp import (
     FAMILY_BUILDERS,
     ONE_EXPR,
+    ZERO_EXPR,
     AntiComm,
     Gen,
     Product,
@@ -239,21 +240,21 @@ def test_catalog_ids_unique_and_deterministic():
     assert ids == [inst.id for inst in catalog(3)]
 
 
-# sha256 over f"{id}|{family}|{indices}|{signs}|{lhs!r}|{rhs!r}\n" for every
+# sha256 over f"{id}|{family}|{lhs!r}|{rhs!r}\n" for every
 # instance of catalog(n): pins each relation's expression, not only its ids
 _CATALOG_DIGESTS = {
-    1: "5a0baea18fe6b9121afc667f85fd5811354838282c9e217d48891982d73fb4d2",
-    2: "db8ce12c3fd22f29d43274ef998693da61ed4276ef0cb2f1f9346a17b2783c0d",
-    3: "ee01a559fa21988c302e77c955a561548a7f4c0288238784733ac9c5dca36fb9",
-    4: "12e23fa8621e9a054ac92cd1fd85f5c7c71ef6d5ccc53d3276ddb38766b740a6",
-    5: "f46ec0852ece7168e2bbb130fe6300662bbe5a5240121d487dab418a54b96b2a",
+    1: "5c0a41a16752d3a8565579c5cff0b9fe732b68f453f8d4c47f22c9ebe3bc6013",
+    2: "8f02ab6f37c1be4c71f34cc4cceb3ef6adff74b4f3a69ee907c860f632391010",
+    3: "40663ece0213f73a78da008049caf88f2d45a0d3b79b06926eaa35e241366f14",
+    4: "776d05564e115090158209e03d2e06e719f119629fe4301c9ab42f079d289f5d",
+    5: "f8cfc29cef6f19bd68ecfb06629cf9d5cc195280eb37259d034722f85eb10069",
 }
 
 
 def test_catalog_golden_digest():
     for n, expected in _CATALOG_DIGESTS.items():
         lines = "".join(
-            f"{i.id}|{i.family}|{i.indices}|{i.signs}|{i.lhs!r}|{i.rhs!r}\n"
+            f"{i.id}|{i.family}|{i.lhs!r}|{i.rhs!r}\n"
             for i in catalog(n)
         )
         assert hashlib.sha256(lines.encode()).hexdigest() == expected, n
@@ -432,6 +433,18 @@ def test_classical_limit_compares_images_at_one():
     assert bad[row.id].detail.endswith("; images differ at s=1")
 
 
+def test_classical_limit_reads_the_instance_off_the_lhs(monkeypatch):
+    # the row names the para-Bose instance its own tree spells, whatever the
+    # id says: [{A_2^-, A_1^+}, A_2^-]_{q^-1}, sigma = -1 read from mode 2
+    lhs = QBracket(AntiComm(Gen("A", 2, -1), Gen("A", 1, +1)), Gen("A", 2, -1), -2)
+    inst = RelationInstance("PRE4[read-off]", "PRE4", lhs, ZERO_EXPR)
+    monkeypatch.setattr(uqosp, "_pre_instances", lambda n: [inst])
+    rows = [r for r in classical_limit_checks(2) if not r.id.startswith("LIM.PRE3")]
+    assert [r.id for r in rows] == ["LIM.PRE4[read-off]"]
+    assert rows[0].ok
+    assert rows[0].detail == "classical instance (i=2,xi=-,j=1,eta=+,k=2,eps=-)"
+
+
 def test_corrupted_rules_break_scale_sensitive_relations():
     bad = DEFAULT_RULES.corrupted()
     rows = verify_relations(2, rules=bad)
@@ -446,12 +459,27 @@ def test_corrupted_rules_break_scale_sensitive_relations():
     assert "PRE1.comm[n=2,i=1,j=2]" not in failing
 
 
-_APPEND_KAPPA, _LEAF_WORD = walgebra._append_kappa, uqosp.leaf_word
+_APPEND_KAPPA, _APPEND_PLUS = walgebra._append_kappa, walgebra._append_plus
+_LEAF_WORD = uqosp.leaf_word
 
 
 def _doubled_kappa_power(m, j, e):
     # kappa_j^e passes the minus block with s^{4 e d_j}, not s^{2 e d_j}
     return [(2 * s_exp, k, m2) for s_exp, k, m2 in _APPEND_KAPPA(m, j, e)]
+
+
+def _noncommuting_kappa(m, j, e):
+    # kappa_j^e also picks up s^{2 e z_i} from every kappa_i^{z_i} with i > j
+    return [(s_exp + 2 * e * sum(m.kappa[j + 1:]), k, m2)
+            for s_exp, k, m2 in _APPEND_KAPPA(m, j, e)]
+
+
+def _doubled_plus_exchange(m, j, rules):
+    # with d_j = 0, a_j^+ passes each higher-mode a_i^+ with s^-4, not s^-2
+    terms = _APPEND_PLUS(m, j, rules)
+    if m.minus[j]:
+        return terms
+    return [(s_exp - 2 * sum(m.plus[j + 1:]), k, m2) for s_exp, k, m2 in terms]
 
 
 def _non_inverting_l_image(kind, index, exp, n):
@@ -467,6 +495,10 @@ _MUTATIONS = {
                             {"CK.ke", "CK.kf", "PRE2", "G1.Le", "SERRE_E.quartic"}),
     "non-inverting-L": (uqosp, "leaf_word", _non_inverting_l_image,
                         {"CK.kk", "PRE1.inv"}),
+    "noncommuting-kappa": (walgebra, "_append_kappa", _noncommuting_kappa,
+                           {"CK.kcomm", "PRE1.comm", "G1.LL"}),
+    "doubled-plus-exchange": (walgebra, "_append_plus", _doubled_plus_exchange,
+                              {"PRE5", "T4"}),
 }
 
 
@@ -516,7 +548,7 @@ def test_realization_memo_is_bounded_and_keeps_normal_forms():
 
 def test_verify_instance_reports_residual_size():
     inst = RelationInstance(
-        "FAKE[x]", "FAKE", (1,), (),
+        "FAKE[x]", "FAKE",
         Product((Gen("A", 1, +1),)),
         Product((Gen("A", 1, -1),)),
     )
@@ -543,7 +575,7 @@ def test_failing_rows_show_their_residual():
 
 def test_long_residuals_are_cut():
     inst = RelationInstance(
-        "FAKE[long]", "FAKE", (1,), (),
+        "FAKE[long]", "FAKE",
         Product((Gen("A", 1, -1),) * 4 + (Gen("A", 1, +1),) * 4), ONE_EXPR,
     )
     row = verify_instance(inst, 1)
@@ -617,7 +649,7 @@ def test_relation_patterns_share_sides_equal_as_values(monkeypatch):
     w = QFrac(terms)
     w2 = QFrac({e: terms[e] for e in (2, -2, 0)})
     assert w == w2 and list(w._t.items()) != list(w2._t.items())
-    instances = [RelationInstance(f"X[{i}]", "X", (2,), (), Sum(((c, Gen("A", 2)),)),
+    instances = [RelationInstance(f"X[{i}]", "X", Sum(((c, Gen("A", 2)),)),
                                   Sum(((c, Gen("A", 2)),)))
                  for i, c in enumerate((w, w2))]
     monkeypatch.setattr(uqosp, "catalog", lambda n: instances)
