@@ -5,7 +5,8 @@ parity.  Index 0 carries the one-dimensional even part of the underlying
 super vector space and indices 1..2n the symplectic part, so a homogeneous
 matrix of grade g has nonzero entries only at positions (r, c) with
 parity(r) + parity(c) = g (mod 2), where parity(0) = 0 and parity(r) = 1
-for r >= 1.
+for r >= 1.  A matrix's grade is read off its entries, and a matrix whose
+nonzero entries lie in blocks of both parities is refused.
 
 A matrix M belongs to osp(1|2n) when it has the block shape
 
@@ -36,7 +37,7 @@ from fractions import Fraction
 from typing import Iterable
 
 from .report import CheckResult, residual_row
-from .scalars import SQRT2, Q2
+from .scalars import SQRT2, Q2, add_into
 
 Entry = tuple[int, int]
 
@@ -51,34 +52,38 @@ class GradedMatrix:
     """Sparse square matrix over Q(sqrt(2)) with a Z_2 grade.
 
     Entries are stored as a dict mapping (row, col) to nonzero Q2 values.
-    The grade records which parity blocks the matrix may populate; it is
-    enforced at construction time, so every arithmetic result is checked
-    to be parity-homogeneous.
+    The grade is read off the entries: it is the parity of the block that
+    the first nonzero entry occupies, and every other nonzero entry must
+    lie in a block of the same parity, so every arithmetic result is
+    checked to be parity-homogeneous.  The zero matrix has grade 0.
     """
 
     __slots__ = ("n", "grade", "entries")
 
-    def __init__(self, n: int, grade: int, entries: dict[Entry, Q2] | None = None):
+    def __init__(self, n: int, entries: dict[Entry, Q2] | None = None):
         if n < 1:
             raise ValueError("mode count must be at least 1")
-        if grade not in (0, 1):
-            raise ValueError("grade must be 0 or 1")
         self.n = n
-        self.grade = grade
         dim = 2 * n + 1
+        grade = None
         cleaned: dict[Entry, Q2] = {}
         for (r, c), v in (entries or {}).items():
             if not (0 <= r < dim and 0 <= c < dim):
                 raise ValueError(f"entry index ({r}, {c}) outside {dim}x{dim} matrix")
-            if (_parity(r) + _parity(c)) % 2 != grade:
-                raise ValueError(
-                    f"entry ({r}, {c}) violates grade-{grade} block structure"
-                )
             q = Q2._coerce(v)
             if q is None:
                 raise TypeError(f"matrix entry must be a scalar, got {type(v).__name__}")
-            if not q.is_zero():
-                cleaned[(r, c)] = q
+            if q.is_zero():
+                continue
+            g = (_parity(r) + _parity(c)) % 2
+            if grade is None:
+                grade = g
+            elif g != grade:
+                raise ValueError(
+                    f"entry ({r}, {c}) breaks the grade-{grade} block structure"
+                )
+            cleaned[(r, c)] = q
+        self.grade = 0 if grade is None else grade
         self.entries = cleaned
 
     # ---------------------------------------------------------------- basics
@@ -88,14 +93,13 @@ class GradedMatrix:
         return 2 * self.n + 1
 
     @classmethod
-    def zero(cls, n: int, grade: int = 0) -> "GradedMatrix":
-        return cls(n, grade, {})
+    def zero(cls, n: int) -> "GradedMatrix":
+        return cls(n, {})
 
     @classmethod
     def unit(cls, n: int, r: int, c: int, scale: Q2 | int | Fraction = 1) -> "GradedMatrix":
-        """The matrix scale * E_{r,c}, with grade inferred from (r, c)."""
-        grade = (_parity(r) + _parity(c)) % 2
-        return cls(n, grade, {(r, c): Q2._coerce(scale)})
+        """The matrix scale * E_{r,c}."""
+        return cls(n, {(r, c): Q2._coerce(scale)})
 
     def is_zero(self) -> bool:
         return not self.entries
@@ -138,23 +142,10 @@ class GradedMatrix:
         if not isinstance(other, GradedMatrix):
             return NotImplemented
         self._check_compatible(other)
-        if self.is_zero():
-            grade = other.grade
-        elif other.is_zero():
-            grade = self.grade
-        elif self.grade != other.grade:
-            raise ValueError("cannot add nonzero matrices of different grade")
-        else:
-            grade = self.grade
         out = dict(self.entries)
         for key, v in other.entries.items():
-            s = out.get(key)
-            t = v if s is None else s + v
-            if t.is_zero():
-                out.pop(key, None)
-            else:
-                out[key] = t
-        return GradedMatrix(self.n, grade, out)
+            add_into(out, key, v)
+        return GradedMatrix(self.n, out)
 
     def __sub__(self, other: "GradedMatrix") -> "GradedMatrix":
         if not isinstance(other, GradedMatrix):
@@ -162,15 +153,13 @@ class GradedMatrix:
         return self + (-other)
 
     def __neg__(self) -> "GradedMatrix":
-        return GradedMatrix(self.n, self.grade, {k: -v for k, v in self.entries.items()})
+        return GradedMatrix(self.n, {k: -v for k, v in self.entries.items()})
 
     def scale(self, factor: Q2 | int | Fraction) -> "GradedMatrix":
         q = Q2._coerce(factor)
         if q is None:
             raise TypeError(f"cannot scale matrix by {type(factor).__name__}")
-        if q.is_zero():
-            return GradedMatrix.zero(self.n, self.grade)
-        return GradedMatrix(self.n, self.grade, {k: v * q for k, v in self.entries.items()})
+        return GradedMatrix(self.n, {k: v * q for k, v in self.entries.items()})
 
     def __rmul__(self, factor: object) -> "GradedMatrix":
         if isinstance(factor, (int, Fraction, Q2)):
@@ -187,14 +176,8 @@ class GradedMatrix:
         out: dict[Entry, Q2] = {}
         for (r, k), a in self.entries.items():
             for c, b in cols.get(k, ()):
-                key = (r, c)
-                s = out.get(key)
-                t = a * b if s is None else s + a * b
-                if t.is_zero():
-                    out.pop(key, None)
-                else:
-                    out[key] = t
-        return GradedMatrix(self.n, (self.grade + other.grade) % 2, out)
+                add_into(out, (r, c), a * b)
+        return GradedMatrix(self.n, out)
 
     # ------------------------------------------------------------ membership
 
@@ -247,13 +230,9 @@ def classical_parabose(n: int, i: int, sign: int) -> GradedMatrix:
     if not 1 <= i <= n:
         raise ValueError(f"mode index {i} out of range 1..{n}")
     if sign == -1:
-        return GradedMatrix(
-            n, 1, {(0, i): SQRT2, (n + i, 0): -SQRT2}
-        )
+        return GradedMatrix(n, {(0, i): SQRT2, (n + i, 0): -SQRT2})
     if sign == +1:
-        return GradedMatrix(
-            n, 1, {(0, n + i): SQRT2, (i, 0): SQRT2}
-        )
+        return GradedMatrix(n, {(0, n + i): SQRT2, (i, 0): SQRT2})
     raise ValueError(f"sign must be +1 or -1, got {sign!r}")
 
 
@@ -270,7 +249,7 @@ def cartan_h_upper(n: int, i: int) -> GradedMatrix:
     """H_i = -E_{ii} + E_{n+i,n+i}; satisfies {A_i^-, A_i^+} = -2 H_i."""
     if not 1 <= i <= n:
         raise ValueError(f"mode index {i} out of range 1..{n}")
-    return GradedMatrix(n, 0, {(i, i): Q2(-1), (n + i, n + i): Q2(1)})
+    return GradedMatrix(n, {(i, i): Q2(-1), (n + i, n + i): Q2(1)})
 
 
 def cartan_matrix(n: int) -> list[list[int]]:
@@ -372,12 +351,7 @@ def q2_rank(vectors: Iterable[dict]) -> int:
             if coeff is None or coeff.is_zero():
                 continue
             for k, v in prow.items():
-                cur = row.get(k)
-                t = -coeff * v if cur is None else cur - coeff * v
-                if t.is_zero():
-                    row.pop(k, None)
-                else:
-                    row[k] = t
+                add_into(row, k, -coeff * v)
         if not row:
             continue
         piv = min(row)
@@ -477,7 +451,7 @@ def sp2n_residual(
     """
     a, b, c, d = (i, xi), (j, eta), (k, eps), (l, phi)
     lhs = commutator(anti[a, b], anti[c, d])
-    rhs = GradedMatrix.zero(lhs.n, 0)
+    rhs = GradedMatrix.zero(lhs.n)
     if j == k and eps != eta:
         rhs = rhs + anti[a, d].scale(eps - eta)
     if i == k and eps != xi:

@@ -32,7 +32,7 @@ from functools import lru_cache
 from math import gcd
 from typing import Union
 
-from .scalars import Q2
+from .scalars import Q2, add_into
 
 _from_triple = Q2.from_triple
 
@@ -78,15 +78,7 @@ def _padd(t: _Poly, u: _Poly) -> _Poly:
     """t + u; a power whose sum cancels leaves the dict."""
     t = dict(t)
     for e, c in u.items():
-        c2 = t.get(e)
-        if c2 is None:
-            t[e] = c
-        else:
-            s = c2 + c
-            if s:
-                t[e] = s
-            else:
-                del t[e]
+        add_into(t, e, c)
     return t
 
 
@@ -400,9 +392,12 @@ class QFrac:
         return out
 
     def eval_root(self, k: int) -> complex:
-        """Numerical value at s = exp(i*pi/(2k)), i.e. q = exp(i*pi/k)."""
+        """Numerical value at s = exp(i*pi/(2k)), i.e. q = exp(i*pi/k).
+        At k = 1, s = i is a root of s + s^-1, so a Dp factor is a pole."""
         if k < 1:
             raise ValueError("k must be a positive integer")
+        if k == 1 and self.dp:
+            raise ValueError("pole at q = -1: s + s^-1 vanishes")
         z = 0j
         for e, c in self._t.items():
             z += float(c) * cmath.exp(1j * cmath.pi * e / (2 * k))
@@ -423,12 +418,18 @@ class QFrac:
         return _from_triple(v.a, v.b, v.d << self.dp)
 
     def eval_scalar(self, s_val: complex) -> complex:
-        """Numerical value at an arbitrary nonzero s."""
+        """Numerical value at an arbitrary nonzero s.  A denominator factor
+        that is 0 there, exactly or by underflow near a pole, raises
+        ValueError."""
         z = 0j
         for e, c in self._t.items():
             z += float(c) * s_val**e
-        den = (s_val + 1 / s_val) ** self.dp * (s_val - 1 / s_val) ** self.dm
-        return z / den
+        dp_pow = (s_val + 1 / s_val) ** self.dp
+        dm_pow = (s_val - 1 / s_val) ** self.dm
+        for factor, binomial in ((dp_pow, "s + s^-1"), (dm_pow, "s - s^-1")):
+            if factor == 0:
+                raise ValueError(f"pole at s = {s_val}: the {binomial} factor is 0")
+        return z / (dp_pow * dm_pow)
 
     # -- display ------------------------------------------------------------
 

@@ -252,3 +252,16 @@ class Q2:
 
 ONE = Q2(1)
 SQRT2 = Q2(0, 1)
+
+
+def add_into(acc: dict, key: object, c) -> None:
+    """acc[key] += c, dropping the key when the sum is exactly zero.
+
+    A dropped key that is added again goes to the end of the dict, so the
+    order of the terms depends on the order of the additions."""
+    old = acc.get(key)
+    s = c if old is None else old + c
+    if s.is_zero():
+        acc.pop(key, None)
+    else:
+        acc[key] = s

@@ -54,7 +54,7 @@ from .qcoeff import (
     join_signed,
     q_int,
 )
-from .scalars import Q2
+from .scalars import Q2, add_into
 
 # A letter is a tuple (kind, mode, exp): kind is one of AP/KA/AM below; mode
 # is 0-based internally; exp is ±1 for kappa letters and 0 otherwise.
@@ -278,19 +278,9 @@ def _append_word(cur: dict[WeylMonomial, QFrac], word: Iterable[Letter],
                 c2 = c.mul_s_pow(s_exp)
                 if k is not None:
                     c2 = c2 * k
-                _add_into(nxt, m2, c2)
+                add_into(nxt, m2, c2)
         cur = nxt
     return cur
-
-
-def _add_into(acc: dict, key: object, c: QFrac) -> None:
-    """acc[key] += c, dropping the key when the sum is exactly zero."""
-    old = acc.get(key)
-    s = c if old is None else old + c
-    if s.is_zero():
-        acc.pop(key, None)
-    else:
-        acc[key] = s
 
 
 # -------------------------------------------------------------- elements
@@ -366,7 +356,7 @@ class WeylElement:
         self._check(other)
         t = dict(self._terms)
         for m, c in other._terms.items():
-            _add_into(t, m, c)
+            add_into(t, m, c)
         return WeylElement(self.n, t)
 
     def __sub__(self, other: object) -> "WeylElement":
@@ -471,7 +461,7 @@ def mul(x: WeylElement, y: WeylElement, rules: Rules = DEFAULT_RULES) -> WeylEle
         wy = my.word()
         for mx, cx in x._terms.items():
             for m, c in _append_word({mx: cx * cy}, wy, rules).items():
-                _add_into(out, m, c)
+                add_into(out, m, c)
     return WeylElement(x.n, out)
 
 
@@ -722,7 +712,7 @@ def normal_order(word: WordLike, n: int | None = None, *, contract: bool,
     acc: dict[WeylMonomial, QFrac] = {}
     for c0, w in items:
         for m, c in _reduce_word(w, n, strategy, rules, contract).items():
-            _add_into(acc, m, c if c0 is None else c * c0)
+            add_into(acc, m, c if c0 is None else c * c0)
     return WeylElement(n, acc)
 
 

@@ -852,6 +852,11 @@ def test_positivity_diagnostic():
     assert all(v > 0 for v in d["norms"][:4])
     with pytest.raises(ValueError):
         positivity_diagnostic(0)
+    # q = -1 puts s = i on a root of s + s^-1, a pole of every norm m >= 1;
+    # at the rounded e^{i pi} a power of s + s^-1 underflows to 0
+    for q in (-1, cmath.exp(1j * math.pi)):
+        with pytest.raises(ValueError, match=r"s \+ s\^-1"):
+            positivity_diagnostic(q)
 
 
 def test_label_parsing_and_errors():

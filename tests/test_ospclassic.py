@@ -33,7 +33,7 @@ def _corrupt_plus2(n: int = 2) -> dict:
     m = A[(2, +1)]
     ent = dict(m.entries)
     ent[(2, 0)] = -ent[(2, 0)]
-    A[(2, +1)] = GradedMatrix(n, 1, ent)
+    A[(2, +1)] = GradedMatrix(n, ent)
     return A
 
 
@@ -78,15 +78,14 @@ def test_anticommutator_gives_cartan_element():
 
 
 def test_grade_structure_enforced():
+    with pytest.raises(ValueError, match="breaks the grade-1 block structure"):
+        GradedMatrix(2, {(0, 1): ONE, (1, 2): ONE})  # an odd and an even entry
     with pytest.raises(ValueError):
-        GradedMatrix(2, 0, {(0, 1): ONE})  # odd block in an even matrix
-    with pytest.raises(ValueError):
-        GradedMatrix(2, 1, {(1, 2): ONE})  # even block in an odd matrix
-    with pytest.raises(ValueError):
-        GradedMatrix(2, 0, {(5, 0): ONE})  # out of range
+        GradedMatrix(2, {(5, 0): ONE})  # out of range
     a = GradedMatrix.unit(2, 1, 2)
     b = GradedMatrix.unit(2, 0, 1)
     assert a.grade == 0 and b.grade == 1
+    assert GradedMatrix.zero(2).grade == 0 and (b - b).grade == 0
     with pytest.raises(ValueError):
         a + b  # nonzero matrices of different grade
     with pytest.raises(ValueError):
@@ -314,6 +313,65 @@ def test_corrupted_generator_is_detected(monkeypatch):
     row = next(r for r in results if r.id == "C21[n=2,i=1,j=2,k=2,xi=+,eta=+,eps=-]")
     assert row.residual == "nonzero"
     assert row.detail == "1 residual terms: (0,3): 4√2"
+
+
+_CHEVALLEY = ospclassic.chevalley_from_table
+
+
+def _added(target: str, i: int, source: tuple) -> object:
+    """chevalley_from_table, then target_i += source, where source names a
+    Chevalley generator ("e", 2) or an odd generator ("A", (2, +1))."""
+    def mutant(A, anti):
+        gens = dict(zip("efh", _CHEVALLEY(A, anti)), A=A)
+        gens[target][i] = gens[target][i] + gens[source[0]][source[1]]
+        return gens["e"], gens["f"], gens["h"]
+    return mutant
+
+
+def _a2_plus_is_a1_plus(n: int) -> dict:
+    """Generator set with A_2^+ replaced by A_1^+."""
+    A = parabose_set(n)
+    A[(2, +1)] = A[(1, +1)]
+    return A
+
+
+# each mutation of the classical layer, and the families of
+# verify_classical(3) that must fail under it, each with at least one row
+_MUTATIONS = {
+    "h1+=e1": ("chevalley_from_table", _added("h", 1, ("e", 1)), {"CCK.hh"}),
+    "e1+=e2": ("chevalley_from_table", _added("e", 1, ("e", 2)), {"CS.e.far"}),
+    "f1+=f2": ("chevalley_from_table", _added("f", 1, ("f", 2)), {"CS.f.far"}),
+    "e1+=h1": ("chevalley_from_table", _added("e", 1, ("h", 1)), {"CS.e.quad"}),
+    "f1+=h1": ("chevalley_from_table", _added("f", 1, ("h", 1)), {"CS.f.quad"}),
+    "e3+=A2+": ("chevalley_from_table", _added("e", 3, ("A", (2, +1))),
+                {"CS.e.quartic"}),
+    "f3+=A2-": ("chevalley_from_table", _added("f", 3, ("A", (2, -1))),
+                {"CS.f.quartic"}),
+    "A2+:=A1+": ("parabose_set", _a2_plus_is_a1_plus, {"SPAN.osp", "SPAN.gl"}),
+    "A2+-sign-flip": ("parabose_set", _corrupt_plus2,
+                      {"MEM.gen", "MEM.pair", "C21", "C28", "CCK.he", "CCK.hf",
+                       "CCK.ef", "CHAIN"}),
+}
+
+
+def _families(rows, ok: bool) -> set[str]:
+    return {r.id.split("[")[0] for r in rows if r.ok == ok}
+
+
+@pytest.mark.parametrize("name", list(_MUTATIONS))
+def test_each_classical_mutation_fails_its_families(name, monkeypatch):
+    attr, mutant, families = _MUTATIONS[name]
+    monkeypatch.setattr(ospclassic, attr, mutant)
+    failing = _families(verify_classical(3), ok=False)
+    assert families <= failing, families - failing
+
+
+def test_classical_mutations_cover_every_family():
+    rows = verify_classical(3)
+    assert all(r.ok for r in rows)
+    targets = set().union(*(families for _, _, families in _MUTATIONS.values()))
+    assert targets == _families(rows, ok=True)
+    assert len(targets) == 17
 
 
 def test_check_result_rows_serialize():

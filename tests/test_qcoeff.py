@@ -8,6 +8,7 @@ import random
 from fractions import Fraction
 
 import numpy as np
+import pytest
 
 from ospq.scalars import Q2
 from ospq.qcoeff import (
@@ -290,6 +291,17 @@ def test_qfrac_eval_one():
         pass
     else:  # pragma: no cover
         raise AssertionError("expected a pole at s=1")
+
+
+def test_qfrac_eval_root_refuses_the_pole_at_q_minus_one():
+    # k = 1 gives s = i, where s + s^-1 = 0: c = 2/(s+s^-1) has a pole
+    with pytest.raises(ValueError, match=r"s \+ s\^-1"):
+        C_WEYL.eval_root(1)
+    with pytest.raises(ValueError, match=r"s \+ s\^-1"):
+        C_WEYL.eval_scalar(1j)
+    # a Laurent polynomial still evaluates there: [3] = q^2 + 1 + q^-2 = 3
+    assert abs(q_int(3).eval_root(1) - 3) < 1e-12
+    assert abs(DMINUS.eval_root(1) - 2j) < 1e-12
 
 
 # ----------------------------------------------------------- norm factors

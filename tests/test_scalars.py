@@ -9,7 +9,8 @@ from fractions import Fraction
 
 import pytest
 
-from ospq.scalars import Q2
+from ospq.qcoeff import QFrac
+from ospq.scalars import Q2, add_into
 
 SQRT2 = math.sqrt(2.0)
 
@@ -173,3 +174,16 @@ def test_inverse_of_zero_raises():
         1 / Q2(0)
     with pytest.raises(ZeroDivisionError):
         Q2(0) ** -1
+
+
+def test_add_into_drops_an_exact_zero_and_puts_a_returning_key_last():
+    for one, two in ((Q2(1), Q2(0, 1)), (QFrac.one(), QFrac({1: Q2(1)}))):
+        acc = {}
+        add_into(acc, "a", one)
+        add_into(acc, "b", two)
+        add_into(acc, "a", one)
+        assert list(acc) == ["a", "b"] and acc["a"] == one + one
+        add_into(acc, "a", -(one + one))
+        assert list(acc) == ["b"]
+        add_into(acc, "a", two)
+        assert list(acc) == ["b", "a"] and acc["a"] == two
