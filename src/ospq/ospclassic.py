@@ -43,9 +43,8 @@ Entry = tuple[int, int]
 
 SIGN_STR = {1: "+", -1: "-"}
 
-
-def _parity(index: int) -> int:
-    return 0 if index == 0 else 1
+# the value of every absent entry; Q2 is immutable, so one instance serves all
+_ZERO = Q2(0)
 
 
 class GradedMatrix:
@@ -70,20 +69,21 @@ class GradedMatrix:
         for (r, c), v in (entries or {}).items():
             if not (0 <= r < dim and 0 <= c < dim):
                 raise ValueError(f"entry index ({r}, {c}) outside {dim}x{dim} matrix")
-            q = Q2._coerce(v)
+            q = v if type(v) is Q2 else Q2._coerce(v)
             if q is None:
                 raise TypeError(f"matrix entry must be a scalar, got {type(v).__name__}")
             if q.is_zero():
                 continue
-            g = (_parity(r) + _parity(c)) % 2
+            # odd exactly when one of the two indices is the even index 0
+            g = (r == 0) != (c == 0)
             if grade is None:
                 grade = g
             elif g != grade:
                 raise ValueError(
-                    f"entry ({r}, {c}) breaks the grade-{grade} block structure"
+                    f"entry ({r}, {c}) breaks the grade-{int(grade)} block structure"
                 )
             cleaned[(r, c)] = q
-        self.grade = 0 if grade is None else grade
+        self.grade = int(grade or 0)
         self.entries = cleaned
 
     # ---------------------------------------------------------------- basics
@@ -105,11 +105,11 @@ class GradedMatrix:
         return not self.entries
 
     def entry(self, r: int, c: int) -> Q2:
-        return self.entries.get((r, c), Q2(0))
+        return self.entries.get((r, c), _ZERO)
 
     def dense(self) -> list[list[Q2]]:
         return [
-            [self.entries.get((r, c), Q2(0)) for c in range(self.dim)]
+            [self.entries.get((r, c), _ZERO) for c in range(self.dim)]
             for r in range(self.dim)
         ]
 
@@ -150,7 +150,10 @@ class GradedMatrix:
     def __sub__(self, other: "GradedMatrix") -> "GradedMatrix":
         if not isinstance(other, GradedMatrix):
             return NotImplemented
-        return self + (-other)
+        self._check_compatible(other)
+        out = dict(self.entries)
+        _scaled_into(out, other, -1)
+        return GradedMatrix(self.n, out)
 
     def __neg__(self) -> "GradedMatrix":
         return GradedMatrix(self.n, {k: -v for k, v in self.entries.items()})
@@ -170,13 +173,8 @@ class GradedMatrix:
         if not isinstance(other, GradedMatrix):
             return NotImplemented
         self._check_compatible(other)
-        cols: dict[int, list[tuple[int, Q2]]] = {}
-        for (r, c), v in other.entries.items():
-            cols.setdefault(r, []).append((c, v))
         out: dict[Entry, Q2] = {}
-        for (r, k), a in self.entries.items():
-            for c, b in cols.get(k, ()):
-                add_into(out, (r, c), a * b)
+        _product_into(out, self, other, +1)
         return GradedMatrix(self.n, out)
 
     # ------------------------------------------------------------ membership
@@ -204,6 +202,32 @@ class GradedMatrix:
         return True
 
 
+def _product_into(out: dict[Entry, Q2], a: GradedMatrix, b: GradedMatrix, sign: int) -> None:
+    """out += sign * (a @ b), entry by entry through add_into."""
+    rows: dict[int, list[tuple[int, Q2]]] = {}
+    for (r, c), v in b.entries.items():
+        rows.setdefault(r, []).append((c, v if sign == 1 else -v))
+    for (r, k), x in a.entries.items():
+        for c, y in rows.get(k, ()):
+            add_into(out, (r, c), x * y)
+
+
+def _scaled_into(out: dict[Entry, Q2], m: GradedMatrix, factor: int) -> None:
+    """out += factor * m, entry by entry through add_into."""
+    q = Q2(factor)
+    for key, v in m.entries.items():
+        add_into(out, key, v * q)
+
+
+def _bracket(a: GradedMatrix, b: GradedMatrix, sign: int) -> GradedMatrix:
+    """ab + sign * ba, summed into one dict and built as one matrix."""
+    a._check_compatible(b)
+    out: dict[Entry, Q2] = {}
+    _product_into(out, a, b, +1)
+    _product_into(out, b, a, sign)
+    return GradedMatrix(a.n, out)
+
+
 def supercommutator(a: GradedMatrix, b: GradedMatrix) -> GradedMatrix:
     """[[a, b]] = ab - (-1)^{grade(a) grade(b)} ba for homogeneous a, b: the
     anticommutator of two odd matrices, else the commutator."""
@@ -213,11 +237,11 @@ def supercommutator(a: GradedMatrix, b: GradedMatrix) -> GradedMatrix:
 
 
 def anticommutator(a: GradedMatrix, b: GradedMatrix) -> GradedMatrix:
-    return a @ b + b @ a
+    return _bracket(a, b, +1)
 
 
 def commutator(a: GradedMatrix, b: GradedMatrix) -> GradedMatrix:
-    return a @ b - b @ a
+    return _bracket(a, b, -1)
 
 
 # --------------------------------------------------------------------------
@@ -376,10 +400,18 @@ def anticommutator_table(
 
     The relation sweeps read each anticommutator from here: the
     quadrilinear sweep uses two per instance over (2n)^4 instances, but
-    only (2n)^2 distinct ones exist.  The table is built from the given
-    generators, so a corrupted set reaches every instance.
+    only (2n)^2 distinct ones exist.  The table is symmetric: (a, b) and
+    (b, a) hold one object, built once, because {x, y} = xy + yx = {y, x}
+    holds exactly for any matrices, so the mirrored product would add the
+    same entries.  The table is built from the given generators, so a
+    corrupted set reaches every instance.
     """
-    return {(a, b): anticommutator(A[a], A[b]) for a in A for b in A}
+    keys = list(A)
+    table: AnticommutatorTable = {}
+    for at, a in enumerate(keys):
+        for b in keys[at:]:
+            table[a, b] = table[b, a] = anticommutator(A[a], A[b])
+    return table
 
 
 def pbose_residual(
@@ -400,9 +432,12 @@ def pbose_residual(
     with the anticommutator read from ``anti = anticommutator_table(A)``.
     """
     lhs = supercommutator(anti[(i, xi), (j, eta)], A[(k, eps)])
-    rhs = A[(i, xi)].scale((eps - eta) if j == k else 0)
-    rhs = rhs + A[(j, eta)].scale((eps - xi) if i == k else 0)
-    return lhs - rhs
+    out = dict(lhs.entries)
+    if j == k and eps != eta:
+        _scaled_into(out, A[(i, xi)], eta - eps)
+    if i == k and eps != xi:
+        _scaled_into(out, A[(j, eta)], xi - eps)
+    return GradedMatrix(lhs.n, out)
 
 
 def pbose_relation_checks(
@@ -429,6 +464,7 @@ def pbose_relation_checks(
 
 def sp2n_residual(
     anti: AnticommutatorTable,
+    brackets: dict,
     i: int,
     xi: int,
     j: int,
@@ -447,26 +483,37 @@ def sp2n_residual(
             + (phi - xi)  delta_{il} {A_j^eta, A_k^eps},
 
     i.e. the sp(2n) structure of the even part, with every anticommutator
-    read from ``anti = anticommutator_table(A)``.
+    read from ``anti = anticommutator_table(A)``.  ``brackets`` is the
+    caller's table of left sides [X, Y], keyed by the indices
+    (i, xi, j, eta, k, eps, l, phi): an instance takes out the filed
+    mirror [Y, X] and negates it, as [Y, X] = -[X, Y] holds exactly, or
+    builds [X, Y] and files it for its mirror.  A sweep over all ordered
+    pairs so multiplies each unordered pair once.  The right side's terms
+    are summed into the same entries, so the instance builds one matrix.
     """
     a, b, c, d = (i, xi), (j, eta), (k, eps), (l, phi)
-    lhs = commutator(anti[a, b], anti[c, d])
-    rhs = GradedMatrix.zero(lhs.n)
+    mirror = brackets.pop((k, eps, l, phi, i, xi, j, eta), None)
+    if mirror is None:
+        brackets[i, xi, j, eta, k, eps, l, phi] = lhs = commutator(anti[a, b], anti[c, d])
+        out = dict(lhs.entries)
+    else:
+        out = {key: -v for key, v in mirror.entries.items()}
     if j == k and eps != eta:
-        rhs = rhs + anti[a, d].scale(eps - eta)
+        _scaled_into(out, anti[a, d], eta - eps)
     if i == k and eps != xi:
-        rhs = rhs + anti[b, d].scale(eps - xi)
+        _scaled_into(out, anti[b, d], xi - eps)
     if j == l and phi != eta:
-        rhs = rhs + anti[a, c].scale(phi - eta)
+        _scaled_into(out, anti[a, c], eta - phi)
     if i == l and phi != xi:
-        rhs = rhs + anti[b, c].scale(phi - xi)
-    return lhs - rhs
+        _scaled_into(out, anti[b, c], xi - phi)
+    return GradedMatrix(anti[a, b].n, out)
 
 
 def sp2n_relation_checks(anti: AnticommutatorTable, n: int) -> list[CheckResult]:
     """All instances of the quadrilinear relation (id prefix C28), with
-    ``anti = anticommutator_table(A)``."""
+    ``anti = anticommutator_table(A)``, sharing one table of left sides."""
     out: list[CheckResult] = []
+    brackets: dict = {}
     signs = (+1, -1)
     modes = range(1, n + 1)
     for i in modes:
@@ -481,7 +528,9 @@ def sp2n_relation_checks(anti: AnticommutatorTable, n: int) -> list[CheckResult]
                                         f"C28[n={n},i={i},j={j},k={k},l={l},"
                                         f"xi={SIGN_STR[xi]},eta={SIGN_STR[eta]},"
                                         f"eps={SIGN_STR[eps]},phi={SIGN_STR[phi]}]",
-                                        sp2n_residual(anti, i, xi, j, eta, k, eps, l, phi),
+                                        sp2n_residual(
+                                            anti, brackets, i, xi, j, eta, k, eps, l, phi
+                                        ),
                                     ))
     return out
 

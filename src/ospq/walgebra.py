@@ -110,6 +110,15 @@ class Rules:
 
     s1_kappa: QFrac = C_WEYL
 
+    def __hash__(self) -> int:
+        # the dataclass hash, kept in the instance __dict__ on first use:
+        # every memo that realizes the catalog is keyed by the rules
+        d = self.__dict__
+        h = d.get("_hash")
+        if h is None:
+            h = d["_hash"] = hash((self.s1_kappa,))
+        return h
+
     @classmethod
     def corrupted(cls) -> "Rules":
         return cls(s1_kappa=C_WEYL + QFrac.one())

@@ -8,6 +8,7 @@ import pytest
 
 from ospq import ospclassic
 from ospq.ospclassic import (
+    SIGN_STR,
     GradedMatrix,
     anticommutator,
     anticommutator_table,
@@ -24,6 +25,7 @@ from ospq.ospclassic import (
     supercommutator,
     verify_classical,
 )
+from ospq.report import residual_row
 from ospq.scalars import ONE, SQRT2, Q2
 
 
@@ -88,6 +90,8 @@ def test_grade_structure_enforced():
     assert GradedMatrix.zero(2).grade == 0 and (b - b).grade == 0
     with pytest.raises(ValueError):
         a + b  # nonzero matrices of different grade
+    with pytest.raises(ValueError, match="block structure"):
+        a - b
     with pytest.raises(ValueError):
         supercommutator(a, GradedMatrix.unit(3, 1, 2))  # dimension mismatch
 
@@ -123,6 +127,66 @@ def test_quadrilinear_relation_all_instances():
         results = sp2n_relation_checks(anticommutator_table(parabose_set(n)), n)
         assert len(results) == 16 * n**4
         assert all(r.ok for r in results)
+
+
+def _reference_rows(A: dict, n: int) -> list:
+    """The C21 and C28 rows written out from their definitions: every
+    anticommutator is its own product, each side is built from products,
+    and the right side is summed term by term."""
+    anti = {(a, b): A[a] @ A[b] + A[b] @ A[a] for a in A for b in A}
+    keys = [(i, s) for i in range(1, n + 1) for s in (+1, -1)]
+    sign = SIGN_STR
+    rows = []
+    for a in keys:
+        for b in keys:
+            for c in keys:
+                (i, xi), (j, eta), (k, eps) = a, b, c
+                rhs = GradedMatrix.zero(n)
+                if j == k:
+                    rhs = rhs + A[a].scale(eps - eta)
+                if i == k:
+                    rhs = rhs + A[b].scale(eps - xi)
+                x, y = anti[a, b], A[c]
+                rows.append(residual_row(
+                    f"C21[n={n},i={i},j={j},k={k},"
+                    f"xi={sign[xi]},eta={sign[eta]},eps={sign[eps]}]",
+                    x @ y - y @ x - rhs,
+                ))
+    for a in keys:
+        for b in keys:
+            for c in keys:
+                for d in keys:
+                    (i, xi), (j, eta), (k, eps), (l, phi) = a, b, c, d
+                    rhs = GradedMatrix.zero(n)
+                    if j == k:
+                        rhs = rhs + anti[a, d].scale(eps - eta)
+                    if i == k:
+                        rhs = rhs + anti[b, d].scale(eps - xi)
+                    if j == l:
+                        rhs = rhs + anti[a, c].scale(phi - eta)
+                    if i == l:
+                        rhs = rhs + anti[b, c].scale(phi - xi)
+                    x, y = anti[a, b], anti[c, d]
+                    rows.append(residual_row(
+                        f"C28[n={n},i={i},j={j},k={k},l={l},xi={sign[xi]},"
+                        f"eta={sign[eta]},eps={sign[eps]},phi={sign[phi]}]",
+                        x @ y - y @ x - rhs,
+                    ))
+    return rows
+
+
+@pytest.mark.parametrize("n, gens", [
+    (1, parabose_set), (2, parabose_set), (3, parabose_set),
+    (2, _corrupt_plus2), (3, _corrupt_plus2),  # there is no A_2^+ at n = 1
+])
+def test_relation_tables_match_reference_rows(n, gens):
+    A = gens(n)
+    anti = anticommutator_table(A)
+    rows = pbose_relation_checks(A, anti, n) + sp2n_relation_checks(anti, n)
+    got = [(r.id, r.ok, r.residual, r.detail) for r in rows]
+    want = [(r.id, r.ok, r.residual, r.detail) for r in _reference_rows(A, n)]
+    assert got == want
+    assert all(ok for _, ok, _, _ in got) == (gens is parabose_set)
 
 
 def test_graded_jacobi_identity():

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import importlib
 from fractions import Fraction
@@ -323,6 +324,30 @@ def test_builders_share_ladder_anticommutator_and_root_vector_subtrees():
         _subtrees(inst.lhs, seen)
         _subtrees(inst.rhs, seen)
     assert sum(x in roots for x in seen.values()) <= n * (n - 1)
+
+
+def test_node_and_rules_hashes_are_field_hashes_kept_once():
+    # a node hashes like the dataclass it is, equal nodes built apart hash
+    # alike, and the kept hash changes neither equality nor repr
+    n = 3
+    for inst in catalog(n):
+        seen: dict = {}
+        _subtrees(inst.lhs, seen)
+        _subtrees(inst.rhs, seen)
+        for x in seen.values():
+            if isinstance(x, Gen):
+                continue
+            fields = tuple(getattr(x, f.name) for f in dataclasses.fields(x))
+            text = repr(x)
+            assert hash(x) == hash(fields) == hash(x)
+            assert x.__dict__["_hash"] == hash(fields)
+            assert repr(x) == text
+    kept, fresh = build_gl_generator(n, 1, 2), build_gl_generator(n, 1, 2)
+    hash(kept)
+    assert "_hash" not in fresh.__dict__ and kept == fresh
+    assert hash(kept) == hash(fresh)
+    assert hash(Rules()) == hash((DEFAULT_RULES.s1_kappa,)) == hash(DEFAULT_RULES)
+    assert Rules.corrupted() != DEFAULT_RULES
 
 
 def test_t2_instance_shape():
