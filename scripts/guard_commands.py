@@ -6,23 +6,31 @@ states), where the relation patterns come from the largest catalog.
     python3 scripts/guard_commands.py
 
 Run from anywhere; the program is imported from this checkout's `src/`.
-Each command runs once, in a child process, one after another, with its
-standard output discarded.  For each the script prints one JSON line: the
-argv, the exit code, the wall seconds and the child's peak resident set
-size in MB (ru_maxrss from os.wait4).  It records and gates nothing: a
-command that exits 1 is reported like any other.
+Each command runs REPEATS times in a row, each time in a child process with
+its standard output discarded.  For each command the script prints one JSON
+line: the argv, the exit code, the median wall seconds and the median peak
+resident set size in MB of the children (ru_maxrss from os.wait4), each
+with its [min, max] over the repeats.  When a command's exit codes differ
+between repeats, "exit" lists them all and a last line names the command.
+It records and gates nothing: a command that exits 1 is reported like any
+other.
 """
 
 from __future__ import annotations
 
 import json
 import os
+import statistics
 import subprocess
 import sys
 import time
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parent.parent / "src"
+
+# runs per command, so that each line shows the spread between runs beside
+# its median: one run cannot tell a change of a few percent from that spread
+REPEATS = 3
 
 # the longest crossing word normal-order --contract accepts, a1-...a9- a1+...a9+
 WORD = " ".join([f"a{i}-" for i in range(1, 10)] + [f"a{i}+" for i in range(1, 10)])
@@ -54,9 +62,26 @@ def run(args: tuple[str, ...]) -> dict:
     }
 
 
+def summarize(runs: list[dict]) -> dict:
+    """One row for the repeats of one command: medians with [min, max]."""
+    exits = [r["exit"] for r in runs]
+    row = {"argv": runs[0]["argv"], "exit": exits[0] if len(set(exits)) == 1 else exits}
+    for key in ("wall_s", "max_rss_mb"):
+        values = [r[key] for r in runs]
+        row[key] = statistics.median(values)
+        row[f"{key}_range"] = [min(values), max(values)]
+    return row
+
+
 def main() -> None:
+    differ = []
     for args in COMMANDS:
-        print(json.dumps(run(args)), flush=True)
+        row = summarize([run(args) for _ in range(REPEATS)])
+        print(json.dumps(row), flush=True)
+        if isinstance(row["exit"], list):
+            differ.append(" ".join(row["argv"]))
+    for argv in differ:
+        print(f"exit codes differ between repeats: {argv}")
 
 
 if __name__ == "__main__":

@@ -34,12 +34,14 @@ commutators of Chevalley generators.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import product
 from typing import Iterable
 
 from .report import CheckResult, residual_row
 from .scalars import SQRT2, Q2, add_into
 
 Entry = tuple[int, int]
+Key = tuple[int, int]  # a generator key (mode, sign), sign in {+1, -1}
 
 SIGN_STR = {1: "+", -1: "-"}
 
@@ -260,13 +262,15 @@ def classical_parabose(n: int, i: int, sign: int) -> GradedMatrix:
     raise ValueError(f"sign must be +1 or -1, got {sign!r}")
 
 
-def parabose_set(n: int) -> dict[tuple[int, int], GradedMatrix]:
+def generator_keys(n: int) -> list[Key]:
+    """The 2n generator keys (mode, sign) in sweep order: (1, +1), (1, -1),
+    (2, +1), ...  Every relation sweep and every generator dict follows it."""
+    return [(i, s) for i in range(1, n + 1) for s in (+1, -1)]
+
+
+def parabose_set(n: int) -> dict[Key, GradedMatrix]:
     """All 2n odd generators, keyed by (mode, sign)."""
-    return {
-        (i, s): classical_parabose(n, i, s)
-        for i in range(1, n + 1)
-        for s in (+1, -1)
-    }
+    return {key: classical_parabose(n, *key) for key in generator_keys(n)}
 
 
 def cartan_h_upper(n: int, i: int) -> GradedMatrix:
@@ -289,7 +293,7 @@ def cartan_matrix(n: int) -> list[list[int]]:
 
 
 def chevalley_from_table(
-    A: dict[tuple[int, int], GradedMatrix], anti: "AnticommutatorTable"
+    A: dict[Key, GradedMatrix], anti: "AnticommutatorTable"
 ) -> tuple[dict[int, GradedMatrix], dict[int, GradedMatrix], dict[int, GradedMatrix]]:
     """Chevalley triples (e, f, h) built from the odd generators A, with the
     anticommutators read from ``anti = anticommutator_table(A)``.
@@ -390,21 +394,20 @@ def q2_rank(vectors: Iterable[dict]) -> int:
 # --------------------------------------------------------------------------
 
 
-AnticommutatorTable = dict[tuple[tuple[int, int], tuple[int, int]], GradedMatrix]
+AnticommutatorTable = dict[tuple[Key, Key], GradedMatrix]
 
 
 def anticommutator_table(
-    A: dict[tuple[int, int], GradedMatrix]
+    A: dict[Key, GradedMatrix]
 ) -> AnticommutatorTable:
     """{A[a], A[b]} for every ordered pair (a, b) of generator keys.
 
-    The relation sweeps read each anticommutator from here: the
-    quadrilinear sweep uses two per instance over (2n)^4 instances, but
-    only (2n)^2 distinct ones exist.  The table is symmetric: (a, b) and
-    (b, a) hold one object, built once, because {x, y} = xy + yx = {y, x}
-    holds exactly for any matrices, so the mirrored product would add the
-    same entries.  The table is built from the given generators, so a
-    corrupted set reaches every instance.
+    The relation sweeps read each of the (2n)^2 anticommutators from here.
+    The table is symmetric: (a, b) and (b, a) hold one object, built once,
+    because {x, y} = xy + yx = {y, x} holds exactly for any matrices, so
+    the mirrored product would add the same entries; the quadrilinear
+    sweep's orbits rest on it.  The table is built from the given
+    generators, so a corrupted set reaches every instance.
     """
     keys = list(A)
     table: AnticommutatorTable = {}
@@ -414,67 +417,51 @@ def anticommutator_table(
     return table
 
 
+def _instance_id(family: str, n: int, keys: tuple[Key, ...]) -> str:
+    """The row id of one instance: "C21[n=2,i=1,j=2,k=2,xi=+,eta=+,eps=-]",
+    the modes named i, j, k, l and then the signs xi, eta, eps, phi."""
+    modes = ",".join(f"{m}={i}" for m, (i, _) in zip("ijkl", keys))
+    signs = ",".join(
+        f"{name}={SIGN_STR[s]}" for name, (_, s) in zip(("xi", "eta", "eps", "phi"), keys)
+    )
+    return f"{family}[n={n},{modes},{signs}]"
+
+
 def pbose_residual(
-    A: dict[tuple[int, int], GradedMatrix],
-    anti: AnticommutatorTable,
-    i: int,
-    xi: int,
-    j: int,
-    eta: int,
-    k: int,
-    eps: int,
+    A: dict[Key, GradedMatrix], anti: AnticommutatorTable, a: Key, b: Key, c: Key
 ) -> GradedMatrix:
-    """Residual of the trilinear paraboson relation
+    """Residual of the trilinear paraboson relation, for the keys
+    a = (i, xi), b = (j, eta), c = (k, eps),
 
         [{A_i^xi, A_j^eta}, A_k^eps]
             = (eps - eta) delta_{jk} A_i^xi + (eps - xi) delta_{ik} A_j^eta,
 
     with the anticommutator read from ``anti = anticommutator_table(A)``.
     """
-    lhs = supercommutator(anti[(i, xi), (j, eta)], A[(k, eps)])
+    (i, xi), (j, eta), (k, eps) = a, b, c
+    lhs = supercommutator(anti[a, b], A[c])
     out = dict(lhs.entries)
     if j == k and eps != eta:
-        _scaled_into(out, A[(i, xi)], eta - eps)
+        _scaled_into(out, A[a], eta - eps)
     if i == k and eps != xi:
-        _scaled_into(out, A[(j, eta)], xi - eps)
+        _scaled_into(out, A[b], xi - eps)
     return GradedMatrix(lhs.n, out)
 
 
 def pbose_relation_checks(
-    A: dict[tuple[int, int], GradedMatrix], anti: AnticommutatorTable, n: int
+    A: dict[Key, GradedMatrix], anti: AnticommutatorTable, n: int
 ) -> list[CheckResult]:
     """All instances of the trilinear paraboson relation (id prefix C21),
     with ``anti = anticommutator_table(A)``."""
-    out: list[CheckResult] = []
-    signs = (+1, -1)
-    for i in range(1, n + 1):
-        for xi in signs:
-            for j in range(1, n + 1):
-                for eta in signs:
-                    for k in range(1, n + 1):
-                        for eps in signs:
-                            out.append(residual_row(
-                                f"C21[n={n},i={i},j={j},k={k},"
-                                f"xi={SIGN_STR[xi]},eta={SIGN_STR[eta]},"
-                                f"eps={SIGN_STR[eps]}]",
-                                pbose_residual(A, anti, i, xi, j, eta, k, eps),
-                            ))
-    return out
+    return [
+        residual_row(_instance_id("C21", n, keys), pbose_residual(A, anti, *keys))
+        for keys in product(generator_keys(n), repeat=3)
+    ]
 
 
-def sp2n_residual(
-    anti: AnticommutatorTable,
-    brackets: dict,
-    i: int,
-    xi: int,
-    j: int,
-    eta: int,
-    k: int,
-    eps: int,
-    l: int,
-    phi: int,
-) -> GradedMatrix:
-    """Residual of the quadrilinear relation among anticommutators,
+def sp2n_residual(anti: AnticommutatorTable, a: Key, b: Key, c: Key, d: Key) -> GradedMatrix:
+    """Residual of the quadrilinear relation among anticommutators, for the
+    keys a = (i, xi), b = (j, eta), c = (k, eps), d = (l, phi),
 
         [{A_i^xi, A_j^eta}, {A_k^eps, A_l^phi}]
             = (eps - eta) delta_{jk} {A_i^xi, A_l^phi}
@@ -483,21 +470,11 @@ def sp2n_residual(
             + (phi - xi)  delta_{il} {A_j^eta, A_k^eps},
 
     i.e. the sp(2n) structure of the even part, with every anticommutator
-    read from ``anti = anticommutator_table(A)``.  ``brackets`` is the
-    caller's table of left sides [X, Y], keyed by the indices
-    (i, xi, j, eta, k, eps, l, phi): an instance takes out the filed
-    mirror [Y, X] and negates it, as [Y, X] = -[X, Y] holds exactly, or
-    builds [X, Y] and files it for its mirror.  A sweep over all ordered
-    pairs so multiplies each unordered pair once.  The right side's terms
-    are summed into the same entries, so the instance builds one matrix.
+    read from ``anti = anticommutator_table(A)``.  The right side's terms
+    are summed into the left side's entries, so it builds one matrix.
     """
-    a, b, c, d = (i, xi), (j, eta), (k, eps), (l, phi)
-    mirror = brackets.pop((k, eps, l, phi, i, xi, j, eta), None)
-    if mirror is None:
-        brackets[i, xi, j, eta, k, eps, l, phi] = lhs = commutator(anti[a, b], anti[c, d])
-        out = dict(lhs.entries)
-    else:
-        out = {key: -v for key, v in mirror.entries.items()}
+    (i, xi), (j, eta), (k, eps), (l, phi) = a, b, c, d
+    out = dict(commutator(anti[a, b], anti[c, d]).entries)
     if j == k and eps != eta:
         _scaled_into(out, anti[a, d], eta - eps)
     if i == k and eps != xi:
@@ -511,27 +488,27 @@ def sp2n_residual(
 
 def sp2n_relation_checks(anti: AnticommutatorTable, n: int) -> list[CheckResult]:
     """All instances of the quadrilinear relation (id prefix C28), with
-    ``anti = anticommutator_table(A)``, sharing one table of left sides."""
+    ``anti = anticommutator_table(A)``.
+
+    Each residual is built once per orbit.  With X the pair (a, b) sorted
+    and Y the pair (c, d) sorted, the instances with one {X, Y} share the
+    residual of the instance X + Y (X <= Y), read negated when X > Y.  That
+    is exact for any generators, given a table from anticommutator_table:
+    anti[a, b] and anti[b, a] are one object and the right side is
+    symmetric under a <-> b and c <-> d, while [Y, X] = -[X, Y] and the
+    right side of (c, d, a, b) is minus that of (a, b, c, d).
+    """
     out: list[CheckResult] = []
-    brackets: dict = {}
-    signs = (+1, -1)
-    modes = range(1, n + 1)
-    for i in modes:
-        for xi in signs:
-            for j in modes:
-                for eta in signs:
-                    for k in modes:
-                        for eps in signs:
-                            for l in modes:
-                                for phi in signs:
-                                    out.append(residual_row(
-                                        f"C28[n={n},i={i},j={j},k={k},l={l},"
-                                        f"xi={SIGN_STR[xi]},eta={SIGN_STR[eta]},"
-                                        f"eps={SIGN_STR[eps]},phi={SIGN_STR[phi]}]",
-                                        sp2n_residual(
-                                            anti, brackets, i, xi, j, eta, k, eps, l, phi
-                                        ),
-                                    ))
+    held: dict = {}  # orbit -> its residual
+    for keys in product(generator_keys(n), repeat=4):
+        a, b, c, d = keys
+        x = (a, b) if a <= b else (b, a)
+        y = (c, d) if c <= d else (d, c)
+        orbit = (x, y) if x <= y else (y, x)
+        res = held.get(orbit)
+        if res is None:
+            res = held[orbit] = sp2n_residual(anti, *orbit[0], *orbit[1])
+        out.append(residual_row(_instance_id("C28", n, keys), res if x <= y else -res))
     return out
 
 
@@ -613,54 +590,34 @@ def serre_checks(
 
 
 def membership_checks(
-    A: dict[tuple[int, int], GradedMatrix], anti: AnticommutatorTable, n: int
+    A: dict[Key, GradedMatrix], anti: AnticommutatorTable, n: int
 ) -> list[CheckResult]:
     """Block-structure membership for generators and their anticommutators,
     with ``anti = anticommutator_table(A)``."""
+    violated = "block constraints violated"
     out: list[CheckResult] = []
-    for (i, s), mat in sorted(A.items(), key=lambda kv: (kv[0][0], -kv[0][1])):
-        ok = mat.in_osp() and mat.grade == 1
-        out.append(
-            CheckResult(
-                f"MEM.gen[n={n},i={i},sign={SIGN_STR[s]}]",
-                ok,
-                None,
-                "" if ok else "block constraints violated",
-            )
-        )
-    signs = (+1, -1)
-    for i in range(1, n + 1):
-        for xi in signs:
-            for j in range(1, n + 1):
-                for eta in signs:
-                    ok = anti[(i, xi), (j, eta)].in_osp()
-                    out.append(
-                        CheckResult(
-                            f"MEM.pair[n={n},i={i},j={j},"
-                            f"xi={SIGN_STR[xi]},eta={SIGN_STR[eta]}]",
-                            ok,
-                            None,
-                            "" if ok else "block constraints violated",
-                        )
-                    )
+    for i, s in generator_keys(n):
+        ok = A[i, s].in_osp() and A[i, s].grade == 1
+        out.append(CheckResult(
+            f"MEM.gen[n={n},i={i},sign={SIGN_STR[s]}]", ok, None, "" if ok else violated
+        ))
+    for keys in product(generator_keys(n), repeat=2):
+        ok = anti[keys].in_osp()
+        out.append(CheckResult(
+            _instance_id("MEM.pair", n, keys), ok, None, "" if ok else violated
+        ))
     return out
 
 
 def span_checks(
-    A: dict[tuple[int, int], GradedMatrix], anti: AnticommutatorTable, n: int
+    A: dict[Key, GradedMatrix], anti: AnticommutatorTable, n: int
 ) -> list[CheckResult]:
     """Span dimensions: odd generators plus anticommutators give 2n^2 + 3n;
     the mixed anticommutators {A_i^-, A_j^+} alone give an n^2-dimensional
     gl(n).  ``anti = anticommutator_table(A)``."""
-    signs = (+1, -1)
-    vectors = [A[(i, s)].entries for i in range(1, n + 1) for s in signs]
-    vectors += [
-        anti[(i, xi), (j, eta)].entries
-        for i in range(1, n + 1)
-        for xi in signs
-        for j in range(1, n + 1)
-        for eta in signs
-    ]
+    keys = generator_keys(n)
+    vectors = [A[key].entries for key in keys]
+    vectors += [anti[pair].entries for pair in product(keys, repeat=2)]
     rank = q2_rank(vectors)
     expected = 2 * n * n + 3 * n
     out = [
@@ -689,7 +646,7 @@ def span_checks(
 
 
 def chain_checks(
-    A: dict[tuple[int, int], GradedMatrix],
+    A: dict[Key, GradedMatrix],
     e: dict[int, GradedMatrix],
     f: dict[int, GradedMatrix],
     n: int,

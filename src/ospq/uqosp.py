@@ -15,7 +15,7 @@ which build_chevalley_from_pre writes over A and L.
 
 The expression layer is a small immutable AST (GenExpr) on the U_q side of
 phi only, with leaves for the generators e, f, k, A, L and nodes for
-products, weighted sums and the brackets [u, v]_x = uv + sign x vu, x a
+products, weighted sums and the bracket [u, v]_x = uv + sign x vu, x a
 power of s = q^{1/2}: QBracket (sign -1) and AntiComm (sign +1, x = 1).
 
 The relation catalog covers:
@@ -47,6 +47,7 @@ from .ospclassic import (
     anticommutator_table,
     cartan_h_upper,
     cartan_matrix,
+    generator_keys,
     parabose_set,
     pbose_residual,
 )
@@ -132,7 +133,7 @@ class Sum(GenExpr):
 @dataclass(frozen=True)
 class QBracket(GenExpr):
     """[u, v]_x = uv - x vu with x = s^{s_exp} (s_exp = 0 is the plain
-    commutator, s_exp = +-2 the brackets deformed by q^{+-1}); the class
+    commutator, s_exp = +-2 the commutators deformed by q^{+-1}); the class
     constant sign = -1 is not a field, so repr and hash read the fields only."""
 
     left: GenExpr
@@ -460,12 +461,11 @@ def _serre_instances(n: int) -> list[RelationInstance]:
 
 
 def _ladder_tables(n: int) -> tuple[dict, dict]:
-    """(A, anti): A[(i, xi)] is the leaf A_i^xi and anti[(a, b)] is
-    {A[a], A[b]} for every ordered pair of keys.  The PRE and T builders read
-    each ladder leaf and anticommutator here, as the classical sweeps read
-    ospclassic.anticommutator_table, so a catalog holds one object for each
-    of the (2n)^2 anticommutators rather than one per use."""
-    A = {(i, s): Gen("A", i, s) for i in range(1, n + 1) for s in (+1, -1)}
+    """(A, anti): A[(i, xi)] is the leaf A_i^xi and anti[(a, b)] is {A[a],
+    A[b]} for every ordered pair of keys.  The PRE and T builders read each
+    ladder leaf and anticommutator here, as the classical sweeps read
+    anticommutator_table, so a catalog holds one object per anticommutator."""
+    A = {key: Gen("A", *key) for key in generator_keys(n)}
     return A, {(a, b): AntiComm(A[a], A[b]) for a in A for b in A}
 
 
@@ -1000,18 +1000,18 @@ def classical_limit_checks(n: int, rules: Rules = DEFAULT_RULES) -> list[CheckRe
         if inst.family not in ("PRE4", "PRE5"):
             continue
         leaves = (inst.lhs.left.left, inst.lhs.left.right, inst.lhs.right)
-        pattern = tuple(x for leaf in leaves for x in (leaf.index, leaf.exp))
+        keys = [(leaf.index, leaf.exp) for leaf in leaves]
         lhs_one = _image_at_one(realize(inst.lhs, n, rules))
         rhs_one = _image_at_one(realize(inst.rhs, n, rules))
         if lhs_one is None or rhs_one is None:
             why = "; pole at s=1"
         elif lhs_one != rhs_one:
             why = "; images differ at s=1"
-        elif not pbose_residual(A, anti, *pattern).is_zero():
+        elif not pbose_residual(A, anti, *keys).is_zero():
             why = "; classical matrix residual nonzero"
         else:
             why = ""
-        a, x, b, y, c, z = pattern
+        (a, x), (b, y), (c, z) = keys
         out.append(
             CheckResult(
                 f"LIM.{inst.id}", not why, None,

@@ -466,6 +466,15 @@ def test_guard_script_reports_each_child(monkeypatch):
         row = guard.run(args)
         assert row["argv"] == ["ospq", *args] and row["exit"] == code
         assert row["wall_s"] > 0 and row["max_rss_mb"] > 0
+    assert guard.REPEATS == 3
+    runs = [{"argv": ["ospq", "x"], "exit": code, "wall_s": wall, "max_rss_mb": rss}
+            for code, wall, rss in ((0, 2.0, 30.0), (1, 1.0, 20.0), (0, 4.0, 25.0))]
+    assert guard.summarize(runs) == {
+        "argv": ["ospq", "x"], "exit": [0, 1, 0],
+        "wall_s": 2.0, "wall_s_range": [1.0, 4.0],
+        "max_rss_mb": 25.0, "max_rss_mb_range": [20.0, 30.0],
+    }
+    assert guard.summarize(runs[::2])["exit"] == 0
 
 
 def test_rep_at_the_size_guard_passes_in_a_child():

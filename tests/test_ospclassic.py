@@ -17,6 +17,7 @@ from ospq.ospclassic import (
     chevalley_from_table,
     classical_parabose,
     commutator,
+    generator_keys,
     parabose_from_chevalley,
     parabose_set,
     pbose_relation_checks,
@@ -37,6 +38,16 @@ def _corrupt_plus2(n: int = 2) -> dict:
     ent[(2, 0)] = -ent[(2, 0)]
     A[(2, +1)] = GradedMatrix(n, ent)
     return A
+
+
+def _random_odd(n: int) -> dict:
+    """Seeded random odd matrices: the table's symmetries are the only ones
+    they share, so nearly every C21 and C28 row has a nonzero residual."""
+    rng = random.Random(3119 + n)
+    def entry():
+        return Q2(rng.randint(-4, 4), rng.randint(-4, 4))
+    odd = [(0, r) for r in range(1, 2 * n + 1)] + [(r, 0) for r in range(1, 2 * n + 1)]
+    return {key: GradedMatrix(n, {e: entry() for e in odd}) for key in generator_keys(n)}
 
 
 # ---------------------------------------------------------------------------
@@ -178,6 +189,7 @@ def _reference_rows(A: dict, n: int) -> list:
 @pytest.mark.parametrize("n, gens", [
     (1, parabose_set), (2, parabose_set), (3, parabose_set),
     (2, _corrupt_plus2), (3, _corrupt_plus2),  # there is no A_2^+ at n = 1
+    (2, _random_odd), (3, _random_odd),
 ])
 def test_relation_tables_match_reference_rows(n, gens):
     A = gens(n)
@@ -187,6 +199,30 @@ def test_relation_tables_match_reference_rows(n, gens):
     want = [(r.id, r.ok, r.residual, r.detail) for r in _reference_rows(A, n)]
     assert got == want
     assert all(ok for _, ok, _, _ in got) == (gens is parabose_set)
+    if gens is _random_odd:
+        # all but the rows that vanish for any odd set, such as C28's [X, X]
+        assert sum(not ok for _, ok, _, _ in got) > 0.85 * len(got)
+
+
+def test_generator_keys_order():
+    assert generator_keys(2) == [(1, +1), (1, -1), (2, +1), (2, -1)]
+    assert list(parabose_set(3)) == generator_keys(3)
+
+
+@pytest.mark.parametrize("n, orbits", [(1, 6), (3, 231), (5, 1540)])
+def test_sp2n_sweep_builds_each_residual_once_per_orbit(n, orbits, monkeypatch):
+    # an orbit is an unordered pair of unordered key pairs: with p = n(2n + 1)
+    # unordered key pairs there are p(p + 1)/2 of them among the (2n)^4 rows
+    calls = []
+    build = ospclassic.sp2n_residual
+    def counted(*args):
+        calls.append(args[1:])  # the keys; args[0] is the table
+        return build(*args)
+    monkeypatch.setattr(ospclassic, "sp2n_residual", counted)
+    rows = sp2n_relation_checks(anticommutator_table(parabose_set(n)), n)
+    p = n * (2 * n + 1)
+    assert len(rows) == 16 * n**4
+    assert len(calls) == len(set(calls)) == orbits == p * (p + 1) // 2
 
 
 def test_graded_jacobi_identity():
