@@ -3,17 +3,20 @@
 `rep` also runs at (16, 2), the largest n the guard admits (65,536
 states), where the relation patterns come from the largest catalog.
 
-    python3 scripts/guard_commands.py
+    python3 scripts/guard_commands.py [SRC ...]
 
-Run from anywhere; the program is imported from this checkout's `src/`.
-Each command runs REPEATS times in a row, each time in a child process with
-its standard output discarded.  For each command the script prints one JSON
-line: the argv, the exit code, the median wall seconds and the median peak
-resident set size in MB of the children (ru_maxrss from os.wait4), each
-with its [min, max] over the repeats.  When a command's exit codes differ
-between repeats, "exit" lists them all and a last line names the command.
-It records and gates nothing: a command that exits 1 is reported like any
-other.
+Run from anywhere.  Each SRC is a `src/` directory to import the program
+from (default: this checkout's), so trees can be compared in one run.  Each
+command runs REPEATS times on every tree, each time in a child process with
+its standard output discarded.  Within a repeat the trees run in turn, and
+the tree that goes first rotates between repeats, so drift on a shared
+machine falls on every tree alike.  For each command and tree the script
+prints one JSON line: the tree, the argv, the exit code, the median wall
+seconds and the median peak resident set size in MB of the children
+(ru_maxrss from os.wait4), each with its [min, max] over the repeats.  When
+a command's exit codes differ between repeats, "exit" lists them all and a
+last line names the tree and the command.  It records and gates nothing: a
+command that exits 1 is reported like any other.
 """
 
 from __future__ import annotations
@@ -44,10 +47,11 @@ COMMANDS = (
 )
 
 
-def run(args: tuple[str, ...]) -> dict:
-    """Run `ospq <args>` in a child and measure it."""
+def run(args: tuple[str, ...], src: Path = SRC) -> dict:
+    """Run `ospq <args>` in a child that imports the program from src, and
+    measure it."""
     path = os.environ.get("PYTHONPATH")
-    env = dict(os.environ, PYTHONPATH=f"{SRC}{os.pathsep}{path}" if path else str(SRC))
+    env = dict(os.environ, PYTHONPATH=f"{src}{os.pathsep}{path}" if path else str(src))
     argv = [sys.executable, "-m", "ospq.cli", *args]
     start = time.perf_counter()
     child = subprocess.Popen(argv, env=env, stdout=subprocess.DEVNULL)
@@ -73,16 +77,22 @@ def summarize(runs: list[dict]) -> dict:
     return row
 
 
-def main() -> None:
+def main(trees: list[Path]) -> None:
     differ = []
     for args in COMMANDS:
-        row = summarize([run(args) for _ in range(REPEATS)])
-        print(json.dumps(row), flush=True)
-        if isinstance(row["exit"], list):
-            differ.append(" ".join(row["argv"]))
+        runs: list[list[dict]] = [[] for _ in trees]
+        for repeat in range(REPEATS):
+            for t in range(len(trees)):
+                tree = (t + repeat) % len(trees)
+                runs[tree].append(run(args, trees[tree]))
+        for tree, tree_runs in zip(trees, runs):
+            row = {"tree": str(tree), **summarize(tree_runs)}
+            print(json.dumps(row), flush=True)
+            if isinstance(row["exit"], list):
+                differ.append(f"{tree}: {' '.join(row['argv'])}")
     for argv in differ:
         print(f"exit codes differ between repeats: {argv}")
 
 
 if __name__ == "__main__":
-    main()
+    main([Path(arg).resolve() for arg in sys.argv[1:]] or [SRC])

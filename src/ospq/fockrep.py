@@ -27,9 +27,9 @@ The gl(n) root vectors act as
 
 and preserve the total number m_1+...+m_n, so the space splits into
 n(k-1)+1 blocks; each block carries an irreducible gl(n) action (checked
-operationally as strong connectivity along the nonzero weights), with
-dimension given both by the coefficient of x^m in ((1-x^k)/(1-x))^n and by
-the matching multinomial sum.
+operationally as strong connectivity along edge masks, the nonzero weights
+of the root vectors inside their block), with dimension given both by the
+coefficient of x^m in ((1-x^k)/(1-x))^n and by the matching multinomial sum.
 
 Operators are weighted shifts {d: w}: |col> goes to sum_d w_d[col] |col + d>,
 with w_d zero wherever col + d leaves the space, so every letter is one shift.
@@ -38,19 +38,20 @@ monomial of a normal form, an explicit gl root vector -- is one product.
 Every check reads the shifts; the matrix objects and the CSV export list
 their nonzero weights as (row, col) entries.  One FockSpace per shape (held
 by fock_space for the most recent shape only) keeps the occupation digits,
-the letters and the gl(n) decomposition.  A relation of the catalog never
-changes the occupation of a mode it does not touch, and reaches such a mode
-only through the phases above, so check_matrix_relations reads each
-relation on the space of its touched modes S alone and scales the residual
-by sqrt(k^(n-|S|)) back to k^n.  The leaves and monomials an evaluation
-builds are kept in a plain dict memo that is dropped on return:
-check_matrix_relations shares one across all its patterns, and every other
-caller passes a fresh one per expression.
+the letters and the gl(n) decomposition.  A relation of the catalog, like
+either form of a gl root vector, never changes the occupation of a mode it
+does not touch, and reaches such a mode only through the phases above, so
+check_matrix_relations and the DEC.root_form rows read each on the space of
+its touched modes S alone and scale the residual by sqrt(k^(n-|S|)) back to
+k^n.  The leaves and monomials an evaluation builds are kept in a plain dict
+memo that is dropped on return: check_matrix_relations shares one across all
+its patterns, and every other caller passes a fresh one per expression.
 """
 
 from __future__ import annotations
 
 import cmath
+import itertools
 import math
 import re
 from dataclasses import dataclass
@@ -209,9 +210,9 @@ def _cmul(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     numpy's complex x * y and x * c equal this only with its AVX2/AVX-512
     loops off (NPY_DISABLE_CPU_FEATURES="X86_V3 X86_V4 AVX512_ICL
     AVX512_SPR").  _sum still scales by numpy's `*` and _residual takes
-    np.abs, so the MAT and DEC.root_form residual bits still follow numpy's
-    CPU dispatch; routing both through _cmul and _modulus would remove that,
-    at a cost per check_matrix_relations call."""
+    np.abs, so the bits of the MAT and DEC.root_form residuals, each read on
+    the touched modes and scaled, still follow numpy's CPU dispatch; routing
+    both through _cmul and _modulus would remove that, at a cost per call."""
     out = np.empty_like(x)
     re = np.multiply(x.real, y.real, out=out.real)
     re -= x.imag * y.imag
@@ -520,13 +521,19 @@ def check_matrix_relations(
             sym_rhs = _matrix_of_weyl(pattern.rhs_terms, space, memo)
             res = residuals[pattern] = max(
                 _residual(lhs, rhs), _residual(sym_lhs, lhs), _residual(sym_rhs, rhs))
-        spectators = n - pattern.n
-        res *= math.sqrt(k**spectators)
-        detail = f"matrix residual on modes {','.join(map(str, modes))} of {n}"
-        if spectators:
-            detail += f", x sqrt(k^{spectators})"
+        res, detail = _on_modes("matrix residual", res, modes, n, k)
         out.append(CheckResult(f"MAT.{inst.id}[k={k}]", res < RESIDUAL_TOL, res, detail))
     return out
+
+
+def _on_modes(what: str, res: float, modes: Sequence[int], n: int, k: int) -> tuple[float, str]:
+    """A residual read on the space of the touched modes, scaled by
+    sqrt(k^(n-|modes|)) back to k^n, and the row detail that says so."""
+    spectators = n - len(modes)
+    detail = f"{what} on modes {','.join(map(str, modes))} of {n}"
+    if spectators:
+        detail += f", x sqrt(k^{spectators})"
+    return res * math.sqrt(k**spectators), detail
 
 
 # ---------------------------------------------------------------------------
@@ -624,18 +631,11 @@ def decompose_gl(n: int, k: int) -> GlDecomposition:
     return fock_space(n, k).decomposition
 
 
-def _connected_blocks(ops: list[Op], labels: np.ndarray) -> np.ndarray:
+def _connected_blocks(edges: list[tuple[int, np.ndarray]], labels: np.ndarray) -> np.ndarray:
     """For every block label b, whether the basis vectors labelled b form one
-    strongly connected component along the nonzero weights (col -> col + d)
-    inside their block: searches from the smallest of them, along the edges
-    and against them, both reach all of them."""
-    edges = []  # (d, has): an edge col -> col + d wherever has[col]
-    for op in ops:
-        for d, w in op.items():
-            has = _modulus(w) > STRUCTURAL_TOL
-            cols = np.flatnonzero(has)
-            has[cols] = labels[cols] == labels[cols + d]
-            edges.append((d, has))
+    strongly connected component along the edges (d, has), col -> col + d
+    wherever has[col], each inside its block: searches from the smallest of
+    them, along the edges and against them, both reach all of them."""
     # has is False wherever col + d leaves the space, so a roll wraps no edge in
     reverse = [(-d, np.roll(has, d)) for d, has in edges]
     starts = np.unique(labels, return_index=True)[1]
@@ -657,27 +657,18 @@ def _connected_blocks(ops: list[Op], labels: np.ndarray) -> np.ndarray:
 
 
 def check_decomposition(n: int, k: int) -> list[CheckResult]:
-    """Block structure, dimension oracles, invariance, and connectivity."""
+    """Dimension oracles, invariance, root forms and connectivity.  Both forms
+    of e_ij touch modes i and j alone, so the root form is read on two modes,
+    once for i < j and once for i > j, and scaled back to k^n.  Each explicit
+    root vector is built on k^n once, read for its leak and kept only as its
+    edge mask: its weights of modulus above STRUCTURAL_TOL inside the block."""
     space = fock_space(n, k)
-    dec = space.decomposition
+    labels = space.labels
+    blocks = space.decomposition.blocks
     out: list[CheckResult] = []
-    expected_blocks = n * (k - 1) + 1
-    out.append(
-        CheckResult(
-            f"DEC.blocks[n={n},k={k}]", len(dec.blocks) == expected_blocks, None,
-            f"{len(dec.blocks)} blocks, expected {expected_blocks}",
-        )
-    )
-    total = sum(b.dim for b in dec.blocks)
-    out.append(
-        CheckResult(
-            f"DEC.dimsum[n={n},k={k}]", total == k**n, None,
-            f"sum {total}, expected {k**n}",
-        )
-    )
     poly = block_dims_polynomial(n, k)
     multi = block_dims_multinomial(n, k)
-    for b in dec.blocks:
+    for b in blocks:
         ok = b.dim == poly[b.m] == multi[b.m]
         out.append(
             CheckResult(
@@ -685,18 +676,19 @@ def check_decomposition(n: int, k: int) -> list[CheckResult]:
                 f"basis {b.dim}, polynomial {poly[b.m]}, multinomial {multi[b.m]}",
             )
         )
-    # invariance: gl generators never connect different blocks
-    labels = space.labels
-    gl_ops = [
-        ((i, j), _gl_matrix_direct(i, j, space))
-        for i in range(1, n + 1)
-        for j in range(1, n + 1)
-        if i != j
-    ]
-    for (i, j), op in gl_ops:
-        ((d, w),) = op.items()
+    if n > 1:  # at n = 1 there is no root vector, and no pair space to build
+        pair = space if n == 2 else FockSpace(2, k)
+        root_form = {
+            a < b: _residual(_gl_matrix_direct(a, b, pair),
+                             _matrix_of_expr(build_gl_generator(2, a, b), pair, {}))
+            for a, b in ((1, 2), (2, 1))
+        }
+    edges = []
+    for i, j in itertools.permutations(range(1, n + 1), 2):
+        ((d, w),) = _gl_matrix_direct(i, j, space).items()
         cols = np.flatnonzero(w)
-        off_block = w[cols][labels[cols] != labels[cols + d]]
+        inside = labels[cols] == labels[cols + d]
+        off_block = w[cols[~inside]]
         leak = float(_modulus(off_block).max()) if off_block.size else 0.0
         out.append(
             CheckResult(
@@ -704,24 +696,24 @@ def check_decomposition(n: int, k: int) -> list[CheckResult]:
                 "off-block matrix entries",
             )
         )
-        # the explicit oscillator form must agree with the image of the
-        # symbolic root vector evaluated at the root
-        dev = _residual(op, _matrix_of_expr(build_gl_generator(n, i, j), space, {}))
+        dev, detail = _on_modes("explicit form vs realized root vector",
+                                root_form[i < j], sorted((i, j)), n, k)
         out.append(
-            CheckResult(
-                f"DEC.root_form[n={n},k={k},e={i},{j}]", dev < RESIDUAL_TOL, dev,
-                "explicit form vs realized root vector",
-            )
+            CheckResult(f"DEC.root_form[n={n},k={k},e={i},{j}]", dev < RESIDUAL_TOL, dev, detail)
         )
-    connected = _connected_blocks([op for _, op in gl_ops], labels)
-    for b in dec.blocks:
+        has = np.zeros(space.dim, dtype=bool)
+        has[cols] = inside & (_modulus(w[cols]) > STRUCTURAL_TOL)
+        edges.append((d, has))
+    connected = _connected_blocks(edges, labels)
+    for b in blocks:
         out.append(
             CheckResult(
                 f"DEC.connected[n={n},k={k},m={b.m}]", bool(connected[b.m]), None,
                 "strong connectivity under gl root vectors",
             )
         )
-    ladder = [space.letter((kind, mode, 0)) for mode in range(n) for kind in (AP, AM)]
+    ladder = [(d, _modulus(w) > STRUCTURAL_TOL) for mode in range(n) for kind in (AP, AM)
+              for d, w in space.letter((kind, mode, 0)).items()]
     out.append(
         CheckResult(
             f"OSP.connected[n={n},k={k}]",

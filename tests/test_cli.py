@@ -411,19 +411,19 @@ def test_decompose_json(capsys):
 
 
 def test_decompose_rows_without_residual_report_null(capsys):
-    # block counts, dimensions and connectivity compute no residual: they
-    # report null, and the text rows of `rep` print "-"
+    # dimensions and connectivity compute no residual: they report null, and
+    # the text rows of `rep` print "-"
     argv = ("--n", "2", "--k", "3")
     doc = json.loads(run_main(capsys, "decompose", *argv, "--format", "json")[1])
     null_ids = [r["id"] for r in doc["results"] if r["residual"] is None]
-    assert len(null_ids) == 13
+    assert len(null_ids) == 11
     assert {i.split("[")[0] for i in null_ids} == {
-        "DEC.blocks", "DEC.dimsum", "DEC.dim", "DEC.connected", "OSP.connected"
+        "DEC.dim", "DEC.connected", "OSP.connected"
     }
     assert all(isinstance(r["residual"], float) for r in doc["results"]
                if r["id"] not in null_ids)
     text = run_main(capsys, "rep", *argv)[1]
-    assert "pass  DEC.dimsum[n=2,k=3]  -  sum 9, expected 9" in text
+    assert "pass  DEC.dim[n=2,k=3,m=2]  -  basis 3, polynomial 3, multinomial 3" in text
     assert "exact-zero" not in text
 
 
@@ -475,6 +475,28 @@ def test_guard_script_reports_each_child(monkeypatch):
         "max_rss_mb": 25.0, "max_rss_mb_range": [20.0, 30.0],
     }
     assert guard.summarize(runs[::2])["exit"] == 0
+
+
+def test_guard_script_interleaves_the_trees(monkeypatch, capsys):
+    monkeypatch.syspath_prepend(str(SRC.parent / "scripts"))
+    guard = importlib.import_module("guard_commands")
+    calls = []
+
+    def fake_run(args, src):
+        calls.append((args, src.name))
+        return {"argv": ["ospq", *args], "exit": 0, "wall_s": 1.0, "max_rss_mb": 10.0}
+
+    monkeypatch.setattr(guard, "run", fake_run)
+    monkeypatch.setattr(guard, "COMMANDS", (("x",), ("y",)))
+    guard.main([Path("parent"), Path("change")])
+    # each repeat runs both trees, and the first tree alternates
+    assert calls == [(args, tree) for args in (("x",), ("y",))
+                     for tree in ("parent", "change", "change", "parent", "parent", "change")]
+    lines = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+    assert [(row["tree"], row["argv"]) for row in lines] == [
+        ("parent", ["ospq", "x"]), ("change", ["ospq", "x"]),
+        ("parent", ["ospq", "y"]), ("change", ["ospq", "y"]),
+    ]
 
 
 def test_rep_at_the_size_guard_passes_in_a_child():

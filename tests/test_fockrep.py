@@ -15,13 +15,14 @@ import subprocess
 import sys
 import time
 import weakref
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from ospq import fockrep, uqosp
-from ospq.cli import _export_labels
+from ospq.cli import _export_labels, main
 from ospq.fockrep import (
     block_dims_multinomial,
     block_dims_polynomial,
@@ -685,7 +686,7 @@ def test_one_mode_decomposition_at_long_occupation_ranges_is_fast():
     t0 = time.perf_counter()
     rows = check_decomposition(1, 20000)
     elapsed = time.perf_counter() - t0
-    assert len(rows) == 2 * 20000 + 3 and all(r.ok for r in rows)
+    assert len(rows) == 2 * 20000 + 1 and all(r.ok for r in rows)
     assert elapsed < 10.0, f"check_decomposition(1, 20000) took {elapsed:.1f}s"
 
 
@@ -710,25 +711,36 @@ def test_strong_connectivity_needs_both_directions():
         labels[list(b.indices)] = b.m
     block = next(b for b in dec.blocks if b.m == 1)
     space = fockrep.fock_space(n, k)
-    one_way = [_gl_matrix_direct(1, 2, space)]
-    both = one_way + [_gl_matrix_direct(2, 1, space)]
+    one_way = _edges([_gl_matrix_direct(1, 2, space)], labels)
+    both = one_way + _edges([_gl_matrix_direct(2, 1, space)], labels)
     assert not _connected_blocks(one_way, labels)[block.m]
     assert _connected_blocks(both, labels)[block.m]
 
 
-def _connected_blocks_csgraph(ops, labels):
+def _edges(ops, labels):
+    """The edge masks check_decomposition reads: (d, has) with has[col] where
+    the weight has modulus above STRUCTURAL_TOL and col + d is in col's block."""
+    edges = []
+    for op in ops:
+        for d, w in op.items():
+            has = fockrep._modulus(w) > STRUCTURAL_TOL
+            cols = np.flatnonzero(has)
+            has[cols] = labels[cols] == labels[cols + d]
+            edges.append((d, has))
+    return edges
+
+
+def _connected_blocks_csgraph(edges, labels):
     """Reference verdicts: the same edges as a CSR graph, split into strongly
     connected components by scipy."""
     from scipy import sparse
     from scipy.sparse.csgraph import connected_components
     srcs = [np.empty(0, dtype=np.int64)]
     dsts = [np.empty(0, dtype=np.int64)]
-    for op in ops:
-        for d, w in op.items():
-            cols = np.flatnonzero(fockrep._modulus(w) > STRUCTURAL_TOL)
-            cols = cols[labels[cols] == labels[cols + d]]
-            srcs.append(cols)
-            dsts.append(cols + d)
+    for d, has in edges:
+        cols = np.flatnonzero(has)
+        srcs.append(cols)
+        dsts.append(cols + d)
     src = np.concatenate(srcs)
     adj = sparse.csr_matrix(
         (np.ones(len(src), dtype=np.int8), (src, np.concatenate(dsts))),
@@ -768,13 +780,215 @@ def test_connectivity_search_matches_csgraph():
             cases.append(([{d: w}, gl[2, 1]], labels))
         verdicts = []
         for ops, blocks in cases:
-            got = _connected_blocks(ops, blocks)
-            assert np.array_equal(got, _connected_blocks_csgraph(ops, blocks)), (n, k)
+            edges = _edges(ops, blocks)
+            got = _connected_blocks(edges, blocks)
+            assert np.array_equal(got, _connected_blocks_csgraph(edges, blocks)), (n, k)
             verdicts.append(got)
         assert verdicts[0].all() and verdicts[2].all()
         assert not verdicts[3].any()
         if n == 2:
             assert not verdicts[5][labels[col]] and verdicts[5].sum() == len(verdicts[5]) - 1
+
+
+def test_root_forms_are_evaluated_once_per_order_type(monkeypatch):
+    # both forms of e_ij touch modes i and j alone: the realized side is built
+    # on two modes, once for i < j and once for i > j, and never at n = 1
+    build = fockrep.build_gl_generator
+    calls = []
+
+    def counted(n, i, j):
+        calls.append((n, i, j))
+        return build(n, i, j)
+
+    monkeypatch.setattr(fockrep, "build_gl_generator", counted)
+    for n, k, expected in ((3, 4, [(2, 1, 2), (2, 2, 1)]), (5, 6, [(2, 1, 2), (2, 2, 1)]),
+                           (1, 5, [])):
+        calls.clear()
+        assert all(r.ok for r in check_decomposition(n, k))
+        assert calls == expected, (n, k)
+
+
+def test_connectivity_reads_boolean_edge_masks(monkeypatch):
+    search = fockrep._connected_blocks
+    seen = []
+
+    def spy(edges, labels):
+        seen.extend((type(d), has.dtype, has.shape) for d, has in edges)
+        return search(edges, labels)
+
+    monkeypatch.setattr(fockrep, "_connected_blocks", spy)
+    check_decomposition(3, 4)
+    # six root vectors and six ladder letters, one shift each
+    assert len(seen) == 12
+    assert set(seen) == {(int, np.dtype(bool), (4**3,))}
+
+
+def test_root_form_rows_name_the_modes_and_the_scale():
+    rows = {r.id: r for r in check_decomposition(4, 3)}
+    for e in ("1,3", "3,1"):
+        assert rows[f"DEC.root_form[n=4,k=3,e={e}]"].detail == (
+            "explicit form vs realized root vector on modes 1,3 of 4, x sqrt(k^2)")
+    rows = {r.id: r for r in check_decomposition(2, 3)}
+    assert rows["DEC.root_form[n=2,k=3,e=2,1]"].detail == (
+        "explicit form vs realized root vector on modes 1,2 of 2")
+
+
+def _scale_realized_root_vectors(monkeypatch, factor):
+    build = fockrep.build_gl_generator
+    monkeypatch.setattr(fockrep, "build_gl_generator",
+                        lambda n, i, j: uqosp.scaled(QFrac(factor), build(n, i, j)))
+
+
+@pytest.mark.parametrize("n,k", [(3, 4), (4, 5), (5, 6)])
+def test_root_forms_on_two_modes_equal_the_full_space_ones(monkeypatch, n, k):
+    # with the realized e_ij scaled by 1.01 the residuals are far from
+    # rounding: every row fails, and each equals, to rounding, the residual
+    # of the two forms on the whole space
+    _scale_realized_root_vectors(monkeypatch, Fraction(101, 100))
+    rows = [r for r in check_decomposition(n, k) if r.id.startswith("DEC.root_form")]
+    assert len(rows) == n * (n - 1)
+    space = fockrep.fock_space(n, k)
+    for r in rows:
+        i, j = map(int, re.search(r"e=(\d+),(\d+)", r.id).groups())
+        reference = fockrep._residual(
+            _gl_matrix_direct(i, j, space),
+            fockrep._matrix_of_expr(fockrep.build_gl_generator(n, i, j), space, {}))
+        assert not r.ok
+        assert abs(r.residual / reference - 1) < 1e-12, r.id
+
+
+# ---------------------------------------------------------------------------
+# every family `rep` and `decompose` report fails under a named mutation
+# ---------------------------------------------------------------------------
+
+
+def _scale_letter(monkeypatch, space, letter, factor, where):
+    """Multiply the weights of a letter of the space by factor wherever
+    where(digits) holds."""
+    ((d, w),) = space.letter(letter).items()
+    bad = w.copy()
+    bad[where(space.digits)] *= factor
+    monkeypatch.setitem(space.letters, letter, {d: bad})
+
+
+def _phase_step(monkeypatch, space):
+    letter = fockrep.FockSpace.letter
+
+    def shifted_letter(self, x):
+        op = letter(self, x)
+        step = cmath.exp(-1j * math.pi / self.k)
+        return {d: w * step for d, w in op.items()} if x[0] == AP else op
+
+    monkeypatch.setattr(fockrep.FockSpace, "letter", shifted_letter)
+
+
+def _conjugated_action(monkeypatch, space):
+    action = fockrep.fock_letter
+
+    def flipped(letter, m):
+        coeff, image = action(letter, m)
+        return coeff.conjugate(), image
+
+    monkeypatch.setattr(fockrep, "fock_letter", flipped)
+
+
+def _corrupted_rules(monkeypatch, space):
+    patterns = fockrep.relation_patterns
+    monkeypatch.setattr(fockrep, "relation_patterns",
+                        lambda n, rules: patterns(n, Rules.corrupted()))
+
+
+def _polynomial_off_by_one(monkeypatch, space):
+    poly = fockrep.block_dims_polynomial
+    monkeypatch.setattr(fockrep, "block_dims_polynomial",
+                        lambda n, k: [d + (m == 0) for m, d in enumerate(poly(n, k))])
+
+
+def _raising_root_vectors(monkeypatch, space):
+    # e_ij ~ a_j^+ a_i^+: raises the total number by two, so leaves its block
+    def raising(i, j, space):
+        word = ((AP, j - 1, 0), (AP, i - 1, 0))
+        return fockrep._sum([(-math.cos(math.pi / (2 * space.k)), space.word(word))])
+
+    monkeypatch.setattr(fockrep, "_gl_matrix_direct", raising)
+
+
+def _cut_e12_edge(monkeypatch, space):
+    # at n = 2 a block is a chain, so one missing step of e_12 cuts it
+    direct = fockrep._gl_matrix_direct
+
+    def cut(i, j, space):
+        op = direct(i, j, space)
+        if (i, j) != (1, 2):
+            return op
+        ((d, w),) = op.items()
+        w = w.copy()
+        w[np.flatnonzero(w)[0]] = 0
+        return {d: w}
+
+    monkeypatch.setattr(fockrep, "_gl_matrix_direct", cut)
+
+
+_MUTATIONS = {
+    "a1+ x1.001 at one state": lambda patch, space: _scale_letter(
+        patch, space, (AP, 0, 0), 1.001, lambda m: np.arange(len(m)) == 0),
+    "kappa1 x1.001 at one state": lambda patch, space: _scale_letter(
+        patch, space, (KA, 0, 1), 1.001, lambda m: np.arange(len(m)) == 0),
+    "a1- cut at m_1 = 1": lambda patch, space: _scale_letter(
+        patch, space, (AM, 0, 0), 0.0, lambda m: m[:, 0] == 1),
+    "a+ phases one step off": _phase_step,
+    "exact action conjugated": _conjugated_action,
+    "corrupted rewriting rules": _corrupted_rules,
+    "polynomial oracle off by one": _polynomial_off_by_one,
+    "e_ij raises mode i": _raising_root_vectors,
+    "realized e_ij x1.01": lambda patch, space: _scale_realized_root_vectors(
+        patch, Fraction(101, 100)),
+    "e_12 edge cut": _cut_e12_edge,
+}
+
+_FAMILY_MUTATION = {
+    "UNI.adjoint": "a1+ x1.001 at one state",
+    "UNI.diag": "kappa1 x1.001 at one state",
+    "WGT.kappa": "exact action conjugated",
+    "WGT.norm_ratio": "a1+ x1.001 at one state",
+    "WGT.phase": "a+ phases one step off",
+    "MAT": "corrupted rewriting rules",
+    "DEC.dim": "polynomial oracle off by one",
+    "DEC.invariant": "e_ij raises mode i",
+    "DEC.root_form": "realized e_ij x1.01",
+    "DEC.connected": "e_12 edge cut",
+    "OSP.connected": "a1- cut at m_1 = 1",
+}
+
+
+def _families(capsys, command, n, k):
+    """Every family the command reports at (n, k), with whether a row of it
+    fails; MAT rows form one family."""
+    main([command, "--n", str(n), "--k", str(k), "--format", "json"])
+    out: dict[str, bool] = {}
+    for row in json.loads(capsys.readouterr().out)["results"]:
+        family = "MAT" if row["id"].startswith("MAT.") else row["id"].split("[")[0]
+        out[family] = out.get(family, False) or row["status"] != "pass"
+    return out
+
+
+def test_every_representation_family_has_a_mutation(capsys):
+    emitted = set()
+    for command, n, k in (("rep", 2, 3), ("rep", 3, 4), ("decompose", 2, 3)):
+        families = _families(capsys, command, n, k)
+        assert not any(families.values()), (command, n, k)
+        emitted |= set(families)
+    assert set(_FAMILY_MUTATION) == emitted
+    assert set(_FAMILY_MUTATION.values()) == set(_MUTATIONS)
+
+
+@pytest.mark.parametrize("family", list(_FAMILY_MUTATION))
+def test_each_representation_family_fails_under_its_mutation(family, monkeypatch, capsys):
+    _MUTATIONS[_FAMILY_MUTATION[family]](monkeypatch, fockrep.fock_space(2, 3))
+    families = _families(capsys, "rep", 2, 3)
+    assert families[family], sorted(f for f, bad in families.items() if bad)
+    if family.startswith(("DEC.", "OSP.")):
+        assert _families(capsys, "decompose", 2, 3)[family]
 
 
 def _entries_csr(op, dim):
