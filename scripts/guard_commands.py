@@ -1,7 +1,8 @@
 """Time the guard commands: the `ospq` commands at the k^n <= 10^5 size guard.
 
-`rep` also runs at (16, 2), the largest n the guard admits (65,536
-states), where the relation patterns come from the largest catalog.
+`rep` and `decompose` also run at (16, 2), the largest n the guard admits
+(65,536 states), where the relation patterns come from the largest catalog
+and the decomposition has the most root vectors, 240.
 
     python3 scripts/guard_commands.py [SRC ...]
 
@@ -42,7 +43,7 @@ COMMANDS = (
     ("verify", "--n", "5"),
     *(("rep", "--n", str(n), "--k", str(k))
       for n, k in ((16, 2), (5, 10), (4, 17), (3, 46), (2, 316), (1, 3000))),
-    *(("decompose", "--n", str(n), "--k", str(k)) for n, k in ((5, 10), (1, 100000))),
+    *(("decompose", "--n", str(n), "--k", str(k)) for n, k in ((16, 2), (5, 10), (1, 100000))),
     ("normal-order", "--contract", WORD),
 )
 

@@ -27,9 +27,9 @@ The gl(n) root vectors act as
 
 and preserve the total number m_1+...+m_n, so the space splits into
 n(k-1)+1 blocks; each block carries an irreducible gl(n) action (checked
-operationally as strong connectivity along edge masks, the nonzero weights
-of the root vectors inside their block), with dimension given both by the
-coefficient of x^m in ((1-x^k)/(1-x))^n and by the matching multinomial sum.
+operationally as strong connectivity along the root vectors' edge masks,
+read on two modes), with dimension given both by the coefficient of x^m in
+((1-x^k)/(1-x))^n and by the matching multinomial sum.
 
 Operators are weighted shifts {d: w}: |col> goes to sum_d w_d[col] |col + d>,
 with w_d zero wherever col + d leaves the space, so every letter is one shift.
@@ -41,11 +41,12 @@ by fock_space for the most recent shape only) keeps the occupation digits,
 the letters and the gl(n) decomposition.  A relation of the catalog, like
 either form of a gl root vector, never changes the occupation of a mode it
 does not touch, and reaches such a mode only through the phases above, so
-check_matrix_relations and the DEC.root_form rows read each on the space of
-its touched modes S alone and scale the residual by sqrt(k^(n-|S|)) back to
-k^n.  The leaves and monomials an evaluation builds are kept in a plain dict
-memo that is dropped on return: check_matrix_relations shares one across all
-its patterns, and every other caller passes a fresh one per expression.
+check_matrix_relations reads each on the space of its touched modes S alone
+and scales the residual by sqrt(k^(n-|S|)) back to k^n, and
+check_decomposition reads every root-vector fact on two modes.  The leaves
+and monomials an evaluation builds are kept in a plain dict memo that is
+dropped on return: check_matrix_relations shares one across all its
+patterns, and every other caller passes a fresh one per expression.
 """
 
 from __future__ import annotations
@@ -465,9 +466,9 @@ def check_weights(n: int, k: int) -> list[CheckResult]:
         sq_dev = np.abs(modulus**2 - ratios[digits[cols, i - 1]])
         worst_amp = max(worst_amp, float(sq_dev.max()))
         prefix = digits[cols, : i - 1].sum(axis=1)
-        worst_phase = max(
-            worst_phase, float(_modulus(amp / modulus - phases[prefix]).max())
-        )
+        # a vanishing amplitude reads 0, a distance of one from any phase
+        unit = np.divide(amp, modulus, out=np.zeros_like(amp), where=modulus > 0)
+        worst_phase = max(worst_phase, float(_modulus(unit - phases[prefix]).max()))
     out.append(
         CheckResult(
             f"WGT.norm_ratio[n={n},k={k}]", worst_amp < BRIDGE_TOL, worst_amp,
@@ -658,12 +659,13 @@ def _connected_blocks(edges: list[tuple[int, np.ndarray]], labels: np.ndarray) -
 
 def check_decomposition(n: int, k: int) -> list[CheckResult]:
     """Dimension oracles, invariance, root forms and connectivity.  Both forms
-    of e_ij touch modes i and j alone, so the root form is read on two modes,
-    once for i < j and once for i > j, and scaled back to k^n.  Each explicit
-    root vector is built on k^n once, read for its leak and kept only as its
-    edge mask: its weights of modulus above STRUCTURAL_TOL inside the block."""
+    of e_ij touch modes i and j alone, so each order type (i < j, i > j) is
+    built once on two modes, for its root-form residual (scaled back to
+    k^n), its off-block leak and a k x k table of edges (weights of modulus
+    above STRUCTURAL_TOL inside the block) that the digits m_i, m_j spread
+    over k^n; no root vector is built on k^n."""
     space = fock_space(n, k)
-    labels = space.labels
+    labels, digits = space.labels, space.digits
     blocks = space.decomposition.blocks
     out: list[CheckResult] = []
     poly = block_dims_polynomial(n, k)
@@ -676,34 +678,31 @@ def check_decomposition(n: int, k: int) -> list[CheckResult]:
                 f"basis {b.dim}, polynomial {poly[b.m]}, multinomial {multi[b.m]}",
             )
         )
+    reads = {}  # i < j: root-form residual, leak and edge table on two modes
     if n > 1:  # at n = 1 there is no root vector, and no pair space to build
         pair = space if n == 2 else FockSpace(2, k)
-        root_form = {
-            a < b: _residual(_gl_matrix_direct(a, b, pair),
-                             _matrix_of_expr(build_gl_generator(2, a, b), pair, {}))
-            for a, b in ((1, 2), (2, 1))
-        }
+        for a, b in ((1, 2), (2, 1)):
+            op = _gl_matrix_direct(a, b, pair)
+            ((d, w),) = op.items()
+            cols = np.flatnonzero(w)
+            inside = pair.labels[cols] == pair.labels[cols + d]
+            leak = float(_modulus(w[cols[~inside]]).max(initial=0.0))
+            table = np.zeros(pair.dim, dtype=bool)
+            table[cols] = inside & (_modulus(w[cols]) > STRUCTURAL_TOL)
+            res = _residual(op, _matrix_of_expr(build_gl_generator(2, a, b), pair, {}))
+            reads[a < b] = res, leak, table
     edges = []
     for i, j in itertools.permutations(range(1, n + 1), 2):
-        ((d, w),) = _gl_matrix_direct(i, j, space).items()
-        cols = np.flatnonzero(w)
-        inside = labels[cols] == labels[cols + d]
-        off_block = w[cols[~inside]]
-        leak = float(_modulus(off_block).max()) if off_block.size else 0.0
-        out.append(
-            CheckResult(
-                f"DEC.invariant[n={n},k={k},e={i},{j}]", leak == 0.0, leak,
-                "off-block matrix entries",
-            )
-        )
-        dev, detail = _on_modes("explicit form vs realized root vector",
-                                root_form[i < j], sorted((i, j)), n, k)
+        res, leak, table = reads[i < j]
+        lo, hi = sorted((i, j))
+        out.append(CheckResult(f"DEC.invariant[n={n},k={k},e={i},{j}]", leak == 0.0, leak,
+                               "off-block matrix entries"))
+        dev, detail = _on_modes("explicit form vs realized root vector", res, (lo, hi), n, k)
         out.append(
             CheckResult(f"DEC.root_form[n={n},k={k},e={i},{j}]", dev < RESIDUAL_TOL, dev, detail)
         )
-        has = np.zeros(space.dim, dtype=bool)
-        has[cols] = inside & (_modulus(w[cols]) > STRUCTURAL_TOL)
-        edges.append((d, has))
+        pair_state = digits[:, lo - 1] * k + digits[:, hi - 1]
+        edges.append((k ** (n - j) - k ** (n - i), table[pair_state]))
     connected = _connected_blocks(edges, labels)
     for b in blocks:
         out.append(

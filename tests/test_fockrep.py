@@ -5,6 +5,7 @@ from __future__ import annotations
 import cmath
 import gc
 import hashlib
+import itertools
 import json
 import math
 import os
@@ -14,6 +15,7 @@ import re
 import subprocess
 import sys
 import time
+import warnings
 import weakref
 from fractions import Fraction
 from pathlib import Path
@@ -305,6 +307,20 @@ def test_weight_rows_fail_under_phase_mutations(monkeypatch):
     monkeypatch.setattr(fockrep, "fock_letter", flipped_action)
     for n, k in shapes:
         assert _failing_families(check_weights(n, k)) == {"WGT.kappa", "WGT.phase"}, (n, k)
+
+
+def test_weight_rows_fail_on_a_vanishing_amplitude(monkeypatch):
+    # a2+ cut at m_2 = 0: its amplitude there is 0, which reads as a phase
+    # of 0, one away from the expected one, and divides nothing by zero
+    for n, k in ((2, 3), (3, 4)):
+        _scale_letter(monkeypatch, fockrep.fock_space(n, k), (AP, 1, 0), 0.0,
+                      lambda m: m[:, 1] == 0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rows = check_weights(n, k)
+        assert _failing_families(rows) == {"WGT.norm_ratio", "WGT.phase"}, (n, k)
+        phase = next(r for r in rows if r.id.startswith("WGT.phase"))
+        assert abs(phase.residual - 1) < 1e-12, (n, k)
 
 
 def test_squared_amplitudes_match_exact_norm_ratios():
@@ -791,21 +807,79 @@ def test_connectivity_search_matches_csgraph():
 
 
 def test_root_forms_are_evaluated_once_per_order_type(monkeypatch):
-    # both forms of e_ij touch modes i and j alone: the realized side is built
-    # on two modes, once for i < j and once for i > j, and never at n = 1
-    build = fockrep.build_gl_generator
-    calls = []
+    # both forms of e_ij touch modes i and j alone: each is built on two
+    # modes, once for i < j and once for i > j, and never at n = 1
+    build, direct = fockrep.build_gl_generator, fockrep._gl_matrix_direct
+    calls, direct_calls = [], []
 
     def counted(n, i, j):
         calls.append((n, i, j))
         return build(n, i, j)
 
+    def counted_direct(i, j, space):
+        direct_calls.append((i, j, space.n))
+        return direct(i, j, space)
+
     monkeypatch.setattr(fockrep, "build_gl_generator", counted)
-    for n, k, expected in ((3, 4, [(2, 1, 2), (2, 2, 1)]), (5, 6, [(2, 1, 2), (2, 2, 1)]),
-                           (1, 5, [])):
+    monkeypatch.setattr(fockrep, "_gl_matrix_direct", counted_direct)
+    for n, k in ((2, 3), (3, 4), (5, 6), (1, 5)):
         calls.clear()
+        direct_calls.clear()
         assert all(r.ok for r in check_decomposition(n, k))
-        assert calls == expected, (n, k)
+        assert calls == ([(2, 1, 2), (2, 2, 1)] if n > 1 else []), (n, k)
+        assert direct_calls == ([(1, 2, 2), (2, 1, 2)] if n > 1 else []), (n, k)
+
+
+def _full_space_root_vectors(space):
+    """The leak and the edge of every explicit root vector built on the whole
+    space: the reference for what check_decomposition reads on two modes."""
+    labels = space.labels
+    reads = {}
+    for i, j in itertools.permutations(range(1, space.n + 1), 2):
+        op = fockrep._gl_matrix_direct(i, j, space)
+        ((d, w),) = op.items()
+        cols = np.flatnonzero(w)
+        off_block = fockrep._modulus(w[cols[labels[cols] != labels[cols + d]]])
+        leak = float(off_block.max()) if off_block.size else 0.0
+        reads[i, j] = leak, _edges([op], labels)[0]
+    return reads
+
+
+def _decomposition_reads(monkeypatch, n, k):
+    """The DEC.invariant rows by (i, j) and the edges the DEC.connected
+    search receives."""
+    search = fockrep._connected_blocks
+    calls = []
+    with monkeypatch.context() as patch:
+        patch.setattr(fockrep, "_connected_blocks",
+                      lambda edges, labels: calls.append(edges) or search(edges, labels))
+        rows = check_decomposition(n, k)
+    leaks = {tuple(map(int, re.search(r"e=(\d+),(\d+)", r.id).groups())): r
+             for r in rows if r.id.startswith("DEC.invariant")}
+    return leaks, calls[0]
+
+
+@pytest.mark.parametrize("n,k", [(3, 4), (4, 5), (5, 6), (3, 46)])
+def test_root_vectors_on_two_modes_equal_the_full_space_ones(monkeypatch, n, k):
+    # e_ij changes m_i and m_j alone and reaches the other modes only through
+    # unit phases: the edge masks spread from two modes are bit-identical to
+    # those of the root vectors on k^n, and the leaks agree
+    leaks, edges = _decomposition_reads(monkeypatch, n, k)
+    reference = _full_space_root_vectors(fockrep.fock_space(n, k))
+    assert list(leaks) == list(reference)
+    for (d, has), (_, (ref_d, ref_has)) in zip(edges, reference.values()):
+        assert d == ref_d and has.dtype == ref_has.dtype == bool
+        assert np.array_equal(has, ref_has)
+    for ij, row in leaks.items():
+        assert row.ok and row.residual == reference[ij][0] == 0.0
+    # with e_ij raising mode i every entry leaves its block: the verdicts are
+    # the full space's, and each leak equals its largest modulus to rounding
+    _raising_root_vectors(monkeypatch, None)
+    leaks, _ = _decomposition_reads(monkeypatch, n, k)
+    reference = _full_space_root_vectors(fockrep.fock_space(n, k))
+    for ij, row in leaks.items():
+        assert row.ok == (reference[ij][0] == 0.0) and not row.ok, ij
+        assert abs(row.residual / reference[ij][0] - 1) < 1e-12, ij
 
 
 def test_connectivity_reads_boolean_edge_masks(monkeypatch):
@@ -980,6 +1054,18 @@ def test_every_representation_family_has_a_mutation(capsys):
         emitted |= set(families)
     assert set(_FAMILY_MUTATION) == emitted
     assert set(_FAMILY_MUTATION.values()) == set(_MUTATIONS)
+
+
+def test_a_cut_letter_on_three_modes_fails_outside_the_root_vectors(monkeypatch, capsys):
+    # the root vectors are read on their own two-mode space, so a fault in a
+    # full-space letter reaches the rows that read the letters themselves
+    _scale_letter(monkeypatch, fockrep.fock_space(3, 4), (AP, 1, 0), 0.0,
+                  lambda m: m[:, 1] == 0)
+    assert main(["rep", "--n", "3", "--k", "4", "--format", "json"]) == 1
+    failing = {"MAT" if row["id"].startswith("MAT.") else row["id"].split("[")[0]
+               for row in json.loads(capsys.readouterr().out)["results"]
+               if row["status"] != "pass"}
+    assert failing == {"UNI.adjoint", "WGT.norm_ratio", "WGT.phase", "MAT", "OSP.connected"}
 
 
 @pytest.mark.parametrize("family", list(_FAMILY_MUTATION))
