@@ -500,11 +500,11 @@ def check_matrix_relations(
     it touches and reaches such a mode only through the prefix phases, one
     common unimodular phase per shift and spectator state, so its residual
     on k^n is sqrt(k^(n-|S|)) times the one on the k^|S| space of S.  Each
-    pattern of uqosp.relation_patterns is evaluated once, on
-    FockSpace(|S|, k) (fock_space(n, k) when |S| = n), and every row
-    reports its residual scaled back to k^n, which RESIDUAL_TOL bounds.
-    Leaves and monomials are built once per |S| by one memo, dropped on
-    return."""
+    pattern of uqosp.relation_patterns (realized once per process and rules,
+    whatever n or k) is evaluated once per call on FockSpace(|S|, k)
+    (fock_space(n, k) when |S| = n); every row reports its residual scaled
+    back to k^n, which RESIDUAL_TOL bounds.  Leaves and monomials are built
+    once per |S| by one memo, dropped on return."""
     spaces: dict[int, FockSpace] = {}
     memo: dict = {}
     residuals: dict[RelationPattern, float] = {}

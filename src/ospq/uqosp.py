@@ -794,19 +794,24 @@ def catalog(
     """
     if n < 1:
         raise ValueError("mode count must be at least 1")
-    chosen = FAMILY_BUILDERS if families is None else families
-    for name in chosen:
-        if name not in FAMILY_BUILDERS:
-            raise ValueError(f"unknown family {name!r} "
-                             f"(choose from {', '.join(FAMILY_BUILDERS)})")
     out: list[RelationInstance] = []
-    for name in [f for f in FAMILY_BUILDERS if f in chosen]:
+    for name in _chosen_families(families):
         instances = FAMILY_BUILDERS[name](n)
         if seed is not None and len(instances) > CATALOG_SAMPLE:
             rng = random.Random(seed + len(name))
             instances = rng.sample(instances, CATALOG_SAMPLE)
         out.extend(instances)
     return out
+
+
+def _chosen_families(families: Sequence[str] | None) -> tuple[str, ...]:
+    """Builder families in catalog order: the named ones (a str names one) or all."""
+    chosen = [families] if isinstance(families, str) else families
+    for name in chosen or ():
+        if name not in FAMILY_BUILDERS:
+            raise ValueError(f"unknown family {name!r} "
+                             f"(choose from {', '.join(FAMILY_BUILDERS)})")
+    return tuple(f for f in FAMILY_BUILDERS if chosen is None or f in chosen)
 
 
 # one side of a relation: its normal form's sorted (monomial, coefficient) pairs
@@ -883,13 +888,13 @@ def relation_patterns(
 
     A relation's letters act on a mode they do not touch only through the
     phases of the q-commuting oscillators, so its matrices need only the
-    touched modes (fockrep.check_matrix_relations).  Both sides are
-    relabelled onto those modes in order and the sides realized once per
-    pattern: at n = 5, 1,350 instances share 189 patterns.  The normal forms
-    do not depend on the root order k, so a matrix check at several k
-    realizes each pattern once; two entries keep two mode counts, as a sweep
-    over the acceptance grid alternates n = 2 and n = 3.  Shared, so never
-    mutated."""
+    touched modes (fockrep.check_matrix_relations), and its normal form is
+    its pattern's placed on them (verify_relations).  Both sides are
+    relabelled onto those modes in order: at n = 5, 1,350 instances share
+    189 patterns, and n = 1..5 together have those 189.  Patterns come from
+    one table per process keyed by (m, sides, rules), so each is realized
+    once across n, k and commands; two entries keep the rows of two mode
+    counts, as the acceptance grid alternates n = 2, 3.  Never mutated."""
     return _relation_patterns(n, rules)
 
 
@@ -899,22 +904,21 @@ def _relation_patterns(
 ) -> tuple[tuple[RelationInstance, tuple[int, ...], RelationPattern], ...]:
     """relation_patterns, cached by (n, rules) however the rules were passed."""
     leaf_modes: dict[Gen, int] = {}
-    patterns: dict[tuple[int, GenExpr, GenExpr], RelationPattern] = {}
     out = []
     for inst in catalog(n):
         mask = _touched(inst.lhs, n, leaf_modes) | _touched(inst.rhs, n, leaf_modes)
         modes = tuple(i for i in range(1, n + 1) if mask >> i & 1)
-        m = len(modes)
-        lhs, rhs = _relabel(inst.lhs, modes), _relabel(inst.rhs, modes)
         # k_1 means one thing at m = 1 and another at m = 2, so m counts too
-        key = (m, lhs, rhs)
-        pattern = patterns.get(key)
-        if pattern is None:
-            pattern = patterns[key] = RelationPattern(
-                m, lhs, rhs, tuple(realize(lhs, m, rules).terms()),
-                tuple(realize(rhs, m, rules).terms()))
-        out.append((inst, modes, pattern))
+        out.append((inst, modes, _pattern(len(modes), _relabel(inst.lhs, modes),
+                                          _relabel(inst.rhs, modes), rules)))
     return tuple(out)
+
+
+@lru_cache(maxsize=None)
+def _pattern(m: int, lhs: GenExpr, rhs: GenExpr, rules: Rules) -> RelationPattern:
+    """The process-wide table: sides relabelled onto m modes, realized once."""
+    return RelationPattern(m, lhs, rhs, tuple(realize(lhs, m, rules).terms()),
+                           tuple(realize(rhs, m, rules).terms()))
 
 
 def verify_instance(
@@ -929,8 +933,24 @@ def verify_relations(
     rules: Rules = DEFAULT_RULES,
     families: Sequence[str] | None = None,
 ) -> list[CheckResult]:
-    """Verify every instance of the catalog, or of the named families."""
-    return [verify_instance(inst, n, rules) for inst in catalog(n, families=families)]
+    """verify_instance's row for every instance of the catalog, or of the
+    named families, in catalog order, each from its pattern's residual
+    (relation_patterns), built once per call and placed on its modes."""
+    chosen = _chosen_families(families)
+    residuals: dict[RelationPattern, WeylElement] = {}
+    out = []
+    for inst, modes, p in relation_patterns(n, rules) if chosen else ():
+        if inst.family.startswith(chosen):  # SERRE_E is a SERRE family
+            if p not in residuals:
+                residuals[p] = WeylElement(p.n, dict(p.lhs_terms)) - WeylElement(
+                    p.n, dict(p.rhs_terms))
+            # exponent j moves to modes[j - 1], every other mode reads the 0
+            # appended at -1; the monomial order is kept, so rows print as at n
+            at = [modes.index(i) if i in modes else -1 for i in range(1, n + 1)]
+            placed = {WeylMonomial(*(tuple((*e, 0)[j] for j in at) for e in mono)): c
+                      for mono, c in residuals[p].terms()}
+            out.append(residual_row(inst.id, WeylElement(n, placed)))
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -284,12 +284,14 @@ _NORMAL_ORDER_WORDS = (
 )
 # sha256 of the exact stdout and exit code of every command below, timestamp
 # line dropped; these layers are exact, so the bytes do not depend on numpy
-_REPORT_BYTES_DIGEST = "7c4fd576e7d7162b071c78acaa69666103eff79a7dd8bc2ebbd9f3e88870ceda"
+_REPORT_BYTES_DIGEST = "124287b14eccd1a43c491508adb33d57a452ea8ca05dcd9471df2474f4391123"
 
 
 def test_report_bytes_golden_digest(capsys):
     runs = [("verify", "--n", str(n), "--format", "json") for n in range(1, 5)]
     runs.append(("verify", "--n", "2", "--corrupt-rules", "--format", "json"))
+    runs.append(("verify", "--n", "5", "--format", "json"))
+    runs.append(("verify", "--n", "3", "--corrupt-rules", "--format", "json"))
     for word in _NORMAL_ORDER_WORDS:
         runs += [("normal-order", word), ("normal-order", word, "--contract")]
     digest = hashlib.sha256()

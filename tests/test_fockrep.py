@@ -408,6 +408,7 @@ def test_matrix_relations_realize_each_catalog_once(monkeypatch):
 
     monkeypatch.setattr(uqosp, "realize", counting)
     uqosp._relation_patterns.cache_clear()
+    uqosp._pattern.cache_clear()
     check_matrix_relations(3, 2)
     # the table check_matrix_relations read, so a hit, not a second table
     patterns = {id(p): p for _, _, p in uqosp.relation_patterns(3, DEFAULT_RULES)}.values()

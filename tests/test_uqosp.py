@@ -528,8 +528,11 @@ _MUTATIONS = {
 
 
 def _clear_realization():
+    # the pattern table too: a warm one would hide a monkeypatched mutation
     uqosp._leaf_image.cache_clear()
     uqosp._realize_node.cache_clear()
+    uqosp._pattern.cache_clear()
+    uqosp._relation_patterns.cache_clear()
 
 
 @pytest.mark.parametrize("name", list(_MUTATIONS))
@@ -545,6 +548,88 @@ def test_each_mutation_fails_its_families(name, monkeypatch):
     failing = {r.id.split("[")[0] for r in rows if not r.ok}
     assert families <= failing, families - failing
     assert all(r.ok for r in verify_relations(2))
+
+
+def _rows(rows):
+    return [(r.id, r.ok, r.residual, r.detail) for r in rows]
+
+
+def _assert_pattern_route_is_the_instance_route(ns, rules):
+    for n in ns:
+        assert _rows(verify_relations(n, rules)) == _rows(
+            [verify_instance(inst, n, rules) for inst in catalog(n)]), n
+
+
+@pytest.mark.parametrize("rules", [DEFAULT_RULES, DEFAULT_RULES.corrupted()],
+                         ids=["default", "corrupted"])
+def test_verify_relations_equals_the_per_instance_route(rules):
+    """verify_relations reads each instance off its relabelled pattern, so
+    `verify` and `rep` now share _touched and _relabel: a fault there would
+    hit both routes at once.  verify_instance realizes every instance at its
+    own n without either, and this test (with the mutation one below) holds
+    the two routes equal field for field."""
+    _assert_pattern_route_is_the_instance_route(range(1, 6), rules)
+
+
+@pytest.mark.parametrize("name", list(_MUTATIONS))
+def test_verify_relations_equals_the_per_instance_route_under_mutations(name, monkeypatch):
+    # the negative controls reach every instance through the pattern route
+    module, attr, mutant, _ = _MUTATIONS[name]
+    _clear_realization()
+    monkeypatch.setattr(module, attr, mutant)
+    try:
+        _assert_pattern_route_is_the_instance_route((2, 3), DEFAULT_RULES)
+    finally:
+        monkeypatch.undo()
+        _clear_realization()
+
+
+def test_verify_and_rep_realize_each_pattern_once_per_process(monkeypatch):
+    # n = 1..5 together have the 189 patterns of n = 4; a matrix check
+    # after them realizes nothing new
+    from ospq.fockrep import check_matrix_relations
+
+    calls = []
+    depth = [0]
+    real = uqosp.realize
+
+    def counting(x, n, rules=DEFAULT_RULES):
+        if not depth[0]:
+            calls.append((x, n))
+        depth[0] += 1
+        try:
+            return real(x, n, rules)
+        finally:
+            depth[0] -= 1
+
+    _clear_realization()
+    monkeypatch.setattr(uqosp, "realize", counting)
+    for n in range(1, 6):
+        verify_relations(n)
+    check_matrix_relations(4, 3)
+    assert len(calls) == 2 * 189
+
+
+def test_a_family_named_by_a_bare_string():
+    assert [i.id for i in catalog(2, families="CK")] == [
+        i.id for i in catalog(2, families=["CK"])]
+    assert _rows(verify_relations(2, families="SERRE")) == _rows(
+        verify_relations(2, families=["SERRE"]))
+    assert {r.id.split(".")[0] for r in verify_relations(2, families="SERRE")} == {
+        "SERRE_E", "SERRE_F"}
+
+
+def test_verify_of_classical_families_builds_no_relation_catalog(monkeypatch, capsys):
+    calls = []
+    real = uqosp.catalog
+    monkeypatch.setattr(uqosp, "catalog", lambda *a, **kw: calls.append(a) or real(*a, **kw))
+    _clear_realization()
+    assert verify_relations(5, families=[]) == []
+    assert main(["verify", "--n", "5", "--families", "classical"]) == 0
+    assert calls == []
+    assert uqosp._pattern.cache_info().currsize == 0
+    assert uqosp._relation_patterns.cache_info().currsize == 0
+    assert "C21[n=5," in capsys.readouterr().out
 
 
 def test_realization_memo_separates_rule_sets():
@@ -694,5 +779,7 @@ def test_realized_catalog_is_emptied_with_every_program_cache(monkeypatch):
     workloads = importlib.import_module("workloads")
     relation_patterns(1)
     assert uqosp._relation_patterns.cache_info().currsize > 0
+    assert uqosp._pattern.cache_info().currsize > 0
     workloads.clear_caches()
     assert uqosp._relation_patterns.cache_info().currsize == 0
+    assert uqosp._pattern.cache_info().currsize == 0
